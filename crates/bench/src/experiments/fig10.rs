@@ -28,8 +28,7 @@ pub struct SweepRow {
     pub gpu_idle_ms: f64,
     /// CPU idle time, ms (Fig. 10c / 11c).
     pub cpu_idle_ms: f64,
-    /// Timeline events behind the cell (kernels + launches + CPU ops) —
-    /// the work unit the perf runner normalizes sweep wall time by.
+    /// Timeline events behind the cell (kernels + launches + CPU ops).
     pub events: u64,
 }
 
@@ -43,8 +42,8 @@ pub fn sweep_model(model: &ModelConfig) -> Vec<SweepRow> {
 }
 
 /// [`sweep_model`] with an explicit worker count, bypassing the global
-/// harness resolution — the perf runner uses this to pin its serial and
-/// parallel entries to known counts instead of whatever the host resolves.
+/// harness resolution, for callers that pin serial and parallel runs to
+/// known counts instead of whatever the host resolves.
 #[must_use]
 pub fn sweep_model_with(workers: usize, model: &ModelConfig) -> Vec<SweepRow> {
     let mut cells = Vec::new();

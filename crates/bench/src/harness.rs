@@ -86,9 +86,9 @@ where
 /// The worker count `map_with(requested, ..)` will actually fan out to:
 /// `requested` capped by the host's available parallelism. Spawning more
 /// workers than cores cannot help an embarrassingly-parallel CPU-bound
-/// sweep — it only adds spawn/teardown and scheduler churn per call (the
-/// committed BENCH_BASELINE.json once recorded the 4-worker fig10 sweep
-/// *slower* than serial on a single-core host for exactly this reason) —
+/// sweep — it only adds spawn/teardown and scheduler churn per call (a
+/// 4-worker fig10 sweep once measured *slower* than serial on a
+/// single-core host for exactly this reason) —
 /// and determinism comes from index-ordered write-back, never from the
 /// worker count, so capping is invisible in the results.
 #[must_use]

@@ -32,8 +32,8 @@ use crate::observe::SloReport;
 use crate::policy::ReplicaState;
 use crate::stop::StopCondition;
 use crate::unified::{
-    run_unified, unit_cost_ns, CostBasis, Event, FloorObs, LinkRt, RState, ReplicaMeta,
-    ReplicaSet, UnifiedFloor,
+    run_unified, unit_cost_ns, CostBasis, Event, FloorObs, LinkRt, RState, ReplicaMeta, ReplicaSet,
+    UnifiedFloor,
 };
 
 /// Runs the fleet simulation, returning the scalar report.
@@ -44,7 +44,7 @@ use crate::unified::{
 /// ends wanting a graceful error path validate first.
 #[must_use]
 pub fn simulate_fleet(cfg: &FleetConfig) -> FleetReport {
-    simulate_fleet_traced(cfg).0
+    run_fleet(cfg, StopCondition::UNBOUNDED, false).0
 }
 
 /// Runs the fleet simulation under `stop`, aborting the moment a budget
@@ -57,7 +57,7 @@ pub fn simulate_fleet(cfg: &FleetConfig) -> FleetReport {
 /// Panics if the configuration fails [`FleetConfig::validate`].
 #[must_use]
 pub fn simulate_fleet_bounded(cfg: &FleetConfig, stop: StopCondition) -> FleetReport {
-    run_fleet(cfg, stop).0
+    run_fleet(cfg, stop, false).0
 }
 
 /// Runs the fleet simulation and additionally returns the full
@@ -69,10 +69,20 @@ pub fn simulate_fleet_bounded(cfg: &FleetConfig, stop: StopCondition) -> FleetRe
 /// Panics if the configuration fails [`FleetConfig::validate`].
 #[must_use]
 pub fn simulate_fleet_traced(cfg: &FleetConfig) -> (FleetReport, FleetTrace) {
-    run_fleet(cfg, StopCondition::UNBOUNDED)
+    let (report, obs) = run_fleet(cfg, StopCondition::UNBOUNDED, true);
+    let FloorObs::Fleet(trace) = obs else {
+        unreachable!("a traced fleet run records a FleetTrace")
+    };
+    (report, trace)
 }
 
-fn run_fleet(cfg: &FleetConfig, stop: StopCondition) -> (FleetReport, FleetTrace) {
+/// Runs the fleet floor under `stop`, recording a [`FleetTrace`] when
+/// `traced` and nothing otherwise; the report is the same either way.
+pub(crate) fn run_fleet(
+    cfg: &FleetConfig,
+    stop: StopCondition,
+    traced: bool,
+) -> (FleetReport, FloorObs) {
     if let Err(e) = cfg.validate() {
         panic!("{e}");
     }
@@ -133,12 +143,18 @@ fn run_fleet(cfg: &FleetConfig, stop: StopCondition) -> (FleetReport, FleetTrace
 
     let initial_live = n as u32;
     let disagg = cfg.spec.is_disaggregated();
-    // Preallocate the whole-run observation storage: every request's
-    // lifecycle takes a bounded number of events (arrive/admit/first
-    // token/complete, plus the three handoff events when disaggregated),
-    // so the recording hot path never reallocates mid-simulation.
-    let mut obs = FleetTrace::new(cfg.model.name.clone(), cfg.spec.label());
-    obs.reserve(cfg.requests, if disagg { 7 } else { 4 });
+    let obs = if traced {
+        // Preallocate the whole-run recording: every request's lifecycle
+        // takes a bounded number of events (arrive/admit/first
+        // token/complete, plus the three handoff events when
+        // disaggregated), so the recording hot path never reallocates
+        // mid-simulation.
+        let mut t = FleetTrace::new(cfg.model.name.clone(), cfg.spec.label());
+        t.reserve(cfg.requests, if disagg { 7 } else { 4 });
+        FloorObs::Fleet(t)
+    } else {
+        FloorObs::Lean
+    };
     let mut floor = UnifiedFloor {
         set: ReplicaSet {
             platforms,
@@ -175,10 +191,11 @@ fn run_fleet(cfg: &FleetConfig, stop: StopCondition) -> (FleetReport, FleetTrace
             .collect(),
         mem: None,
         finished: Vec::with_capacity(cfg.requests as usize),
+        first_token: vec![SimTime::ZERO; cfg.requests as usize],
         last_completion: SimTime::ZERO,
         // Fleet policies admit at every boundary, so no flush timers.
         flush: Vec::new(),
-        obs: FloorObs::Fleet(obs),
+        obs,
         expired_buf: Vec::new(),
         load_buf: Vec::with_capacity(n),
         scratch_actives: Vec::with_capacity(cfg.max_batch as usize),
@@ -204,10 +221,7 @@ fn run_fleet(cfg: &FleetConfig, stop: StopCondition) -> (FleetReport, FleetTrace
 
     let mut report = assemble_fleet_report(cfg, &floor, first_arrival);
     report.aborted = aborted;
-    let FloorObs::Fleet(trace) = floor.obs else {
-        unreachable!("fleet front records a FleetTrace")
-    };
-    (report, trace)
+    (report, floor.obs)
 }
 
 fn assemble_fleet_report(

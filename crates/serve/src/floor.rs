@@ -92,7 +92,7 @@ pub fn simulate(cfg: &ServingConfig) -> ServingReport {
 /// [`ServingConfig::validate`].
 #[must_use]
 pub fn simulate_replicas(cfg: &ServingConfig, replicas: u32) -> ServingReport {
-    simulate_traced(cfg, replicas).0
+    run_floor(cfg, replicas, StopCondition::UNBOUNDED, false).0
 }
 
 /// Runs the serving simulation under `stop`, aborting the moment a budget
@@ -113,7 +113,7 @@ pub fn simulate_replicas_bounded(
     replicas: u32,
     stop: StopCondition,
 ) -> ServingReport {
-    run_floor(cfg, replicas, stop).0
+    run_floor(cfg, replicas, stop, false).0
 }
 
 /// Runs the serving simulation and additionally returns the full
@@ -130,14 +130,21 @@ pub fn simulate_replicas_bounded(
 /// validate first for a graceful error path).
 #[must_use]
 pub fn simulate_traced(cfg: &ServingConfig, replicas: u32) -> (ServingReport, ServingTrace) {
-    run_floor(cfg, replicas, StopCondition::UNBOUNDED)
+    let (report, obs) = run_floor(cfg, replicas, StopCondition::UNBOUNDED, true);
+    let FloorObs::Serve(trace) = obs else {
+        unreachable!("a traced single-node run records a ServingTrace")
+    };
+    (report, trace)
 }
 
-fn run_floor(
+/// Runs the single-node floor under `stop`, recording a [`ServingTrace`]
+/// when `traced` and nothing otherwise; the report is the same either way.
+pub(crate) fn run_floor(
     cfg: &ServingConfig,
     replicas: u32,
     stop: StopCondition,
-) -> (ServingReport, ServingTrace) {
+    traced: bool,
+) -> (ServingReport, FloorObs) {
     assert!(replicas > 0, "need at least one replica");
     if let Err(e) = cfg.validate() {
         panic!("{e}");
@@ -160,10 +167,15 @@ fn run_floor(
 
     let router = cfg.router.build();
     let nq = router.queue_count(n).clamp(1, n);
-    let mut obs = ServingTrace::new(cfg.model.name.clone(), cfg.platform.name.clone(), replicas);
-    // Every request records at least arrive/admit/first-token/complete;
-    // memory pressure adds preempt/resume pairs.
-    obs.reserve(cfg.requests, if cfg.kv.is_some() { 6 } else { 4 });
+    let obs = if traced {
+        let mut t = ServingTrace::new(cfg.model.name.clone(), cfg.platform.name.clone(), replicas);
+        // Every request records at least arrive/admit/first-token/complete;
+        // memory pressure adds preempt/resume pairs.
+        t.reserve(cfg.requests, if cfg.kv.is_some() { 6 } else { 4 });
+        FloorObs::Serve(t)
+    } else {
+        FloorObs::Lean
+    };
     let mut floor = UnifiedFloor {
         set: ReplicaSet::single_group(cfg.platform.clone(), &cfg.model, n, router),
         policy: cfg.policy.build(),
@@ -172,9 +184,10 @@ fn run_floor(
         states: (0..n).map(|_| ReplicaState::default()).collect(),
         mem: cfg.kv.map(|kv| MemoryLayer::new(cfg, kv, n)),
         finished: Vec::with_capacity(cfg.requests as usize),
+        first_token: vec![SimTime::ZERO; cfg.requests as usize],
         last_completion: SimTime::ZERO,
         flush: (0..nq).map(|_| FlushTimer::default()).collect(),
-        obs: FloorObs::Serve(obs),
+        obs,
         expired_buf: vec![false; nq],
         load_buf: Vec::with_capacity(n),
         scratch_actives: Vec::new(),
@@ -201,10 +214,7 @@ fn run_floor(
         floor.mem.as_ref(),
     );
     report.aborted = aborted;
-    let FloorObs::Serve(trace) = floor.obs else {
-        unreachable!("single-node front records a ServingTrace")
-    };
-    (report, trace)
+    (report, floor.obs)
 }
 
 /// Folds the finished set into percentile metrics.

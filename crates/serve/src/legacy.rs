@@ -108,7 +108,9 @@ impl Lane<'_> {
             },
         );
         self.done.push(Finished {
-            ttft: a.ttft.expect("prefill completed before retirement"),
+            ttft: self.obs.lifecycles[a.req.id as usize]
+                .ttft()
+                .expect("prefill completed before retirement"),
             e2e: self.now.saturating_duration_since(a.req.arrival),
         });
         *self.last_completion = self.now;
@@ -225,7 +227,6 @@ impl ContinuousBatch {
                     req,
                     generated: 0,
                     prefilled,
-                    ttft: None,
                 });
             }
             Some(lane.lat.prefill(newcomers as u32, lane.cfg.prompt_len))
@@ -284,7 +285,6 @@ impl ContinuousBatch {
                     req,
                     generated: 0,
                     prefilled,
-                    ttft: None,
                 });
                 admitted += 1;
             }
@@ -330,7 +330,6 @@ impl BatchPolicy for ContinuousBatch {
             let a = &mut lane.state.actives[i];
             if a.generated == 0 {
                 a.generated = 1;
-                a.ttft = Some(now.saturating_duration_since(a.req.arrival));
                 lane.obs.record(a.req.id, now, LifecycleKind::FirstToken);
             } else {
                 a.generated += 1;
@@ -419,7 +418,6 @@ impl BatchPolicy for ChunkedPrefillBatch {
                 req,
                 generated: 0,
                 prefilled: 0,
-                ttft: None,
             });
             budget -= tokens;
             admitted += 1;
@@ -493,7 +491,6 @@ impl BatchPolicy for ChunkedPrefillBatch {
                     a.prefilled += tokens;
                     if a.prefilled >= a.req.prompt_len {
                         a.generated = 1;
-                        a.ttft = Some(now.saturating_duration_since(a.req.arrival));
                         lane.obs.record(id, now, LifecycleKind::FirstToken);
                     }
                 }
@@ -881,8 +878,8 @@ mod tests {
         fn policy_strategy() -> impl Strategy<Value = Policy> {
             // Selector + prop_map in place of `prop_oneof!`: draw parameters
             // for every variant, keep the selected one.
-            (0u32..3, 1u32..9, 5u64..81, 16u32..129).prop_map(
-                |(kind, batch, ms, chunk_tokens)| match kind {
+            (0u32..3, 1u32..9, 5u64..81, 16u32..129).prop_map(|(kind, batch, ms, chunk_tokens)| {
+                match kind {
                     0 => Policy::Continuous { max_batch: batch },
                     1 => Policy::Static {
                         batch_size: batch,
@@ -892,8 +889,8 @@ mod tests {
                         max_batch: batch,
                         chunk_tokens,
                     },
-                },
-            )
+                }
+            })
         }
 
         fn router_strategy() -> impl Strategy<Value = RouterPolicy> {

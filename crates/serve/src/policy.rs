@@ -10,11 +10,13 @@
 //! live in `unified.rs` and never depend on which policy runs.
 //!
 //! One trait covers both serving floors. The single-node policies
-//! ([`Policy::build`]) admit through memory-aware seams and track TTFT on
-//! the [`Active`] itself; the fleet policies ([`FleetBatchPolicy::build`])
-//! admit inside the iteration (recording pool-aware lifecycle events),
-//! give prefill strict priority over decode, and route finished prefills
-//! to the lane's handoff buffer when the replica sits in a prefill pool.
+//! ([`Policy::build`]) admit through memory-aware seams; the fleet policies
+//! ([`FleetBatchPolicy::build`]) admit inside the iteration (recording
+//! pool-aware lifecycle events), give prefill strict priority over decode,
+//! and route finished prefills to the lane's handoff buffer when the
+//! replica sits in a prefill pool. Every policy stamps a request's first
+//! token into the floor's [`Lane::first_token`] and completes it through
+//! one path, so latencies never depend on what the observer recorded.
 
 use std::collections::VecDeque;
 
@@ -38,7 +40,6 @@ pub(crate) struct Active {
     /// chunk, and it is what preemption/resume sizing reads, so a request
     /// parked mid-prefill swaps or recomputes only what it actually holds.
     pub(crate) prefilled: u32,
-    pub(crate) ttft: Option<SimDuration>,
 }
 
 /// A completed request's user-visible latencies.
@@ -98,6 +99,10 @@ pub(crate) struct Lane<'a> {
     pub(crate) mem: Option<MemLane<'a>>,
     pub(crate) obs: &'a mut FloorObs,
     pub(crate) done: &'a mut Vec<Finished>,
+    /// First-token instant of every request, indexed by request id:
+    /// written when its prefill finishes, read when it completes (possibly
+    /// on another replica, after a KV handoff).
+    pub(crate) first_token: &'a mut [SimTime],
     /// Finished prefills awaiting a KV handoff to the decode pool; the
     /// floor drains this after every retire.
     pub(crate) handoffs_out: &'a mut Vec<Request>,
@@ -109,20 +114,28 @@ pub(crate) struct Lane<'a> {
 }
 
 impl Lane<'_> {
-    fn complete(&mut self, a: Active) {
+    /// Request `id`'s prefill finished at `at`: its first token is out.
+    fn first_token_out(&mut self, id: u64, at: SimTime) {
+        self.first_token[id as usize] = at;
+        self.obs.record(id, at, LifecycleKind::FirstToken);
+    }
+
+    /// Completes `req` on this replica, deriving its latencies from its
+    /// arrival and its first-token instant.
+    fn complete(&mut self, req: Request) {
         if let Some(mem) = self.mem.as_mut() {
-            mem.release(a.req.id);
+            mem.release(req.id);
         }
         self.obs.record(
-            a.req.id,
+            req.id,
             self.now,
             LifecycleKind::Completed {
                 replica: self.replica as u32,
             },
         );
         self.done.push(Finished {
-            ttft: a.ttft.expect("prefill completed before retirement"),
-            e2e: self.now.saturating_duration_since(a.req.arrival),
+            ttft: self.first_token[req.id as usize].saturating_duration_since(req.arrival),
+            e2e: self.now.saturating_duration_since(req.arrival),
         });
         *self.last_completion = self.now;
     }
@@ -219,23 +232,9 @@ impl BatchPolicy for StaticBatch {
     }
 
     fn retire(&self, lane: &mut Lane<'_>) {
-        let now = lane.now;
-        let replica_id = lane.replica as u32;
         for (req, first_token_at) in std::mem::take(&mut lane.state.static_job) {
-            lane.obs
-                .record(req.id, first_token_at, LifecycleKind::FirstToken);
-            lane.obs.record(
-                req.id,
-                now,
-                LifecycleKind::Completed {
-                    replica: replica_id,
-                },
-            );
-            lane.done.push(Finished {
-                ttft: first_token_at.saturating_duration_since(req.arrival),
-                e2e: now.saturating_duration_since(req.arrival),
-            });
-            *lane.last_completion = now;
+            lane.first_token_out(req.id, first_token_at);
+            lane.complete(req);
         }
     }
 
@@ -274,7 +273,6 @@ impl ContinuousBatch {
                     req,
                     generated: 0,
                     prefilled,
-                    ttft: None,
                 });
             }
             Some(lane.lat.prefill(newcomers as u32, lane.prompt_len))
@@ -341,7 +339,6 @@ impl ContinuousBatch {
                     req,
                     generated: 0,
                     prefilled,
-                    ttft: None,
                 });
                 admitted += 1;
             }
@@ -388,18 +385,16 @@ impl BatchPolicy for ContinuousBatch {
         let mut i = 0;
         while i < lane.state.actives.len() {
             let a = &mut lane.state.actives[i];
-            if a.generated == 0 {
+            a.generated += 1;
+            if a.generated == 1 {
                 // Prefill just finished: first token out.
-                a.generated = 1;
-                a.ttft = Some(now.saturating_duration_since(a.req.arrival));
-                lane.obs.record(a.req.id, now, LifecycleKind::FirstToken);
-            } else {
-                a.generated += 1;
+                let id = a.req.id;
+                lane.first_token_out(id, now);
             }
             let a = &lane.state.actives[i];
             if a.generated >= a.req.new_tokens.max(1) {
                 let a = lane.state.actives.swap_remove(i);
-                lane.complete(a);
+                lane.complete(a.req);
             } else {
                 i += 1;
             }
@@ -442,7 +437,9 @@ impl BatchPolicy for ChunkedPrefillBatch {
             }
         }
 
-        let mut plan: Vec<PlanStep> = Vec::new();
+        // The plan buffer is reused across iterations: retire drains it.
+        let mut plan = std::mem::take(&mut state.plan);
+        plan.clear();
         let mut budget = self.chunk_tokens;
 
         // 1. Continue in-flight prefills, oldest first, within the token
@@ -495,7 +492,6 @@ impl BatchPolicy for ChunkedPrefillBatch {
                 req,
                 generated: 0,
                 prefilled: 0,
-                ttft: None,
             });
             budget -= tokens;
             admitted += 1;
@@ -527,6 +523,7 @@ impl BatchPolicy for ChunkedPrefillBatch {
         if plan.is_empty() {
             // Every planned step was evicted: the iteration degenerates to
             // the swap stall (if any); otherwise the replica idles.
+            state.plan = plan;
             return (swap_stall > SimDuration::ZERO).then_some(swap_stall);
         }
 
@@ -565,39 +562,33 @@ impl BatchPolicy for ChunkedPrefillBatch {
 
     fn retire(&self, lane: &mut Lane<'_>) {
         let now = lane.now;
-        for step in std::mem::take(&mut lane.state.plan) {
+        let mut plan = std::mem::take(&mut lane.state.plan);
+        for step in plan.drain(..) {
+            let a = lane
+                .state
+                .actives
+                .iter_mut()
+                .find(|a| a.req.id == step.id())
+                .expect("planned request still active");
             match step {
                 PlanStep::Chunk { id, tokens } => {
-                    let a = lane
-                        .state
-                        .actives
-                        .iter_mut()
-                        .find(|a| a.req.id == id)
-                        .expect("planned request still active");
                     a.prefilled += tokens;
                     if a.prefilled >= a.req.prompt_len {
                         // Final chunk: first token out with it.
                         a.generated = 1;
-                        a.ttft = Some(now.saturating_duration_since(a.req.arrival));
-                        lane.obs.record(id, now, LifecycleKind::FirstToken);
+                        lane.first_token_out(id, now);
                     }
                 }
-                PlanStep::Decode { id } => {
-                    lane.state
-                        .actives
-                        .iter_mut()
-                        .find(|a| a.req.id == id)
-                        .expect("planned request still active")
-                        .generated += 1;
-                }
+                PlanStep::Decode { .. } => a.generated += 1,
             }
         }
+        lane.state.plan = plan;
         let mut i = 0;
         while i < lane.state.actives.len() {
             let a = &lane.state.actives[i];
             if a.prefilled >= a.req.prompt_len && a.generated >= a.req.new_tokens.max(1) {
                 let a = lane.state.actives.swap_remove(i);
-                lane.complete(a);
+                lane.complete(a.req);
             } else {
                 i += 1;
             }
@@ -629,7 +620,6 @@ fn fleet_admit(lane: &mut Lane<'_>, max_batch: u32) {
         lane.state.actives.push(Active {
             generated: u32::from(decode_side),
             prefilled: if decode_side { req.prompt_len } else { 0 },
-            ttft: None,
             req,
         });
     }
@@ -639,27 +629,12 @@ fn fleet_admit(lane: &mut Lane<'_>, max_batch: u32) {
 /// hand off from the prefill pool, else keep decoding.
 fn fleet_finish_or_keep(lane: &mut Lane<'_>, a: Active, target: u32) {
     if a.generated >= target {
-        fleet_complete(lane, a.req);
+        lane.complete(a.req);
     } else if lane.pool == PoolRole::Prefill {
         lane.handoffs_out.push(a.req);
     } else {
         lane.state.actives.push(a);
     }
-}
-
-/// Completes a fleet request, deriving its latencies from the recorded
-/// lifecycle (a handed-off request's TTFT happened on another replica).
-fn fleet_complete(lane: &mut Lane<'_>, req: Request) {
-    lane.obs.record(
-        req.id,
-        lane.now,
-        LifecycleKind::Completed {
-            replica: lane.replica as u32,
-        },
-    );
-    let (ttft, e2e) = lane.obs.recorded_latencies(req.id);
-    lane.done.push(Finished { ttft, e2e });
-    *lane.last_completion = (*lane.last_completion).max(lane.now);
 }
 
 /// Fleet continuous batching with strict prefill priority: when any
@@ -708,7 +683,7 @@ impl BatchPolicy for FleetContinuous {
                 if a.generated == 0 {
                     a.generated = 1;
                     a.prefilled = a.req.prompt_len;
-                    lane.obs.record(a.req.id, now, LifecycleKind::FirstToken);
+                    lane.first_token_out(a.req.id, now);
                 } else {
                     // Decoding requests idled through the prefill
                     // iteration (prefill-priority continuous batching).
@@ -794,7 +769,7 @@ impl BatchPolicy for FleetChunked {
                 if a.prefilled >= a.req.prompt_len {
                     // Final chunk: first token out with it.
                     a.generated = 1;
-                    lane.obs.record(a.req.id, now, LifecycleKind::FirstToken);
+                    lane.first_token_out(a.req.id, now);
                 } else {
                     lane.state.actives.push(a);
                     continue;

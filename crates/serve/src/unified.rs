@@ -36,11 +36,17 @@ use crate::request::Request;
 use crate::router::{ReplicaLoad, Router};
 use crate::stop::{StopCondition, StopGuard};
 
-/// The observability recording behind the floor: the single-node
+/// What the floor observes: nothing beyond its own state (`Lean`, every
+/// untraced entry point), or the full recording — the single-node
 /// [`ServingTrace`] or the fleet's [`FleetTrace`]. Policies and the loop
 /// record through one vocabulary; each trace keeps its own sample shape
-/// and serde bytes.
+/// and serde bytes. Reports never read the recording, so a lean run
+/// returns the same report as a traced one.
+///
+/// An enum rather than a type parameter: [`BatchPolicy`] is used as a
+/// trait object, so its methods cannot be generic over the sink.
 pub(crate) enum FloorObs {
+    Lean,
     Serve(ServingTrace),
     Fleet(FleetTrace),
 }
@@ -48,15 +54,9 @@ pub(crate) enum FloorObs {
 impl FloorObs {
     pub(crate) fn record(&mut self, id: u64, at: SimTime, kind: LifecycleKind) {
         match self {
+            FloorObs::Lean => {}
             FloorObs::Serve(t) => t.record(id, at, kind),
             FloorObs::Fleet(t) => t.record(id, at, kind),
-        }
-    }
-
-    fn completed_total(&self) -> u32 {
-        match self {
-            FloorObs::Serve(t) => t.completed_total(),
-            FloorObs::Fleet(t) => t.completed_total(),
         }
     }
 
@@ -64,20 +64,6 @@ impl FloorObs {
         if let FloorObs::Fleet(t) = self {
             t.scaling.push(ev);
         }
-    }
-
-    /// The recorded TTFT/e2e of request `id` — what fleet completion
-    /// reads back, since a handed-off request's first token happened on
-    /// another replica.
-    pub(crate) fn recorded_latencies(&self, id: u64) -> (SimDuration, SimDuration) {
-        let lc = match self {
-            FloorObs::Serve(t) => &t.lifecycles[id as usize],
-            FloorObs::Fleet(t) => &t.lifecycles[id as usize],
-        };
-        (
-            lc.ttft().unwrap_or(SimDuration::ZERO),
-            lc.e2e().unwrap_or(SimDuration::ZERO),
-        )
     }
 }
 
@@ -93,7 +79,10 @@ pub(crate) enum Event {
     /// A replica finished its current iteration/job.
     IterationDone(usize),
     /// The flush timer armed for `queue` expired (static batching).
-    FlushTimeout { queue: usize, generation: u64 },
+    FlushTimeout {
+        queue: usize,
+        generation: u64,
+    },
     /// The in-flight transfer on `dst`'s handoff link landed.
     HandoffDone(usize),
     /// Autoscaler decision point.
@@ -250,7 +239,6 @@ impl ReplicaSet {
         self.replica_ns +=
             now.saturating_duration_since(self.last_bill).as_nanos_f64() * f64::from(live);
         self.last_bill = now;
-        self.peak_live = self.peak_live.max(live);
     }
 
     /// The bill the run has provably accrued by `now`, without mutating
@@ -308,9 +296,12 @@ pub(crate) struct UnifiedFloor {
     pub(crate) states: Vec<ReplicaState>,
     pub(crate) mem: Option<MemoryLayer>,
     pub(crate) finished: Vec<Finished>,
+    /// First-token instant of every request, indexed by request id (see
+    /// [`Lane::first_token`]).
+    pub(crate) first_token: Vec<SimTime>,
     pub(crate) last_completion: SimTime,
     pub(crate) flush: Vec<FlushTimer>,
-    /// The observability recording: lifecycle records + counter samples.
+    /// The observer: lean, or lifecycle records + counter samples.
     pub(crate) obs: FloorObs,
     /// Reused per-event scratch: which queues' oldest waiter timed out.
     /// Refilled by [`refresh_expired`](Self::refresh_expired); never
@@ -395,6 +386,8 @@ impl UnifiedFloor {
             Event::ReplicaUp(r) => {
                 self.set.bill(now);
                 self.set.meta[r].state = RState::Up;
+                // The only transition that raises the live count.
+                self.set.peak_live = self.set.peak_live.max(self.set.live_count());
                 self.set.scale_ups += 1;
                 self.obs.push_scaling(ScalingEvent {
                     at: now,
@@ -443,6 +436,7 @@ impl UnifiedFloor {
             mem: self.mem.as_mut().map(|m| m.lane(replica)),
             obs: &mut self.obs,
             done: &mut self.finished,
+            first_token: &mut self.first_token,
             handoffs_out: &mut self.scratch_handoffs,
             scratch: &mut self.scratch_actives,
             last_completion: &mut self.last_completion,
@@ -453,8 +447,7 @@ impl UnifiedFloor {
     /// Starts the next iteration on replica `r` if it is idle, routable,
     /// and has work (targeted wake-up).
     fn kick(&mut self, ctx: &mut SimContext<'_, Event>, r: usize) {
-        if self.states[r].busy
-            || matches!(self.set.meta[r].state, RState::Launching | RState::Down)
+        if self.states[r].busy || matches!(self.set.meta[r].state, RState::Launching | RState::Down)
         {
             return;
         }
@@ -662,7 +655,7 @@ impl UnifiedFloor {
         let Some(auto) = self.set.autoscale else {
             return;
         };
-        let all_done = self.obs.completed_total() >= self.requests;
+        let all_done = self.finished.len() >= self.requests as usize;
         if !all_done {
             let pools: &[PoolRole] = if self.set.disagg {
                 &[PoolRole::Prefill, PoolRole::Decode]
@@ -777,8 +770,9 @@ impl UnifiedFloor {
     }
 
     /// Samples every counter track at an iteration boundary, in the shape
-    /// the run's trace expects. Re-sampling at the same instant
-    /// overwrites, so each boundary keeps its final state.
+    /// the run's trace expects (a lean floor samples nothing).
+    /// Re-sampling at the same instant overwrites, so each boundary keeps
+    /// its final state.
     fn sample(&mut self, now: SimTime) {
         let UnifiedFloor {
             set,
@@ -790,6 +784,7 @@ impl UnifiedFloor {
             ..
         } = self;
         match obs {
+            FloorObs::Lean => {}
             FloorObs::Serve(t) => {
                 let running: usize = states.iter().map(ReplicaState::running).sum();
                 let parked = mem.as_ref().map_or(0, MemoryLayer::parked_total);
@@ -822,8 +817,6 @@ impl UnifiedFloor {
                 let handoff_queued: u32 = set.links.iter().map(|l| l.queue.len() as u32).sum();
                 let handoff_inflight =
                     set.links.iter().filter(|l| l.inflight.is_some()).count() as u32;
-                let live = set.live_count();
-                set.peak_live = set.peak_live.max(live);
                 t.push_sample(FleetSample {
                     at: now,
                     prefill_queue,
@@ -831,7 +824,7 @@ impl UnifiedFloor {
                     running,
                     handoff_queued,
                     handoff_inflight,
-                    live_replicas: live,
+                    live_replicas: set.live_count(),
                     arrived_total: t.arrived_total(),
                     completed_total: t.completed_total(),
                 });
@@ -880,4 +873,168 @@ pub(crate) fn run_unified(
         }
     }
     aborted
+}
+
+#[cfg(test)]
+mod tests {
+    use skip_des::SimDuration;
+    use skip_hw::Platform;
+    use skip_llm::zoo;
+    use skip_mem::{KvSpec, OffloadPolicy};
+
+    use crate::config::{KvCacheConfig, Policy, RouterPolicy, ServingConfig};
+    use crate::fleet::arrivals::ArrivalProcess;
+    use crate::fleet::autoscale::AutoscaleConfig;
+    use crate::fleet::floor::run_fleet;
+    use crate::fleet::spec::{FleetBatchPolicy, FleetConfig, FleetRouterPolicy, FleetSpec};
+    use crate::floor::run_floor;
+    use crate::observe::SloTargets;
+    use crate::stop::StopCondition;
+
+    /// Tight enough that part of every load misses it.
+    const SLO: SloTargets = SloTargets {
+        ttft: Some(SimDuration::from_millis(40)),
+        e2e: None,
+    };
+
+    /// No budget; a ceiling no run reaches (the stepped loop runs to the
+    /// end); an attainment floor most runs blow part-way; a bill ceiling
+    /// a fraction of a replica-second in.
+    fn stops(requests: u32) -> [StopCondition; 4] {
+        let ceiling = |c| StopCondition {
+            cost_ceiling: Some(c),
+            ..StopCondition::UNBOUNDED
+        };
+        [
+            StopCondition::UNBOUNDED,
+            ceiling(1e9),
+            StopCondition::for_attainment(requests, 0.9, SLO),
+            ceiling(0.2),
+        ]
+    }
+
+    /// Counts of (runs, aborted runs) checked, so the grid provably
+    /// covers aborts.
+    #[derive(Default)]
+    struct Tally {
+        runs: u32,
+        aborted: u32,
+    }
+
+    impl Tally {
+        fn check<R: serde::Serialize>(&mut self, lean: &R, traced: &R, aborted: bool, what: &str) {
+            assert_eq!(
+                serde_json::to_string(lean).unwrap(),
+                serde_json::to_string(traced).unwrap(),
+                "lean and recording observers diverged for {what}"
+            );
+            self.runs += 1;
+            self.aborted += u32::from(aborted);
+        }
+    }
+
+    /// The lean observer never changes what the floor computes: over
+    /// policy × router × KV pressure × stop condition, the single-node
+    /// floor returns a serde-identical report whether it records or not,
+    /// aborting at the same point.
+    #[test]
+    fn lean_single_node_floor_reports_what_the_recording_floor_reports() {
+        let model = zoo::gpt2();
+        let spec = KvSpec::for_model(&model, KvSpec::DEFAULT_BLOCK_TOKENS);
+        let pressured =
+            KvCacheConfig::with_blocks(spec.blocks_for(96 + 6) * 2, OffloadPolicy::Auto);
+        let mut tally = Tally::default();
+        for policy in [
+            Policy::Continuous { max_batch: 4 },
+            Policy::Static {
+                batch_size: 4,
+                max_wait: SimDuration::from_millis(30),
+            },
+            Policy::ChunkedPrefill {
+                max_batch: 4,
+                chunk_tokens: 48,
+            },
+        ] {
+            for router in [
+                RouterPolicy::SharedQueue,
+                RouterPolicy::RoundRobin,
+                RouterPolicy::JoinShortestQueue,
+            ] {
+                for kv in [None, Some(pressured)] {
+                    let cfg = ServingConfig {
+                        platform: Platform::intel_h100(),
+                        model: model.clone(),
+                        policy,
+                        requests: 40,
+                        arrival_rate_per_s: 150.0,
+                        prompt_len: 96,
+                        new_tokens: 6,
+                        seed: 29,
+                        kv,
+                        slo: SLO,
+                        router,
+                    };
+                    for stop in stops(cfg.requests) {
+                        let (lean, _) = run_floor(&cfg, 2, stop, false);
+                        let (traced, _) = run_floor(&cfg, 2, stop, true);
+                        let what = format!("{policy:?} / {router} / kv {kv:?} / {stop:?}");
+                        tally.check(&lean, &traced, lean.aborted, &what);
+                    }
+                }
+            }
+        }
+        assert_eq!(tally.runs, 72);
+        assert!(tally.aborted > 0, "the grid must cover aborted runs");
+    }
+
+    /// The same contract on fleet floors: policy × router × unified or
+    /// disaggregated pools × fixed or autoscaled × stop condition.
+    #[test]
+    fn lean_fleet_floor_reports_what_the_recording_floor_reports() {
+        let mut tally = Tally::default();
+        for policy in [
+            FleetBatchPolicy::Continuous,
+            FleetBatchPolicy::ChunkedPrefill { chunk_tokens: 32 },
+        ] {
+            for router in [
+                FleetRouterPolicy::RoundRobin,
+                FleetRouterPolicy::JoinShortestQueue,
+                FleetRouterPolicy::CostModelJsq,
+            ] {
+                for spec in [
+                    FleetSpec::homogeneous(Platform::intel_h100(), 2),
+                    FleetSpec::disaggregated(Platform::gh200(), 1, Platform::amd_a100(), 2),
+                ] {
+                    for autoscale in [None, Some(AutoscaleConfig::default())] {
+                        let cfg = FleetConfig {
+                            spec: spec.clone(),
+                            model: zoo::gpt2(),
+                            max_batch: 4,
+                            requests: 40,
+                            arrivals: ArrivalProcess::Poisson { rate_per_s: 200.0 },
+                            prompt_len: 96,
+                            new_tokens: 6,
+                            seed: 31,
+                            slo: SLO,
+                            router,
+                            policy,
+                            autoscale,
+                        };
+                        for stop in stops(cfg.requests) {
+                            let (lean, _) = run_fleet(&cfg, stop, false);
+                            let (traced, _) = run_fleet(&cfg, stop, true);
+                            let what = format!(
+                                "{policy} / {router} / {} / autoscale {} / {stop:?}",
+                                cfg.spec,
+                                autoscale.is_some()
+                            );
+                            tally.check(&lean, &traced, lean.aborted, &what);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(tally.runs, 96);
+        assert!(tally.aborted > 0, "the grid must cover aborted runs");
+    }
 }

@@ -20,9 +20,9 @@ use skip_llm::{zoo, ModelConfig, Phase, Workload};
 use skip_runtime::{CompileMode, Engine, ExecMode};
 use skip_serve::fleet::plan;
 use skip_serve::{
-    simulate_fleet_traced, simulate_traced, ArrivalProcess, AutoscaleConfig, FleetBatchPolicy,
-    FleetConfig, FleetRouterPolicy, FleetSpec, KvCacheConfig, OffloadPolicy, PlannerConfig, Policy,
-    RouterPolicy, ServingConfig, SloTargets, TrafficEnvelope,
+    simulate_fleet, simulate_fleet_traced, simulate_replicas, simulate_traced, ArrivalProcess,
+    AutoscaleConfig, FleetBatchPolicy, FleetConfig, FleetRouterPolicy, FleetSpec, KvCacheConfig,
+    OffloadPolicy, PlannerConfig, Policy, RouterPolicy, ServingConfig, SloTargets, TrafficEnvelope,
 };
 use skip_trace::chrome;
 
@@ -378,7 +378,14 @@ fn cmd_serve_fleet(
     cfg.validate()
         .map_err(|e| format!("{e} (check --fleet / --requests / --max-batch)"))?;
 
-    let (report, ftrace) = simulate_fleet_traced(&cfg);
+    // Record lifecycles and counter samples only when a trace is asked for.
+    let (report, ftrace) = match flags.get("trace-out") {
+        Some(path) => {
+            let (report, ftrace) = simulate_fleet_traced(&cfg);
+            (report, Some((path, ftrace)))
+        }
+        None => (simulate_fleet(&cfg), None),
+    };
     println!(
         "== fleet serving {} on {} | {} | router {} | {} arrivals at {qps} req/s ==",
         model.name,
@@ -421,7 +428,7 @@ fn cmd_serve_fleet(
             report.slo.goodput_req_s
         );
     }
-    if let Some(path) = flags.get("trace-out") {
+    if let Some((path, ftrace)) = ftrace {
         let trace = ftrace.to_trace();
         trace.validate()?;
         std::fs::write(path, chrome::to_chrome_trace(&trace))?;
@@ -601,7 +608,14 @@ fn cmd_serve(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
         format!("{e} (check --kv-blocks / --requests / --qps and the policy sizing flags)")
     })?;
 
-    let (report, strace) = simulate_traced(&cfg, replicas);
+    // Record lifecycles and counter samples only when a trace is asked for.
+    let (report, strace) = match flags.get("trace-out") {
+        Some(path) => {
+            let (report, strace) = simulate_traced(&cfg, replicas);
+            (report, Some((path, strace)))
+        }
+        None => (simulate_replicas(&cfg, replicas), None),
+    };
     let policy_label = match policy {
         Policy::Static {
             batch_size,
@@ -660,7 +674,7 @@ fn cmd_serve(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
             report.slo.goodput_req_s, report.slo.goodput_tok_s
         );
     }
-    if let Some(path) = flags.get("trace-out") {
+    if let Some((path, strace)) = strace {
         let trace = strace.to_trace();
         trace.validate()?;
         std::fs::write(path, chrome::to_chrome_trace(&trace))?;
