@@ -58,6 +58,17 @@ plan8_out=$(cargo run --release -p skip-suite --bin skip -- plan --model llama-2
 grep -q "cost-optimal fleet:" <<<"$plan8_out"
 grep -q "pruned sweep:" <<<"$plan8_out"
 
+echo "== skip sweep CLI (eager tree walk; GH200 stays CPU-bound to a larger batch) =="
+sweep_out=$(cargo run --release -p skip-suite --bin skip -- sweep --model llama-3.2-1b \
+  --platform all)
+transitions=$(awk '/^== /{platform=$4} /transition at batch/{print platform, $NF}' <<<"$sweep_out")
+[ "$transitions" = $'amd_a100 2\nintel_h100 2\ngh200 4' ] ||
+  { echo "unexpected transitions: $transitions"; exit 1; }
+
+echo "== skip profile CLI (eager GPT-2 prefill kernel/launch/op counts) =="
+profile_out=$(cargo run --release -p skip-suite --bin skip -- profile --model gpt2 --platform gh200)
+grep -q "kernels / launches / ops : 402 / 403 / 536" <<<"$profile_out"
+
 echo "== parallel determinism (byte-identical renders at any --threads) =="
 cargo test --release --test parallel_determinism -q
 

@@ -1,6 +1,6 @@
 //! Criterion bench: the sink-generic execution core — full trace recording
-//! vs the zero-allocation summary sink vs the replication-free reference
-//! path, on the BERT prefill workload the perf suite tracks.
+//! vs the zero-allocation summary sink, both walking the operator tree, on
+//! a GPU-bound BERT prefill workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use skip_hw::Platform;
@@ -18,9 +18,6 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("summary_sink", |b| {
         b.iter(|| black_box(engine.run_summary(black_box(&wl), ExecMode::Eager)))
-    });
-    g.bench_function("trace_sink_reference", |b| {
-        b.iter(|| black_box(engine.run_reference(black_box(&wl), ExecMode::Eager)))
     });
     g.finish();
 }

@@ -53,18 +53,6 @@ impl IdAllocator {
     pub fn peek(&self) -> u64 {
         self.next
     }
-
-    /// Skips the next `n` IDs, as if [`next_id`](Self::next_id) had been
-    /// called `n` times. Used when a caller materializes a batch of
-    /// sequential IDs itself (e.g. replicating a periodic event block) and
-    /// the allocator must land where per-ID allocation would have.
-    ///
-    /// # Panics
-    ///
-    /// Panics on counter overflow.
-    pub fn advance(&mut self, n: u64) {
-        self.next = self.next.checked_add(n).expect("IdAllocator overflow");
-    }
 }
 
 #[cfg(test)]
@@ -83,17 +71,5 @@ mod tests {
         let mut a = IdAllocator::starting_at(7);
         assert_eq!(a.next_id(), 7);
         assert_eq!(a.peek(), 8);
-    }
-
-    #[test]
-    fn advance_matches_repeated_next_id() {
-        let mut a = IdAllocator::starting_at(3);
-        a.advance(4);
-        let mut b = IdAllocator::starting_at(3);
-        for _ in 0..4 {
-            b.next_id();
-        }
-        assert_eq!(a.peek(), b.peek());
-        assert_eq!(a.next_id(), 7);
     }
 }

@@ -7,7 +7,8 @@
 //! The execution semantics follow the paper's Fig. 4/5 exactly:
 //!
 //! * A single CPU thread walks the operator tree, paying the framework
-//!   dispatch cost of every operator node.
+//!   dispatch cost of every operator node. Every eager-style pass performs
+//!   this walk.
 //! * Each kernel launch costs the CPU a `cudaLaunchKernel` call; the kernel
 //!   becomes available to its stream one platform launch-overhead after the
 //!   call begins.
@@ -51,7 +52,6 @@ mod engine;
 mod generate;
 mod mode;
 mod nullkernel;
-mod schedule;
 
 pub use compiled::{compile_time, eager_warmup, inductor_stream};
 pub use engine::{kernel_class_tag, Engine};

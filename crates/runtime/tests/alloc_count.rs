@@ -9,23 +9,40 @@
 //! fewer times than it simulates kernels (the pre-interning engine paid
 //! several allocations per kernel: a `String` clone per event name plus a
 //! `format!` per launch).
+//!
+//! The summary sink stores and interns nothing, so a summary run on a warm
+//! graph cache allocates only its fixed per-run setup: the same small
+//! count for every model and phase, however many kernels the walk launches.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use skip_hw::Platform;
 use skip_llm::{zoo, Phase, Workload};
-use skip_runtime::Engine;
+use skip_runtime::{Engine, ExecMode};
 use skip_trace::TraceMeta;
 
-/// System allocator wrapper counting every `alloc`/`realloc` call.
+/// System allocator wrapper counting every `alloc`/`realloc` call made by
+/// the calling thread, so tests running in parallel cannot inflate each
+/// other's counts.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn thread_allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
@@ -34,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -51,9 +68,9 @@ fn engine_allocates_less_than_once_per_kernel() {
     let graph = wl.graph();
     let input_bytes = wl.input_bytes();
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_allocs();
     let trace = engine.run_graph(&graph, input_bytes, TraceMeta::default());
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = thread_allocs() - before;
 
     let kernels = trace.kernels().len() as u64;
     assert!(kernels > 300, "expected a full prefill trace: {kernels}");
@@ -62,4 +79,35 @@ fn engine_allocates_less_than_once_per_kernel() {
         "hot path allocated {allocs} times for {kernels} kernels \
          (pre-interning budget was >5 per kernel)"
     );
+}
+
+/// The serving latency model's cold-key path: one eager summary run per
+/// priced key.
+#[test]
+fn summary_run_allocates_a_constant_independent_of_model_and_phase() {
+    let engine = Engine::new(Platform::intel_h100());
+    let mut runs = Vec::new();
+    for model in [zoo::gpt2(), zoo::llama32_1b(), zoo::gemma_2b()] {
+        for phase in [Phase::Prefill, Phase::DecodeStep { past_len: 512 }] {
+            let wl = Workload::new(model.clone(), phase, 4, 512);
+            // The first run builds the shared graph; the second is measured.
+            let warm = engine.run_summary(&wl, ExecMode::Eager);
+            let before = thread_allocs();
+            let summary = engine.run_summary(&wl, ExecMode::Eager);
+            let n = thread_allocs() - before;
+            assert_eq!(summary, warm);
+            runs.push((
+                format!("{} {}", model.name, phase.label()),
+                summary.kernels(),
+                n,
+            ));
+        }
+    }
+    let first = runs[0].2;
+    assert!(
+        runs.iter()
+            .all(|&(_, kernels, n)| n == first && kernels > 400),
+        "summary runs must allocate one constant count: {runs:?}"
+    );
+    assert!(first <= 16, "{first} allocations per summary run: {runs:?}");
 }

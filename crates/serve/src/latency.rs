@@ -18,17 +18,14 @@
 //! on the cell instead of burning milliseconds on a duplicate simulation).
 //!
 //! On top of the per-instance memo sits a process-global *priced-pattern
-//! table*: the serving analogue of the engine's periodic-layer trick. A
-//! batch's price is fully determined by its shape signature — the canonical
-//! serialization of (platform, model) — plus (phase, batch, bucketed
-//! length); nothing else about a serving simulation reaches the engine. So
-//! when one floor (or one sweep configuration, or one fleet replica) has
-//! already priced a pattern, every later [`LatencyModel`] over the same
-//! signature resolves it by table lookup instead of re-simulating. The
-//! signature is the *full* serialized string, not a hash of it, so distinct
-//! platforms or models can never collide into each other's prices.
-//! [`LatencyModel::isolated`] opts out of the shared table for callers
-//! (and tests) that need per-instance engine-run accounting.
+//! table*. A batch's price is fully determined by its shape signature — the
+//! canonical serialization of (platform, model) — plus (phase, batch,
+//! bucketed length); nothing else about a serving simulation reaches the
+//! engine. So when one floor (or one sweep configuration, or one fleet
+//! replica) has already priced a pattern, every later [`LatencyModel`] over
+//! the same signature resolves it by table lookup instead of re-simulating.
+//! The signature is the *full* serialized string, not a hash of it, so
+//! distinct platforms or models can never collide into each other's prices.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,9 +80,8 @@ pub struct LatencyModel {
     shards: [Mutex<KeyCells>; CACHE_SHARDS],
     engine_runs: AtomicU64,
     pattern_hits: AtomicU64,
-    /// Shape signature for the shared pattern table; `None` opts out
-    /// ([`LatencyModel::isolated`]).
-    signature: Option<Arc<str>>,
+    /// Shape signature: this model's half of the pattern-table key.
+    signature: Arc<str>,
 }
 
 /// Inference latency of one trace (Eq. 4: last kernel end − first operator
@@ -125,25 +121,12 @@ impl LatencyModel {
     ///
     /// Prices resolve through the process-global priced-pattern table:
     /// keys another model over the same (platform, model) signature has
-    /// already priced are looked up instead of re-simulated. Use
-    /// [`LatencyModel::isolated`] to opt out.
+    /// already priced are looked up instead of re-simulated.
     #[must_use]
     pub fn new(platform: Platform, model: ModelConfig) -> Self {
-        let sig = serde_json::to_string(&(&platform, &model))
+        let signature = serde_json::to_string(&(&platform, &model))
             .expect("platform and model serialize")
             .into();
-        Self::with_signature(platform, model, Some(sig))
-    }
-
-    /// Creates a latency model that does *not* share the process-global
-    /// pattern table: every cold key runs the engine in this instance,
-    /// and [`engine_runs`](Self::engine_runs) counts them exactly.
-    #[must_use]
-    pub fn isolated(platform: Platform, model: ModelConfig) -> Self {
-        Self::with_signature(platform, model, None)
-    }
-
-    fn with_signature(platform: Platform, model: ModelConfig, signature: Option<Arc<str>>) -> Self {
         LatencyModel {
             engine: Engine::new(platform),
             model,
@@ -196,19 +179,18 @@ impl LatencyModel {
             .sum()
     }
 
-    /// Number of engine runs actually performed *by this instance*. For an
-    /// [`isolated`](Self::isolated) model, single-flight coalescing makes
-    /// this equal [`cache_entries`](Self::cache_entries) no matter how many
-    /// workers raced on the same cold keys; a sharing model may run fewer —
-    /// keys already in the pattern table cost no engine run at all.
+    /// Number of engine runs actually performed *by this instance*.
+    /// Single-flight coalescing makes this at most
+    /// [`cache_entries`](Self::cache_entries) no matter how many workers
+    /// raced on the same cold keys; it is fewer when keys were already in
+    /// the pattern table, which cost no engine run at all.
     #[must_use]
     pub fn engine_runs(&self) -> u64 {
         self.engine_runs.load(Ordering::Relaxed)
     }
 
     /// Number of cold keys this instance resolved from the process-global
-    /// priced-pattern table instead of running the engine. Always zero for
-    /// an [`isolated`](Self::isolated) model.
+    /// priced-pattern table instead of running the engine.
     #[must_use]
     pub fn pattern_hits(&self) -> u64 {
         self.pattern_hits.load(Ordering::Relaxed)
@@ -253,34 +235,27 @@ impl LatencyModel {
                 .entry(key)
                 .or_default(),
         );
-        *cell.get_or_init(|| match &self.signature {
-            // Shared: resolve through the priced-pattern table. The key's
-            // pattern cell is itself single-flight, so racing *instances*
-            // (not just racing workers of one instance) coalesce onto one
-            // engine run per (signature, key) process-wide.
-            Some(sig) => {
-                let pattern = Arc::clone(
-                    pattern_table()[shard_of(key)]
-                        .lock()
-                        .expect("pattern table poisoned")
-                        .entry((Arc::clone(sig), phase, batch, len))
-                        .or_default(),
-                );
-                let mut ran = false;
-                let priced = *pattern.get_or_init(|| {
-                    ran = true;
-                    self.engine_runs.fetch_add(1, Ordering::Relaxed);
-                    self.engine.run_summary(&wl(len), ExecMode::Eager).latency()
-                });
-                if !ran {
-                    self.pattern_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                priced
-            }
-            None => {
+        // The key's pattern cell is itself single-flight, so racing
+        // *instances* (not just racing workers of one instance) coalesce
+        // onto one engine run per (signature, key) process-wide.
+        *cell.get_or_init(|| {
+            let pattern = Arc::clone(
+                pattern_table()[shard_of(key)]
+                    .lock()
+                    .expect("pattern table poisoned")
+                    .entry((Arc::clone(&self.signature), phase, batch, len))
+                    .or_default(),
+            );
+            let mut ran = false;
+            let priced = *pattern.get_or_init(|| {
+                ran = true;
                 self.engine_runs.fetch_add(1, Ordering::Relaxed);
                 self.engine.run_summary(&wl(len), ExecMode::Eager).latency()
+            });
+            if !ran {
+                self.pattern_hits.fetch_add(1, Ordering::Relaxed);
             }
+            priced
         })
     }
 }
@@ -292,9 +267,11 @@ mod tests {
 
     #[test]
     fn memoization_hits_after_first_run() {
-        // Isolated: the engine-run counts below must not depend on what
-        // other tests have already fed the shared pattern table.
-        let m = LatencyModel::isolated(Platform::intel_h100(), zoo::gpt2());
+        // A uniquely named config: the exact engine-run counts below must
+        // not depend on what other tests have fed the shared pattern table.
+        let mut cfg = zoo::gpt2();
+        cfg.name = "gpt2/memoization-test".to_owned();
+        let m = LatencyModel::new(Platform::intel_h100(), cfg);
         let a = m.prefill(2, 128); // exact power of two: one engine run
         assert_eq!(m.cache_entries(), 1);
         let b = m.prefill(2, 100); // interpolates between 64 and 128
@@ -380,8 +357,9 @@ mod tests {
     /// each race block on the key's cell instead of re-simulating.
     #[test]
     fn concurrent_hammer_runs_engine_once_per_key() {
-        // Isolated for exact per-instance run accounting.
-        let m = LatencyModel::isolated(Platform::intel_h100(), zoo::qwen25_05b());
+        let mut cfg = zoo::qwen25_05b();
+        cfg.name = "qwen2.5-0.5b/hammer-test".to_owned();
+        let m = LatencyModel::new(Platform::intel_h100(), cfg);
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
@@ -431,20 +409,10 @@ mod tests {
 
         // Same model on a different platform is a different signature:
         // nothing to hit, prices re-derived.
-        let other = LatencyModel::new(Platform::gh200(), cfg.clone());
+        let other = LatencyModel::new(Platform::gh200(), cfg);
         let _ = other.prefill(3, 64);
         assert_eq!(other.engine_runs(), 1);
         assert_eq!(other.pattern_hits(), 0);
-
-        // Isolated instances never touch the table in either direction.
-        let lone = LatencyModel::isolated(Platform::intel_h100(), cfg);
-        assert_eq!(
-            lone.prefill(3, 64),
-            a,
-            "isolation changes sharing, not prices"
-        );
-        assert_eq!(lone.engine_runs(), 1);
-        assert_eq!(lone.pattern_hits(), 0);
     }
 
     /// The serving experiments' key set, asserted (not sampled): every

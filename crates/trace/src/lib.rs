@@ -66,5 +66,5 @@ mod trace;
 pub use event::{CounterEvent, CpuOpEvent, KernelEvent, RuntimeLaunchEvent};
 pub use ids::{CorrelationId, NameId, OpId, StreamId, ThreadId};
 pub use names::NameTable;
-pub use sink::{summarize_trace, EventSink, KernelClassTag, ReplicaBlock, RunSummary};
+pub use sink::{summarize_trace, EventSink, KernelClassTag, RunSummary};
 pub use trace::{Kernels, Launches, Trace, TraceError, TraceMeta};

@@ -533,72 +533,6 @@ impl Trace {
         self.kernels.push(ev);
     }
 
-    /// Bulk-appends `blocks` shifted copies of a probed periodic block
-    /// (the [`EventSink::record_replicas`] fast path): each column is
-    /// extended in its own tight loop, so replication writes dense arrays
-    /// instead of round-robining across all five columns per event.
-    ///
-    /// [`EventSink::record_replicas`]: crate::EventSink::record_replicas
-    pub(crate) fn push_replicas(&mut self, block: &crate::sink::ReplicaBlock<'_>, blocks: u64) {
-        let n = blocks as usize;
-        self.cpu_ops.reserve(block.cpu.len() * n);
-        self.launches.names.reserve(block.launches.len() * n);
-        self.launches.threads.reserve(block.launches.len() * n);
-        self.launches.begins.reserve(block.launches.len() * n);
-        self.launches.ends.reserve(block.launches.len() * n);
-        self.launches.correlations.reserve(block.launches.len() * n);
-        self.kernels.names.reserve(block.kernels.len() * n);
-        self.kernels.streams.reserve(block.kernels.len() * n);
-        self.kernels.begins.reserve(block.kernels.len() * n);
-        self.kernels.ends.reserve(block.kernels.len() * n);
-        self.kernels.correlations.reserve(block.kernels.len() * n);
-        for m in 1..=blocks {
-            let dc = crate::sink::scaled(block.cpu_shift, m);
-            let dk = crate::sink::scaled(block.kernel_shift, m);
-            self.cpu_ops.extend(block.cpu.iter().map(|ev| CpuOpEvent {
-                id: crate::ids::OpId::new(ev.id.get() + m * block.op_stride),
-                begin: ev.begin + dc,
-                end: ev.end + dc,
-                ..*ev
-            }));
-            self.launches
-                .names
-                .extend(block.launches.iter().map(|ev| ev.name));
-            self.launches
-                .threads
-                .extend(block.launches.iter().map(|ev| ev.thread));
-            self.launches
-                .begins
-                .extend(block.launches.iter().map(|ev| ev.begin + dc));
-            self.launches
-                .ends
-                .extend(block.launches.iter().map(|ev| ev.end + dc));
-            self.launches.correlations.extend(
-                block
-                    .launches
-                    .iter()
-                    .map(|ev| CorrelationId::new(ev.correlation.get() + m * block.corr_stride)),
-            );
-            self.kernels
-                .names
-                .extend(block.kernels.iter().map(|(ev, _)| ev.name));
-            self.kernels
-                .streams
-                .extend(block.kernels.iter().map(|(ev, _)| ev.stream));
-            self.kernels
-                .begins
-                .extend(block.kernels.iter().map(|(ev, _)| ev.begin + dk));
-            self.kernels
-                .ends
-                .extend(block.kernels.iter().map(|(ev, _)| ev.end + dk));
-            self.kernels.correlations.extend(
-                block.kernels.iter().map(|(ev, _)| {
-                    CorrelationId::new(ev.correlation.get() + m * block.corr_stride)
-                }),
-            );
-        }
-    }
-
     /// Counter samples in insertion order.
     #[must_use]
     pub fn counters(&self) -> &[CounterEvent] {

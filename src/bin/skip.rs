@@ -133,33 +133,47 @@ fn get_u32(flags: &BTreeMap<String, String>, key: &str, default: u32) -> Result<
 
 /// Parses an optional `--slo-*-ms` flag into an SLO target. Every
 /// subcommand that scores against SLOs shares this, so the same bad input
-/// prints the same message regardless of subcommand.
+/// prints the same message regardless of subcommand. A target that is not
+/// a positive, finite number of milliseconds is rejected rather than
+/// becoming a 0 ms target.
 fn get_slo_ms(flags: &BTreeMap<String, String>, key: &str) -> Result<Option<SimDuration>, String> {
     flags
         .get(key)
         .map(|v| {
-            v.parse::<f64>()
-                .map(|ms| SimDuration::from_nanos_f64(ms * 1e6))
-                .map_err(|_| format!("--{key}: bad number '{v}'"))
+            let ms: f64 = v
+                .parse()
+                .map_err(|_| format!("--{key}: bad number '{v}'"))?;
+            if ms.is_finite() && ms > 0.0 {
+                Ok(SimDuration::from_nanos_f64(ms * 1e6))
+            } else {
+                Err(format!("--{key} must be positive and finite, got {v}"))
+            }
         })
         .transpose()
 }
 
-/// Rejects a zero count flag with the validators' canonical wording
-/// (`... must be at least 1`), shared across subcommands.
-fn require_at_least_one(flag: &str, v: u32) -> Result<(), String> {
-    if v == 0 {
-        Err(format!("--{flag} must be at least 1"))
+/// Reads a count flag that must be at least `min`, rejecting smaller
+/// values with the validators' canonical wording (`... must be at least
+/// N`), shared across subcommands.
+fn get_count(
+    flags: &BTreeMap<String, String>,
+    key: &str,
+    default: u32,
+    min: u32,
+) -> Result<u32, String> {
+    let v = get_u32(flags, key, default)?;
+    if v < min {
+        Err(format!("--{key} must be at least {min}"))
     } else {
-        Ok(())
+        Ok(v)
     }
 }
 
 fn cmd_profile(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
     let model = find_model(flags.get("model").ok_or("--model is required")?)?;
     let platform = find_platform(flags.get("platform").map_or("intel_h100", String::as_str))?;
-    let batch = get_u32(flags, "batch", 1)?;
-    let seq = get_u32(flags, "seq", 512)?;
+    let batch = get_count(flags, "batch", 1, 1)?;
+    let seq = get_count(flags, "seq", 512, 1)?;
     let mode = parse_mode(flags.get("mode").map_or("eager", String::as_str))?;
 
     let wl = Workload::new(model, Phase::Prefill, batch, seq);
@@ -204,7 +218,7 @@ fn cmd_profile(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
 
 fn cmd_sweep(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
     let model = find_model(flags.get("model").ok_or("--model is required")?)?;
-    let seq = get_u32(flags, "seq", 512)?;
+    let seq = get_count(flags, "seq", 512, 1)?;
     let selected = flags.get("platform").map_or("all", String::as_str);
     let targets: Vec<Platform> = if selected == "all" {
         Platform::paper_trio()
@@ -246,11 +260,15 @@ fn cmd_sweep(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
 fn cmd_fuse(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
     let model = find_model(flags.get("model").ok_or("--model is required")?)?;
     let platform = find_platform(flags.get("platform").map_or("intel_h100", String::as_str))?;
-    let chain_len = get_u32(flags, "chain-len", 256)? as usize;
-    let threshold: f64 = flags
-        .get("threshold")
-        .map_or(Ok(1.0), |v| v.parse())
-        .map_err(|_| "--threshold: bad number")?;
+    let chain_len = get_count(flags, "chain-len", 256, 2)? as usize;
+    let threshold = match flags.get("threshold") {
+        None => 1.0,
+        Some(v) => match v.parse::<f64>() {
+            Ok(t) if t > 0.0 && t <= 1.0 => t,
+            Ok(_) => return Err(format!("--threshold must be in (0, 1], got {v}").into()),
+            Err(_) => return Err("--threshold: bad number".into()),
+        },
+    };
 
     let wl = Workload::new(model, Phase::Prefill, 1, 512);
     let trace = Engine::new(platform).run(&wl, ExecMode::Eager);
@@ -279,8 +297,8 @@ fn cmd_fuse(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
 fn cmd_generate(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
     let model = find_model(flags.get("model").ok_or("--model is required")?)?;
     let platform = find_platform(flags.get("platform").map_or("gh200", String::as_str))?;
-    let batch = get_u32(flags, "batch", 1)?;
-    let seq = get_u32(flags, "seq", 512)?;
+    let batch = get_count(flags, "batch", 1, 1)?;
+    let seq = get_count(flags, "seq", 512, 1)?;
     let tokens = get_u32(flags, "tokens", 32)?;
 
     let r = Engine::new(platform.clone()).generate(&model, batch, seq, tokens, ExecMode::Eager);
@@ -473,8 +491,7 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
         slo,
     });
     cfg.max_batch = get_u32(flags, "max-batch", 8)?;
-    cfg.max_replicas = get_u32(flags, "max-replicas", 4)?;
-    require_at_least_one("max-replicas", cfg.max_replicas)?;
+    cfg.max_replicas = get_count(flags, "max-replicas", 4, 1)?;
     cfg.validate().map_err(|e| format!("skip plan: {e}"))?;
     let workers = match get_u32(flags, "workers", 0)? as usize {
         0 => skip_bench::harness::threads(),
@@ -555,8 +572,7 @@ fn cmd_serve(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
         .map_err(|_| "--qps: bad number")?;
     let requests = get_u32(flags, "requests", 100)?;
     let max_batch = get_u32(flags, "max-batch", 16)?;
-    let replicas = get_u32(flags, "replicas", 1)?;
-    require_at_least_one("replicas", replicas)?;
+    let replicas = get_count(flags, "replicas", 1, 1)?;
     let policy = match flags.get("policy").map_or("continuous", String::as_str) {
         "static" => Policy::Static {
             batch_size: get_u32(flags, "batch-size", max_batch)?,

@@ -3,7 +3,9 @@
 //! carried its own copy of the SLO-flag parser and its own zero-count
 //! check, and the messages drifted; both now route through shared
 //! helpers, and these tests pin the unified wording end to end — argv in,
-//! stderr out.
+//! stderr out. The forward-pass subcommands (`profile`, `sweep`,
+//! `generate`, `fuse`) reject out-of-range sizes the same way: an error
+//! message and a failing exit status, never a panic.
 
 use std::process::Command;
 
@@ -25,12 +27,61 @@ fn skip_err(args: &[&str]) -> String {
 
 #[test]
 fn bad_slo_flag_prints_identical_message_in_serve_and_plan() {
+    let cases = [
+        ("soon", "{flag}: bad number 'soon'"),
+        ("nan", "{flag} must be positive and finite, got nan"),
+        ("-5", "{flag} must be positive and finite, got -5"),
+        ("0", "{flag} must be positive and finite, got 0"),
+    ];
     for key in ["slo-ttft-ms", "slo-e2e-ms"] {
         let flag = format!("--{key}");
-        let serve = skip_err(&["serve", "--model", "gpt2", &flag, "soon"]);
-        let plan = skip_err(&["plan", "--model", "gpt2", &flag, "soon"]);
-        assert_eq!(serve, plan, "serve and plan diverge on bad {flag}");
-        assert_eq!(serve, format!("error: --{key}: bad number 'soon'"));
+        for (value, want) in cases {
+            let serve = skip_err(&["serve", "--model", "gpt2", &flag, value]);
+            let plan = skip_err(&["plan", "--model", "gpt2", &flag, value]);
+            assert_eq!(serve, plan, "serve and plan diverge on {flag} {value}");
+            assert_eq!(serve, format!("error: {}", want.replace("{flag}", &flag)));
+        }
+    }
+}
+
+#[test]
+fn out_of_range_forward_pass_flags_are_errors_not_panics() {
+    let cases: [(&[&str], &str); 10] = [
+        (&["profile", "--batch", "0"], "--batch must be at least 1"),
+        (&["profile", "--seq", "0"], "--seq must be at least 1"),
+        (&["sweep", "--seq", "0"], "--seq must be at least 1"),
+        (&["generate", "--batch", "0"], "--batch must be at least 1"),
+        (&["generate", "--seq", "0"], "--seq must be at least 1"),
+        (
+            &["fuse", "--chain-len", "0"],
+            "--chain-len must be at least 2",
+        ),
+        (
+            &["fuse", "--chain-len", "1"],
+            "--chain-len must be at least 2",
+        ),
+        (
+            &["fuse", "--threshold", "0"],
+            "--threshold must be in (0, 1], got 0",
+        ),
+        (
+            &["fuse", "--threshold", "2"],
+            "--threshold must be in (0, 1], got 2",
+        ),
+        (
+            &["fuse", "--threshold", "nan"],
+            "--threshold must be in (0, 1], got nan",
+        ),
+    ];
+    for (args, want) in cases {
+        let mut argv = vec![args[0], "--model", "gpt2"];
+        argv.extend(&args[1..]);
+        assert_eq!(
+            skip_err(&argv),
+            format!("error: {want}"),
+            "skip {}",
+            argv.join(" ")
+        );
     }
 }
 
