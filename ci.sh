@@ -68,6 +68,10 @@ transitions=$(awk '/^== /{platform=$4} /transition at batch/{print platform, $NF
 echo "== skip profile CLI (eager GPT-2 prefill kernel/launch/op counts) =="
 profile_out=$(cargo run --release -p skip-suite --bin skip -- profile --model gpt2 --platform gh200)
 grep -q "kernels / launches / ops : 402 / 403 / 536" <<<"$profile_out"
+# The first operator-attribution row, read off the same dependency graph as
+# the report above.
+grep -qF "transformers::Conv1D           48 inst    96 kernels  gpu 366.540us  launch+queue 410.772us" \
+  <<<"$profile_out"
 
 echo "== parallel determinism (byte-identical renders at any --threads) =="
 cargo test --release --test parallel_determinism -q

@@ -8,13 +8,11 @@
 //! (top-level) operator containing the launch, aggregating GPU time,
 //! launch+queue time, and counts per operator name.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 use skip_des::SimDuration;
-use skip_trace::{NameId, Trace};
+use skip_trace::Trace;
 
-use crate::depgraph::DependencyGraph;
+use crate::depgraph::{DependencyGraph, OpRef};
 
 /// Aggregate statistics for one root-operator name.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -39,6 +37,10 @@ pub struct OpStat {
 /// Kernels whose launch call has no containing operator (e.g. a bare
 /// `cudaGraphLaunch` replay) are aggregated under `"<no operator>"`.
 ///
+/// This runs one sweep for each launch's root operator rather than a whole
+/// [`DependencyGraph`]; a caller that already holds the graph uses
+/// [`attribute_with_graph`], which returns the same rows.
+///
 /// # Example
 ///
 /// ```
@@ -57,7 +59,30 @@ pub struct OpStat {
 /// ```
 #[must_use]
 pub fn attribute_to_operators(trace: &Trace) -> Vec<OpStat> {
-    let graph = DependencyGraph::build(trace);
+    aggregate(trace, crate::depgraph::launch_roots(trace))
+}
+
+/// Like [`attribute_to_operators`] but reuses an existing dependency graph
+/// of `trace` ([C-INTERMEDIATE]), as [`ProfileReport::analyze_with_graph`]
+/// does.
+///
+/// [C-INTERMEDIATE]: https://rust-lang.github.io/api-guidelines/flexibility.html
+/// [`ProfileReport::analyze_with_graph`]: crate::ProfileReport::analyze_with_graph
+#[must_use]
+pub fn attribute_with_graph(trace: &Trace, graph: &DependencyGraph) -> Vec<OpStat> {
+    let links = graph.launches().iter().map(|l| {
+        let root = l.parent_op.map(|p| graph.root_ancestor(p));
+        (l.launch_idx, l.kernel_idx, root)
+    });
+    aggregate(trace, links)
+}
+
+/// Sums `(launch, kernel, root operator)` links into one row per root
+/// operator name.
+fn aggregate(
+    trace: &Trace,
+    links: impl Iterator<Item = (usize, Option<usize>, Option<OpRef>)>,
+) -> Vec<OpStat> {
     let ops = trace.cpu_ops();
     // The whole sweep reads nothing but timestamps, so scan the contiguous
     // SoA columns directly rather than materializing event structs.
@@ -70,48 +95,50 @@ pub fn attribute_to_operators(trace: &Trace) -> Vec<OpStat> {
     let mut kernel_durs = Vec::new();
     crate::scan::deltas_into(kernel_ends, kernel_begins, &mut kernel_durs);
 
+    #[derive(Clone, Copy, Default)]
     struct Acc {
-        instances: std::collections::BTreeSet<usize>,
+        instances: usize,
         kernels: usize,
         gpu_time: SimDuration,
         lq_time: SimDuration,
     }
-    // Aggregate by interned name id (`None` = no containing operator);
-    // names materialize once per aggregate, not once per kernel.
-    let mut agg: BTreeMap<Option<NameId>, Acc> = BTreeMap::new();
+    // One dense slot per interned name, plus slot 0 for kernels with no
+    // containing operator; names materialize once per row, not per kernel.
+    let mut slots = vec![Acc::default(); trace.names().len() + 1];
+    // Root operators already counted as an instance of their name.
+    let mut counted = vec![false; ops.len()];
 
-    for link in graph.launches() {
-        let Some(kidx) = link.kernel_idx else {
+    for (launch, kernel, root) in links {
+        let Some(kidx) = kernel else {
             continue;
         };
-        let (name, instance) = match link.parent_op {
-            Some(op) => {
-                let root = graph.root_ancestor(op);
-                (Some(ops[root].name), root)
+        let slot = match root {
+            Some(root) => {
+                let slot = ops[root].name.get() as usize + 1;
+                if !counted[root] {
+                    counted[root] = true;
+                    slots[slot].instances += 1;
+                }
+                slot
             }
-            None => (None, usize::MAX),
+            None => {
+                slots[0].instances = 1;
+                0
+            }
         };
-        let acc = agg.entry(name).or_insert_with(|| Acc {
-            instances: std::collections::BTreeSet::new(),
-            kernels: 0,
-            gpu_time: SimDuration::ZERO,
-            lq_time: SimDuration::ZERO,
-        });
-        acc.instances.insert(instance);
+        let acc = &mut slots[slot];
         acc.kernels += 1;
         acc.gpu_time += kernel_durs[kidx];
-        acc.lq_time +=
-            kernel_begins[kidx].saturating_duration_since(launch_begins[link.launch_idx]);
+        acc.lq_time += kernel_begins[kidx].saturating_duration_since(launch_begins[launch]);
     }
 
-    let mut stats: Vec<OpStat> = agg
-        .into_iter()
+    let names = std::iter::once("<no operator>").chain(trace.names().iter().map(|(_, n)| n));
+    let mut stats: Vec<OpStat> = names
+        .zip(slots)
+        .filter(|(_, a)| a.kernels > 0)
         .map(|(name, a)| OpStat {
-            name: match name {
-                Some(id) => trace.name(id).to_owned(),
-                None => "<no operator>".to_owned(),
-            },
-            instances: a.instances.len(),
+            name: name.to_owned(),
+            instances: a.instances,
             kernels: a.kernels,
             gpu_time: a.gpu_time,
             launch_queue_time: a.lq_time,
@@ -216,6 +243,37 @@ mod tests {
         let stats = attribute_to_operators(&t);
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].name, "<no operator>");
+    }
+
+    /// The one-sweep root pass and the graph's parent-chain walk attribute
+    /// identically, including launches outside every operator and launches
+    /// on a thread with no operators.
+    #[test]
+    fn graph_and_sweep_attribution_agree() {
+        let mut t = sample();
+        let cuda_launch = t.intern("cudaLaunchKernel");
+        let k = t.intern("k_other_thread");
+        for (corr, thread) in [(4u64, ThreadId::MAIN), (5, ThreadId::new(3))] {
+            let at = 300 + corr * 10;
+            t.push_launch(RuntimeLaunchEvent {
+                name: cuda_launch,
+                thread,
+                begin: ns(at),
+                end: ns(at + 2),
+                correlation: CorrelationId::new(corr),
+            });
+            t.push_kernel(KernelEvent {
+                name: k,
+                stream: StreamId::DEFAULT,
+                begin: ns(at + 100),
+                end: ns(at + 105),
+                correlation: CorrelationId::new(corr),
+            });
+        }
+        let stats = attribute_to_operators(&t);
+        assert_eq!(stats, attribute_with_graph(&t, &DependencyGraph::build(&t)));
+        let orphans = stats.iter().find(|s| s.name == "<no operator>");
+        assert_eq!(orphans.map(|s| (s.instances, s.kernels)), Some((1, 2)));
     }
 
     #[test]

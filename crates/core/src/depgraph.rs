@@ -7,18 +7,26 @@
 //!   *tightest* containing operator winning;
 //! * kernel `k` links to launch `l` through the CUDA correlation ID.
 //!
-//! The construction is a per-thread interval sweep: events sorted by
-//! `(begin asc, end desc)` visit parents before their children, so a stack
-//! of currently-open operators yields each node's innermost parent in
-//! O(n log n). Launch calls are attached by a second sweep over the same
-//! sorted operator list — launches sorted by begin advance through the
-//! operator stack, so attachment is O((n + m) log (n + m)) rather than the
-//! naive O(n·m) all-pairs containment scan.
+//! The construction is one interval sweep over operators and launches in
+//! *sweep order*: by thread, then begin ascending, then (for operators) end
+//! descending, then trace index. Parents come before their children, so a
+//! stack of open operators yields each node's innermost container, and at
+//! each launch instant the stack holds exactly the operators containing it.
+//!
+//! Sorting into sweep order is the only super-linear step, and engine
+//! traces skip it. The engine numbers operators in pre-order, which is
+//! sweep order, so the build places each operator at its [`OpId`] and
+//! checks the placed order in one O(n) pass. Traces whose ids are not a
+//! gap-free pre-order (imports, hand-built or multi-thread traces numbered
+//! otherwise) fail the check and are sorted instead. Both paths yield the
+//! same order, so the graph does not depend on which one ran.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
-use skip_trace::{CorrelationId, OpId, ThreadId, Trace};
+use skip_des::SimTime;
+use skip_trace::{CorrelationId, CpuOpEvent, OpId, ThreadId, Trace};
 
 /// Index of an operator within [`DependencyGraph::ops`] order (the trace's
 /// CPU-op order).
@@ -42,8 +50,10 @@ pub struct LaunchLink {
 pub struct DependencyGraph {
     /// `parent[i]` is the innermost operator containing operator `i`.
     parent: Vec<Option<OpRef>>,
-    /// `children[i]` lists operators directly nested in operator `i`.
-    children: Vec<Vec<OpRef>>,
+    /// Operator `i`'s children, in trace order, are
+    /// `children[child_start[i]..child_start[i + 1]]`.
+    child_start: Vec<usize>,
+    children: Vec<OpRef>,
     /// Root operators (no parent), in trace order.
     roots: Vec<OpRef>,
     /// Launch calls resolved to parent operators and kernels.
@@ -62,150 +72,49 @@ impl DependencyGraph {
         let ops = trace.cpu_ops();
         let n = ops.len();
         let mut parent: Vec<Option<OpRef>> = vec![None; n];
-        let mut children: Vec<Vec<OpRef>> = vec![Vec::new(); n];
-        let mut roots = Vec::new();
-
-        // Group op indices per thread, sorted parents-before-children:
-        // earlier begin first; on ties the longer (outer) interval first.
-        // The sorted lists drive both the hierarchy sweep and the launch
-        // attachment sweep below.
-        let mut per_thread: BTreeMap<ThreadId, Vec<OpRef>> = BTreeMap::new();
-        for (i, op) in ops.iter().enumerate() {
-            per_thread.entry(op.thread).or_default().push(i);
-        }
-        for sorted in per_thread.values_mut() {
-            sorted.sort_by(|&a, &b| {
-                (ops[a].begin, std::cmp::Reverse(ops[a].end))
-                    .cmp(&(ops[b].begin, std::cmp::Reverse(ops[b].end)))
-            });
-        }
-
-        for sorted in per_thread.values() {
-            let mut stack: Vec<OpRef> = Vec::new();
-            for &i in sorted {
-                while let Some(&top) = stack.last() {
-                    // `top` contains `i` if i begins before top ends.
-                    if ops[i].begin < ops[top].end && ops[i].end <= ops[top].end {
-                        break;
-                    }
-                    stack.pop();
-                }
-                match stack.last() {
-                    Some(&p) => {
-                        parent[i] = Some(p);
-                        children[p].push(i);
-                    }
-                    None => roots.push(i),
-                }
-                stack.push(i);
-            }
-        }
-        roots.sort_unstable();
-        for ch in &mut children {
-            ch.sort_unstable();
-        }
-
-        // Kernel lookup by correlation. Engine-generated traces assign
-        // correlation IDs monotonically, which a vectorized 8-lane scan
-        // over the SoA column verifies in O(n); when it holds, lookups
-        // binary-search the column directly and the map (one allocation
-        // per kernel plus log-n inserts) is never built. Imported traces
-        // with shuffled or duplicate IDs fall back to the map, where a
-        // later kernel wins a duplicated correlation — same as before.
-        let kernel_corrs = trace.kernels().correlations();
-        let corrs_ascending = crate::scan::is_strictly_ascending(kernel_corrs);
-        let kernel_by_corr: BTreeMap<CorrelationId, usize> = if corrs_ascending {
-            BTreeMap::new()
-        } else {
-            kernel_corrs
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| (c, i))
-                .collect()
-        };
-        let kernel_for = |corr: &CorrelationId| -> Option<usize> {
-            if corrs_ascending {
-                kernel_corrs.binary_search(corr).ok()
-            } else {
-                kernel_by_corr.get(corr).copied()
-            }
-        };
-
-        // Attach launches to the innermost containing operator. Launches
-        // sorted by begin sweep through the same per-thread operator stack
-        // as the hierarchy pass: at each launch instant the stack holds
-        // exactly the operators containing it (a nesting chain), so the
-        // innermost container is read off the top instead of re-scanning
-        // every operator per launch (the former O(n·m) hot spot).
-        //
-        // Tie-break matches the scan it replaces: among containing
-        // operators sharing the maximal begin, the lowest trace index wins.
-        // Equal-begin operators never pop each other (the sort nests the
-        // shorter inside the longer), so that group is a contiguous suffix
-        // of the stack.
-        let launch_begins = trace.launches().begins();
         let mut launch_parent: Vec<Option<OpRef>> = vec![None; trace.launches().len()];
-        let mut launches_per_thread: BTreeMap<ThreadId, Vec<usize>> = BTreeMap::new();
-        for (i, &thread) in trace.launches().threads().iter().enumerate() {
-            launches_per_thread.entry(thread).or_default().push(i);
+        sweep(
+            trace,
+            |i, p| parent[i] = p,
+            |l, open| launch_parent[l] = innermost(ops, open),
+        );
+
+        // Children as compressed rows. `child_start[p]` first counts p's
+        // children, then (prefix-summed) points one past p's row; filling
+        // every row back to front in reverse trace order leaves it pointing
+        // at the row's start, with the row in trace order.
+        let mut child_start = vec![0usize; n + 1];
+        for &p in parent.iter().flatten() {
+            child_start[p] += 1;
         }
-        for (thread, launch_idxs) in &mut launches_per_thread {
-            let Some(sorted) = per_thread.get(thread) else {
-                continue; // no operators on this thread
-            };
-            launch_idxs.sort_by_key(|&i| (launch_begins[i], i));
-            let mut stack: Vec<OpRef> = Vec::new();
-            let mut next_op = 0;
-            for &li in launch_idxs.iter() {
-                let at = launch_begins[li];
-                // Open every operator that has begun by `at`.
-                while next_op < sorted.len() && ops[sorted[next_op]].begin <= at {
-                    let i = sorted[next_op];
-                    while let Some(&top) = stack.last() {
-                        if ops[i].begin < ops[top].end && ops[i].end <= ops[top].end {
-                            break;
-                        }
-                        stack.pop();
-                    }
-                    stack.push(i);
-                    next_op += 1;
-                }
-                // Close operators that ended at or before `at`.
-                while let Some(&top) = stack.last() {
-                    if ops[top].end > at {
-                        break;
-                    }
-                    stack.pop();
-                }
-                if let Some(&top) = stack.last() {
-                    let max_begin = ops[top].begin;
-                    let mut choice = top;
-                    for &cand in stack.iter().rev().skip(1) {
-                        if ops[cand].begin != max_begin {
-                            break;
-                        }
-                        if cand < choice {
-                            choice = cand;
-                        }
-                    }
-                    launch_parent[li] = Some(choice);
-                }
+        let mut total = 0;
+        for start in &mut child_start {
+            total += *start;
+            *start = total;
+        }
+        let mut children = vec![0; total];
+        for (i, p) in parent.iter().enumerate().rev() {
+            if let Some(p) = *p {
+                child_start[p] -= 1;
+                children[child_start[p]] = i;
             }
         }
-        let launches = trace
-            .launches()
-            .correlations()
-            .iter()
+        let roots = (0..n).filter(|&i| parent[i].is_none()).collect();
+
+        let launches = launch_parent
+            .into_iter()
+            .zip(launch_kernels(trace))
             .enumerate()
-            .map(|(launch_idx, corr)| LaunchLink {
+            .map(|(launch_idx, (parent_op, kernel_idx))| LaunchLink {
                 launch_idx,
-                parent_op: launch_parent[launch_idx],
-                kernel_idx: kernel_for(corr),
+                parent_op,
+                kernel_idx,
             })
             .collect();
 
         DependencyGraph {
             parent,
+            child_start,
             children,
             roots,
             launches,
@@ -218,10 +127,10 @@ impl DependencyGraph {
         self.parent.get(i).copied().flatten()
     }
 
-    /// Operators directly nested in operator `i`.
+    /// Operators directly nested in operator `i`, in trace order.
     #[must_use]
     pub fn children_of(&self, i: OpRef) -> &[OpRef] {
-        &self.children[i]
+        &self.children[self.child_start[i]..self.child_start[i + 1]]
     }
 
     /// Root (top-level) operators in trace order.
@@ -251,6 +160,191 @@ impl DependencyGraph {
     pub fn op_id(&self, trace: &Trace, i: OpRef) -> OpId {
         trace.cpu_ops()[i].id
     }
+}
+
+/// Per launch, in trace order: `(launch index, kernel, root operator
+/// containing the launch)`. These are the only facts operator attribution
+/// reads, and one sweep yields them without the parent links, child rows
+/// and root list of a whole [`DependencyGraph`]. The root is the bottom of
+/// the open-operator stack, which is where [`DependencyGraph::root_ancestor`]
+/// of the launch's parent leads.
+pub(crate) fn launch_roots(
+    trace: &Trace,
+) -> impl Iterator<Item = (usize, Option<usize>, Option<OpRef>)> + '_ {
+    let mut roots: Vec<Option<OpRef>> = vec![None; trace.launches().len()];
+    sweep(trace, |_, _| {}, |l, open| roots[l] = open.first().copied());
+    launch_kernels(trace)
+        .zip(roots)
+        .enumerate()
+        .map(|(l, (kernel, root))| (l, kernel, root))
+}
+
+/// Walks the operators and launches of `trace` in sweep order through one
+/// stack of open operators. `on_op(i, parent)` fires as operator `i` opens;
+/// `on_launch(l, open)` fires with the operators containing launch `l`,
+/// outermost first. An operator that begins at a launch's instant opens
+/// before the launch.
+fn sweep(
+    trace: &Trace,
+    mut on_op: impl FnMut(OpRef, Option<OpRef>),
+    mut on_launch: impl FnMut(usize, &[OpRef]),
+) {
+    let ops = trace.cpu_ops();
+    let op_order = op_sweep_order(ops);
+    let threads = trace.launches().threads();
+    let begins = trace.launches().begins();
+    let mut stack = OpenStack::default();
+    let mut next_op = 0;
+    for l in launch_sweep_order(threads, begins) {
+        let at = (threads[l], begins[l]);
+        while let Some(&i) = op_order.get(next_op) {
+            if (ops[i].thread, ops[i].begin) > at {
+                break;
+            }
+            on_op(i, stack.open(ops, i));
+            next_op += 1;
+        }
+        on_launch(l, stack.containing(ops, at.0, at.1));
+    }
+    for &i in &op_order[next_op..] {
+        on_op(i, stack.open(ops, i));
+    }
+}
+
+/// The chain of open operators on one thread, outermost at the bottom.
+/// Each operator's parent is the one below it, and ends never increase
+/// going up.
+#[derive(Default)]
+struct OpenStack {
+    thread: Option<ThreadId>,
+    open: Vec<OpRef>,
+}
+
+impl OpenStack {
+    /// Empties the stack when the sweep moves on to another thread.
+    fn enter(&mut self, thread: ThreadId) {
+        if self.thread != Some(thread) {
+            self.thread = Some(thread);
+            self.open.clear();
+        }
+    }
+
+    /// Opens operator `i`, first closing every open operator that does not
+    /// contain it; returns `i`'s parent.
+    fn open(&mut self, ops: &[CpuOpEvent], i: OpRef) -> Option<OpRef> {
+        let op = &ops[i];
+        self.enter(op.thread);
+        while let Some(&top) = self.open.last() {
+            if op.begin < ops[top].end && op.end <= ops[top].end {
+                break;
+            }
+            self.open.pop();
+        }
+        let parent = self.open.last().copied();
+        self.open.push(i);
+        parent
+    }
+
+    /// Closes every operator on `thread` that ended by `at`; returns the
+    /// operators still open, which are exactly those containing `at`.
+    fn containing(&mut self, ops: &[CpuOpEvent], thread: ThreadId, at: SimTime) -> &[OpRef] {
+        self.enter(thread);
+        while self.open.last().is_some_and(|&top| ops[top].end <= at) {
+            self.open.pop();
+        }
+        &self.open
+    }
+}
+
+/// The innermost of the operators containing a launch (`open`, outermost
+/// first). Among the containers sharing the latest begin, the lowest trace
+/// index wins; the golden reports pin that tie-break. Equal-begin operators
+/// nest shorter inside longer, so that group is a suffix of `open`.
+fn innermost(ops: &[CpuOpEvent], open: &[OpRef]) -> Option<OpRef> {
+    let &top = open.last()?;
+    let begin = ops[top].begin;
+    open.iter()
+        .rev()
+        .take_while(|&&i| ops[i].begin == begin)
+        .min()
+        .copied()
+}
+
+/// Operator indices in sweep order: by thread, begin ascending, end
+/// descending (so an operator precedes those it contains), then trace
+/// index.
+fn op_sweep_order(ops: &[CpuOpEvent]) -> Vec<OpRef> {
+    placed_order(ops).unwrap_or_else(|| {
+        let mut order: Vec<OpRef> = (0..ops.len()).collect();
+        order.sort_unstable_by_key(|&i| sweep_key(ops, i));
+        order
+    })
+}
+
+fn sweep_key(ops: &[CpuOpEvent], i: OpRef) -> (ThreadId, SimTime, Reverse<SimTime>, OpRef) {
+    (ops[i].thread, ops[i].begin, Reverse(ops[i].end), i)
+}
+
+/// The operators placed at their ids, if the ids are a gap-free run of
+/// integers and that placement is already sweep order; `None` otherwise.
+fn placed_order(ops: &[CpuOpEvent]) -> Option<Vec<OpRef>> {
+    let base = ops.iter().map(|op| op.id.get()).min()?;
+    let mut order = vec![OpRef::MAX; ops.len()];
+    for (i, op) in ops.iter().enumerate() {
+        let slot = usize::try_from(op.id.get() - base).ok()?;
+        match order.get_mut(slot) {
+            Some(placed) if *placed == OpRef::MAX => *placed = i,
+            _ => return None, // an id past the run, or a repeated one
+        }
+    }
+    order
+        .windows(2)
+        .all(|w| sweep_key(ops, w[0]) < sweep_key(ops, w[1]))
+        .then_some(order)
+}
+
+/// Launch indices in sweep order: by thread, then begin, then trace index.
+/// Engine launches are recorded in this order, which one pass confirms.
+fn launch_sweep_order(threads: &[ThreadId], begins: &[SimTime]) -> Vec<usize> {
+    let key = |l: usize| (threads[l], begins[l]);
+    let mut order: Vec<usize> = (0..begins.len()).collect();
+    if !(1..begins.len()).all(|l| key(l - 1) <= key(l)) {
+        order.sort_by_key(|&l| key(l)); // stable: ties keep trace order
+    }
+    order
+}
+
+/// Per launch, in trace order: the index of the kernel carrying its
+/// correlation ID, if one ran.
+///
+/// Engine traces assign correlation IDs in ascending order, which an 8-lane
+/// scan of the kernel column confirms in O(n) (see `scan`). A cursor then
+/// steps through the kernel column alongside the launches and finds each
+/// kernel where the previous one left off; a launch whose kernel is not at
+/// the cursor (a memcpy, a kernel that never ran, an out-of-order launch)
+/// falls back to a binary search. Imported traces with shuffled or
+/// duplicate IDs use a map instead, where a later kernel wins a duplicated
+/// correlation.
+fn launch_kernels(trace: &Trace) -> impl Iterator<Item = Option<usize>> + '_ {
+    let corrs = trace.kernels().correlations();
+    let by_corr: Option<BTreeMap<CorrelationId, usize>> =
+        (!crate::scan::is_strictly_ascending(corrs))
+            .then(|| corrs.iter().enumerate().map(|(i, &c)| (c, i)).collect());
+    let mut cursor = 0;
+    trace.launches().correlations().iter().map(move |corr| {
+        if let Some(map) = &by_corr {
+            return map.get(corr).copied();
+        }
+        let found = if corrs.get(cursor) == Some(corr) {
+            Some(cursor)
+        } else {
+            corrs.binary_search(corr).ok()
+        };
+        if let Some(k) = found {
+            cursor = k + 1;
+        }
+        found
+    })
 }
 
 #[cfg(test)]
@@ -442,15 +536,66 @@ mod tests {
         }
     }
 
-    /// The sweep-based launch attachment must agree with the naive
-    /// all-pairs containment scan it replaced, including its tie-breaks:
-    /// among containing ops attaining the maximal begin, lowest trace
-    /// index wins.
+    /// A copy of `t` with operator `i`'s id replaced by `id_of(i)`.
+    fn with_op_ids(t: &Trace, id_of: impl Fn(usize) -> u64) -> Trace {
+        let mut out = Trace::new(t.meta().clone());
+        for (_, name) in t.names().iter() {
+            out.intern(name);
+        }
+        for (i, op) in t.cpu_ops().iter().enumerate() {
+            out.push_cpu_op(CpuOpEvent {
+                id: OpId::new(id_of(i)),
+                ..*op
+            });
+        }
+        for l in t.launches() {
+            out.push_launch(l);
+        }
+        for k in t.kernels() {
+            out.push_kernel(k);
+        }
+        out
+    }
+
+    /// Engine traces number operators in pre-order, so their build takes
+    /// the placement path; renumbering the same events out of pre-order
+    /// sends the build down the sort path, and the graph must not change.
     #[test]
-    fn launch_attachment_matches_naive_scan() {
-        // Deterministic pseudo-random interval soup: nested, overlapping,
-        // zero-length, equal-begin, multi-thread, plus launches at op
-        // boundaries (begin == launch instant, end == launch instant).
+    fn renumbered_op_ids_build_the_same_graph() {
+        use skip_hw::Platform;
+        use skip_llm::{zoo, Phase, Workload};
+        use skip_runtime::{Engine, ExecMode};
+
+        let engine = Engine::new(Platform::intel_h100());
+        for mode in [ExecMode::Eager, ExecMode::FlashAttention2] {
+            let t = engine.run(&Workload::new(zoo::gpt2(), Phase::Prefill, 2, 128), mode);
+            let n = t.cpu_ops().len() as u64;
+            assert!(
+                placed_order(t.cpu_ops()).is_some(),
+                "{mode}: ids are a pre-order"
+            );
+            let want = DependencyGraph::build(&t);
+            let renumberings = [
+                ("reversed", (0..n).rev().collect::<Vec<u64>>()),
+                ("trace order", (1_000..1_000 + n).collect()),
+                ("strided", (0..n).map(|i| (i * 7) % n + n).collect()),
+            ];
+            for (label, ids) in renumberings {
+                let renumbered = with_op_ids(&t, |i| ids[i]);
+                assert!(
+                    placed_order(renumbered.cpu_ops()).is_none(),
+                    "{mode} {label}: takes the sort path"
+                );
+                assert_eq!(DependencyGraph::build(&renumbered), want, "{mode} {label}");
+            }
+        }
+    }
+
+    /// Deterministic pseudo-random interval soup: nested, overlapping,
+    /// zero-length, equal-begin, multi-thread, plus launches at op
+    /// boundaries (begin == launch instant, end == launch instant). Ops
+    /// carry their trace index as id.
+    fn interval_soup() -> Trace {
         let mut state = 0x2545f491u64;
         let mut next = move |m: u64| {
             state = state
@@ -459,14 +604,12 @@ mod tests {
             (state >> 33) % m
         };
         let mut t = Trace::new(TraceMeta::default());
-        let mut raw_ops = Vec::new();
         for i in 0..400u64 {
             let begin = next(1_000);
             let dur = next(120); // zero-length allowed
             let thread = ThreadId::new(next(3) as u32);
             let mut ev = op(&mut t, i, "soup", begin, begin + dur);
             ev.thread = thread;
-            raw_ops.push(ev);
             t.push_cpu_op(ev);
         }
         let launch = t.intern("cudaLaunchKernel");
@@ -480,24 +623,133 @@ mod tests {
                 correlation: CorrelationId::new(c),
             });
         }
-        let g = DependencyGraph::build(&t);
-        for (li, l) in t.launches().iter().enumerate() {
-            let mut best: Option<usize> = None;
-            for (i, o) in raw_ops.iter().enumerate() {
-                if o.thread == l.thread && o.contains(l.begin) {
-                    best = match best {
-                        Some(b) if raw_ops[b].begin >= o.begin => Some(b),
-                        _ => Some(i),
-                    };
-                }
-            }
-            assert_eq!(
-                g.launches()[li].parent_op,
-                best,
-                "launch {li} at {:?} on {:?}",
-                l.begin,
-                l.thread
-            );
+        t
+    }
+
+    /// The graph must agree with naive all-pairs containment scans on both
+    /// ordering paths.
+    ///
+    /// * An operator's parent is, among the operators on its thread that
+    ///   precede it in sweep order and contain its interval, the last one
+    ///   to begin (longer first on equal begins, then trace order).
+    /// * A launch's parent follows the scan the sweep replaced: among the
+    ///   operators containing the launch instant, the latest begin wins,
+    ///   and on equal begins the lowest trace index.
+    /// * Roots and child lists are those parents inverted, in trace order,
+    ///   and each launch's root is the root of its parent's chain.
+    #[test]
+    fn launch_attachment_matches_naive_scan() {
+        let soup = interval_soup();
+        let ops = soup.cpu_ops();
+        let key = |i: usize| (ops[i].begin, std::cmp::Reverse(ops[i].end), i);
+        let mut by_sweep_key: Vec<usize> = (0..ops.len()).collect();
+        by_sweep_key.sort_by_key(|&i| (ops[i].thread, key(i)));
+        let mut rank = vec![0u64; ops.len()];
+        for (r, &i) in by_sweep_key.iter().enumerate() {
+            rank[i] = r as u64;
         }
+        let paths = [
+            (
+                "ids in trace order",
+                with_op_ids(&soup, |i| i as u64),
+                false,
+            ),
+            ("ids in sweep order", with_op_ids(&soup, |i| rank[i]), true),
+        ];
+
+        let parents: Vec<Option<usize>> = (0..ops.len())
+            .map(|c| {
+                (0..ops.len())
+                    .filter(|&p| {
+                        ops[p].thread == ops[c].thread
+                            && key(p) < key(c)
+                            && ops[c].begin < ops[p].end
+                            && ops[c].end <= ops[p].end
+                    })
+                    .max_by_key(|&p| key(p))
+            })
+            .collect();
+        let roots: Vec<usize> = (0..ops.len()).filter(|&i| parents[i].is_none()).collect();
+        let launch_parents: Vec<Option<usize>> = soup
+            .launches()
+            .iter()
+            .map(|l| {
+                let mut best: Option<usize> = None;
+                for (i, o) in ops.iter().enumerate() {
+                    if o.thread == l.thread && o.contains(l.begin) {
+                        best = match best {
+                            Some(b) if ops[b].begin >= o.begin => Some(b),
+                            _ => Some(i),
+                        };
+                    }
+                }
+                best
+            })
+            .collect();
+
+        for (label, t, placed) in &paths {
+            assert_eq!(placed_order(t.cpu_ops()).is_some(), *placed, "{label}");
+            let g = DependencyGraph::build(t);
+            for (c, want) in parents.iter().enumerate() {
+                assert_eq!(g.parent_of(c), *want, "{label}: parent of op {c}");
+                let children: Vec<usize> =
+                    (0..ops.len()).filter(|&i| parents[i] == Some(c)).collect();
+                assert_eq!(g.children_of(c), &children[..], "{label}: children of {c}");
+            }
+            assert_eq!(g.roots(), &roots[..], "{label}");
+            for (li, want) in launch_parents.iter().enumerate() {
+                assert_eq!(g.launches()[li].parent_op, *want, "{label}: launch {li}");
+            }
+            for (li, kernel, root) in launch_roots(t) {
+                let link = g.launches()[li];
+                assert_eq!(kernel, link.kernel_idx, "{label}: launch {li}");
+                let want = link.parent_op.map(|p| g.root_ancestor(p));
+                assert_eq!(root, want, "{label}: root of launch {li}");
+            }
+        }
+    }
+
+    /// Launches whose kernels never ran and launches recorded out of
+    /// correlation order both miss the pairing cursor; the binary-search
+    /// fallback must still pair every launch exactly as a naive scan does.
+    #[test]
+    fn cursor_misses_fall_back_to_binary_search() {
+        let mut t = Trace::new(TraceMeta::default());
+        let launch = t.intern("cudaLaunchKernel");
+        let k = t.intern("k");
+        // Correlations 1..=60, with launches 20..=29 recorded in reverse.
+        let mut corrs: Vec<u64> = (1..=60).collect();
+        corrs[19..29].reverse();
+        for (i, &c) in corrs.iter().enumerate() {
+            let at = i as u64 * 10;
+            t.push_launch(RuntimeLaunchEvent {
+                name: launch,
+                thread: ThreadId::MAIN,
+                begin: ns(at),
+                end: ns(at + 1),
+                correlation: CorrelationId::new(c),
+            });
+        }
+        // Every third correlation has no kernel.
+        for c in (1..=60u64).filter(|c| c % 3 != 0) {
+            t.push_kernel(KernelEvent {
+                name: k,
+                stream: StreamId::DEFAULT,
+                begin: ns(1_000 + c * 10),
+                end: ns(1_005 + c * 10),
+                correlation: CorrelationId::new(c),
+            });
+        }
+        let kernel_corrs = t.kernels().correlations();
+        assert!(crate::scan::is_strictly_ascending(kernel_corrs));
+        let g = DependencyGraph::build(&t);
+        let mut unpaired = 0;
+        for (li, link) in g.launches().iter().enumerate() {
+            let corr = t.launches().correlations()[li];
+            let want = kernel_corrs.iter().position(|&c| c == corr);
+            assert_eq!(link.kernel_idx, want, "launch {li} ({corr})");
+            unpaired += usize::from(want.is_none());
+        }
+        assert_eq!(unpaired, 20);
     }
 }

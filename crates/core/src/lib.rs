@@ -53,7 +53,7 @@ mod metrics;
 pub mod scan;
 mod topk;
 
-pub use attribution::{attribute_to_operators, OpStat};
+pub use attribution::{attribute_to_operators, attribute_with_graph, OpStat};
 pub use boundedness::{classify_sweep, Boundedness, SweepClassification, SweepPoint};
 pub use compare::ReportDelta;
 pub use depgraph::{DependencyGraph, LaunchLink, OpRef};

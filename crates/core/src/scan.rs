@@ -120,8 +120,9 @@ pub fn min_time(column: &[SimTime]) -> Option<SimTime> {
 /// Whether a correlation column is strictly ascending.
 ///
 /// Engine-generated traces assign correlation IDs monotonically, so the
-/// dependency graph can binary-search the column directly instead of
-/// building a `BTreeMap` — this scan is the O(n) gate for that fast path.
+/// dependency graph can pair kernels by a cursor over the column (with a
+/// binary-search fallback) instead of building a `BTreeMap` — this scan is
+/// the O(n) gate for that fast path.
 /// Each chunk checks eight adjacent pairs with branch-free lane compares
 /// and reduces once per chunk.
 #[must_use]

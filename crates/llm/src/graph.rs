@@ -57,16 +57,27 @@ pub struct GraphOptions {
 
 /// A complete eager-mode operator graph: the top-level operators one
 /// forward pass executes, in order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatorGraph {
     ops: Vec<OpNode>,
+    /// [`OperatorGraph::op_count`] and [`OperatorGraph::kernel_count`],
+    /// counted once at construction: the engine sizes every trace it
+    /// records from them, and a tree walk per run would cost more than the
+    /// regrowth it saves.
+    op_count: usize,
+    kernel_count: usize,
 }
 
 impl OperatorGraph {
     /// Creates a graph from top-level operators.
     #[must_use]
     pub fn from_ops(ops: Vec<OpNode>) -> Self {
-        OperatorGraph { ops }
+        let (op_count, kernel_count) = subtree_counts(&ops);
+        OperatorGraph {
+            ops,
+            op_count,
+            kernel_count,
+        }
     }
 
     /// Top-level operators in execution order.
@@ -78,14 +89,14 @@ impl OperatorGraph {
     /// Total operator-node count (all nesting levels).
     #[must_use]
     pub fn op_count(&self) -> usize {
-        self.ops.iter().map(OpNode::op_count).sum()
+        self.op_count
     }
 
     /// Total kernels launched by one forward pass — the paper's `K_eager`
     /// when the graph is executed eagerly.
     #[must_use]
     pub fn kernel_count(&self) -> usize {
-        self.ops.iter().map(OpNode::kernel_count).sum()
+        self.kernel_count
     }
 
     /// All kernels in launch order.
@@ -108,6 +119,32 @@ impl OperatorGraph {
     #[must_use]
     pub fn total_bytes(&self) -> f64 {
         self.kernels_in_order().iter().map(|k| k.work.bytes).sum()
+    }
+}
+
+/// `(operators, kernels)` across `ops` and all their descendants, in one
+/// walk.
+fn subtree_counts(ops: &[OpNode]) -> (usize, usize) {
+    ops.iter().fold((0, 0), |(n, k), op| {
+        let (child_ops, child_kernels) = subtree_counts(&op.children);
+        (n + 1 + child_ops, k + op.kernels.len() + child_kernels)
+    })
+}
+
+// Encodes as `{"ops": [...]}`; the counts are derived state, recomputed
+// on decode.
+impl Serialize for OperatorGraph {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![("ops".to_owned(), self.ops.to_value())])
+    }
+}
+
+impl<'de> Deserialize<'de> for OperatorGraph {
+    fn from_value(value: &'de serde::Value) -> Result<Self, serde::DeError> {
+        let ops = value
+            .get("ops")
+            .ok_or_else(|| serde::DeError::custom("missing field ops"))?;
+        Ok(OperatorGraph::from_ops(Vec::from_value(ops)?))
     }
 }
 
@@ -799,6 +836,25 @@ mod tests {
     #[test]
     fn gpt2_layer_launches_33_kernels() {
         assert_eq!(kernels_per_layer(&zoo::gpt2()), 33);
+    }
+
+    /// The cached counts equal a fresh tree walk, and the serialized form
+    /// carries only the operators: decoding recounts them.
+    #[test]
+    fn cached_counts_match_tree_walk_and_survive_serde() {
+        let g = build(&zoo::gpt2(), Phase::Prefill, 1, 512);
+        let walked_ops: usize = g.ops().iter().map(OpNode::op_count).sum();
+        let walked_kernels: usize = g.ops().iter().map(OpNode::kernel_count).sum();
+        assert_eq!(
+            (g.op_count(), g.kernel_count()),
+            (walked_ops, walked_kernels)
+        );
+        let value = g.to_value();
+        assert_eq!(value.as_map().map(<[_]>::len), Some(1));
+        let back = OperatorGraph::from_value(&value).expect("graph decodes");
+        assert_eq!(back, g);
+        assert_eq!(back.kernel_count(), 402);
+        assert!(OperatorGraph::from_value(&serde::Value::Null).is_err());
     }
 
     #[test]

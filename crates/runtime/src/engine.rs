@@ -173,6 +173,12 @@ impl Engine {
         sink: S,
     ) -> S {
         let mut exec = Exec::new(&self.platform, sink);
+        // One launch and one operator beyond the graph's: the input copy.
+        exec.sink.reserve(
+            graph.op_count() + 1,
+            graph.kernel_count() + 1,
+            graph.kernel_count(),
+        );
         exec.h2d_input(input_bytes);
         for op in graph.ops() {
             exec.exec_op(op);

@@ -10,8 +10,13 @@
 //! Ids are assigned in insertion order and are stable for the lifetime of
 //! the table, so serializing the table as its ordered name list and
 //! re-interning on deserialization reproduces the identical id assignment.
+//! The reverse index hashes with [`NameHasher`], not the default SipHash:
+//! the engine interns a name per event, and SipHash there would be the
+//! largest single cost of recording a trace.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -37,7 +42,65 @@ pub struct NameTable {
     /// Names in insertion (= id) order.
     names: Vec<String>,
     /// Reverse lookup; rebuilt on deserialization.
-    index: HashMap<String, u32>,
+    index: HashMap<String, u32, NameHashKey>,
+}
+
+/// A multiply-fold hash over 8-byte words: one multiply per word, where
+/// SipHash runs several mixing rounds. Folding the 128-bit product
+/// spreads every input bit over the whole state, and each table draws its
+/// own random key, so a crafted imported trace cannot precompute names that
+/// collide. Only the reverse index sees hash values; ids never depend on
+/// them.
+struct NameHasher(u64);
+
+impl NameHasher {
+    fn mix(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * 0x5851_f42d_4c95_7f2d;
+        self.0 = (product as u64) ^ (product >> 64) as u64;
+    }
+}
+
+impl Hasher for NameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.mix(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.mix(u64::from_le_bytes(tail));
+        }
+    }
+
+    fn write_u8(&mut self, byte: u8) {
+        self.mix(u64::from(byte));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One table's [`NameHasher`] key, drawn from the standard library's
+/// random source.
+#[derive(Debug, Clone, Copy)]
+struct NameHashKey(u64);
+
+impl Default for NameHashKey {
+    fn default() -> Self {
+        NameHashKey(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for NameHashKey {
+    type Hasher = NameHasher;
+
+    fn build_hasher(&self) -> NameHasher {
+        NameHasher(self.0)
+    }
 }
 
 impl NameTable {
@@ -161,6 +224,25 @@ mod tests {
         assert_eq!(t.get(NameId::new(99)), None);
         let pairs: Vec<_> = t.iter().collect();
         assert_eq!(pairs, vec![(a, "a"), (b, "b")]);
+    }
+
+    /// Names that share long prefixes, differ only in length or padding,
+    /// or are empty still get distinct ids in insertion order.
+    #[test]
+    fn similar_names_intern_to_distinct_insertion_order_ids() {
+        let names: Vec<String> = (0..5_000)
+            .map(|i| format!("xmma_gemm_f16_{i}x768x768"))
+            .chain(["ab", "ab\0", "ab\0\0\0\0\0\0", ""].map(String::from))
+            .collect();
+        let mut t = NameTable::new();
+        for (i, n) in names.iter().enumerate() {
+            assert_eq!(t.intern(n), NameId::new(i as u32), "{n:?}");
+        }
+        for (i, n) in names.iter().enumerate() {
+            assert_eq!(t.lookup(n), Some(NameId::new(i as u32)), "{n:?}");
+            assert_eq!(t.intern(n), NameId::new(i as u32), "{n:?}");
+        }
+        assert_eq!(t.len(), names.len());
     }
 
     #[test]

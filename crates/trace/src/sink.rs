@@ -73,6 +73,10 @@ pub trait EventSink {
     fn record_launch(&mut self, ev: RuntimeLaunchEvent);
     /// Records a kernel event, tagged with its class slot.
     fn record_kernel(&mut self, ev: KernelEvent, class: KernelClassTag);
+    /// Announces how many events of each kind the run is about to record,
+    /// so a storing sink can size its buffers once. A sink that stores
+    /// nothing ignores it.
+    fn reserve(&mut self, _cpu_ops: usize, _launches: usize, _kernels: usize) {}
 }
 
 /// The full recorder: events land in the trace unchanged. The class tag is
@@ -92,6 +96,10 @@ impl EventSink for Trace {
 
     fn record_kernel(&mut self, ev: KernelEvent, _class: KernelClassTag) {
         self.push_kernel(ev);
+    }
+
+    fn reserve(&mut self, cpu_ops: usize, launches: usize, kernels: usize) {
+        Trace::reserve(self, cpu_ops, launches, kernels);
     }
 }
 

@@ -114,6 +114,14 @@ impl LaunchColumns {
         self.begins.len()
     }
 
+    fn reserve(&mut self, additional: usize) {
+        self.names.reserve(additional);
+        self.threads.reserve(additional);
+        self.begins.reserve(additional);
+        self.ends.reserve(additional);
+        self.correlations.reserve(additional);
+    }
+
     fn push(&mut self, ev: RuntimeLaunchEvent) {
         self.names.push(ev.name);
         self.threads.push(ev.thread);
@@ -136,11 +144,7 @@ impl LaunchColumns {
 impl From<Vec<RuntimeLaunchEvent>> for LaunchColumns {
     fn from(rows: Vec<RuntimeLaunchEvent>) -> Self {
         let mut cols = LaunchColumns::default();
-        cols.names.reserve(rows.len());
-        cols.threads.reserve(rows.len());
-        cols.begins.reserve(rows.len());
-        cols.ends.reserve(rows.len());
-        cols.correlations.reserve(rows.len());
+        cols.reserve(rows.len());
         for ev in rows {
             cols.push(ev);
         }
@@ -185,6 +189,14 @@ impl KernelColumns {
         self.begins.len()
     }
 
+    fn reserve(&mut self, additional: usize) {
+        self.names.reserve(additional);
+        self.streams.reserve(additional);
+        self.begins.reserve(additional);
+        self.ends.reserve(additional);
+        self.correlations.reserve(additional);
+    }
+
     fn push(&mut self, ev: KernelEvent) {
         self.names.push(ev.name);
         self.streams.push(ev.stream);
@@ -207,11 +219,7 @@ impl KernelColumns {
 impl From<Vec<KernelEvent>> for KernelColumns {
     fn from(rows: Vec<KernelEvent>) -> Self {
         let mut cols = KernelColumns::default();
-        cols.names.reserve(rows.len());
-        cols.streams.reserve(rows.len());
-        cols.begins.reserve(rows.len());
-        cols.ends.reserve(rows.len());
-        cols.correlations.reserve(rows.len());
+        cols.reserve(rows.len());
         for ev in rows {
             cols.push(ev);
         }
@@ -516,6 +524,15 @@ impl Trace {
         Kernels {
             cols: &self.kernels,
         }
+    }
+
+    /// Reserves room for at least this many more CPU operator, launch and
+    /// kernel events, so a producer that knows its event counts up front
+    /// fills each column without regrowing it.
+    pub(crate) fn reserve(&mut self, cpu_ops: usize, launches: usize, kernels: usize) {
+        self.cpu_ops.reserve(cpu_ops);
+        self.launches.reserve(launches);
+        self.kernels.reserve(kernels);
     }
 
     /// Appends a CPU operator event.

@@ -12,7 +12,9 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::process::ExitCode;
 
-use skip_core::{attribute_to_operators, classify_sweep, top_kernels, ProfileReport, SweepPoint};
+use skip_core::{
+    attribute_with_graph, classify_sweep, top_kernels, DependencyGraph, ProfileReport, SweepPoint,
+};
 use skip_des::SimDuration;
 use skip_fusion::{recommend, FusionAnalysis};
 use skip_hw::Platform;
@@ -178,7 +180,8 @@ fn cmd_profile(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
 
     let wl = Workload::new(model, Phase::Prefill, batch, seq);
     let trace = Engine::new(platform.clone()).run(&wl, mode);
-    let r = ProfileReport::analyze(&trace);
+    let graph = DependencyGraph::build(&trace);
+    let r = ProfileReport::analyze_with_graph(&trace, &graph);
 
     println!(
         "== {} | {} | {mode} | batch {batch} | seq {seq} ==",
@@ -202,7 +205,7 @@ fn cmd_profile(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
         println!("  {:>5}x {:<44} {}", k.count, k.name, k.total_time);
     }
     println!("\ntop operators by GPU time:");
-    for s in attribute_to_operators(&trace).into_iter().take(5) {
+    for s in attribute_with_graph(&trace, &graph).into_iter().take(5) {
         println!(
             "  {:<28} {:>4} inst {:>5} kernels  gpu {}  launch+queue {}",
             s.name, s.instances, s.kernels, s.gpu_time, s.launch_queue_time
