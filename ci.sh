@@ -21,6 +21,13 @@ cargo test --workspace -q
 echo "== cargo test --doc =="
 cargo test --workspace --doc -q
 
+echo "== fresh-seed property pass (legacy oracle vs the unified floor on 1000 new cases) =="
+# A new seed every run, printed so a failure replays with
+# PROPTEST_SEED=<seed>; set PROPTEST_SEED yourself to rerun a logged one.
+proptest_seed=${PROPTEST_SEED:-$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')}
+echo "PROPTEST_SEED=$proptest_seed"
+PROPTEST_SEED=$proptest_seed PROPTEST_CASES=1000 cargo test -p skip-serve --lib -q
+
 echo "== serving_trace example (lifecycle/counter export end-to-end) =="
 cargo run --release -p skip-suite --example serving_trace
 

@@ -38,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod capacity;
 mod event;
 mod ids;
 mod resource;
@@ -46,7 +45,6 @@ mod sim;
 mod stats;
 mod time;
 
-pub use capacity::{CapacityResource, Placement};
 pub use event::{EventQueue, HeapEventQueue, Scheduled};
 pub use ids::IdAllocator;
 pub use resource::{Busy, FifoResource};

@@ -1,15 +1,15 @@
-//! The fleet serving front: a thin constructor over the unified floor.
+//! The fleet serving front: a config lowered to the unified floor.
 //!
 //! This module owns the public fleet API — [`simulate_fleet`],
-//! [`simulate_fleet_traced`], and the bounded variant. The event loop
-//! itself lives in `crate::unified`; this front builds the full-strength
-//! [`ReplicaSet`](crate::unified::ReplicaSet) the single-node front
-//! degenerates:
+//! [`simulate_fleet_traced`], and the bounded variant. It describes a
+//! fleet as one floor description (`FloorSpec`), and `crate::unified`
+//! builds and runs it. The description carries what a single-node
+//! endpoint leaves out:
 //!
 //! * each replica prices iterations through its **own platform's**
-//!   [`LatencyModel`], so a gh200 and an amd_a100 replica in one fleet
-//!   charge different prefill/decode costs (deduped by platform name, so
-//!   a 4-replica group shares one memo cache);
+//!   [`LatencyModel`](crate::LatencyModel), so a gh200 and an amd_a100
+//!   replica in one fleet charge different prefill/decode costs (deduped
+//!   by platform name, so a 4-replica group shares one memo cache);
 //! * a disaggregated fleet splits replicas into a prefill pool and a
 //!   decode pool, connected by per-destination **handoff links**: a
 //!   finished prefill's KV blocks queue on the destination's link and
@@ -19,22 +19,12 @@
 //!   launches/drains replicas against load watermarks, with launch cost
 //!   priced as provisioning delay plus the coupling-derived weight load.
 
-use std::collections::VecDeque;
-
-use skip_des::{percentile, SimDuration, SimTime, Simulator};
-use skip_hw::Platform;
-use skip_mem::KvSpec;
+use skip_des::{percentile, SimDuration};
 
 use crate::fleet::observe::{FleetReport, FleetTrace};
 use crate::fleet::spec::FleetConfig;
-use crate::latency::LatencyModel;
-use crate::observe::SloReport;
-use crate::policy::ReplicaState;
 use crate::stop::StopCondition;
-use crate::unified::{
-    run_unified, unit_cost_ns, CostBasis, Event, FloorObs, LinkRt, RState, ReplicaMeta, ReplicaSet,
-    UnifiedFloor,
-};
+use crate::unified::{FloorObs, FloorRun, FloorSpec};
 
 /// Runs the fleet simulation, returning the scalar report.
 ///
@@ -86,63 +76,6 @@ pub(crate) fn run_fleet(
     if let Err(e) = cfg.validate() {
         panic!("{e}");
     }
-    // One platform entry (and LatencyModel) per distinct platform name;
-    // replicas reference them by index so a 4-replica group shares one
-    // memo cache.
-    let mut platforms: Vec<Platform> = Vec::new();
-    let mut meta: Vec<ReplicaMeta> = Vec::new();
-    for g in &cfg.spec.groups {
-        let platform_idx = match platforms.iter().position(|p| p.name == g.platform.name) {
-            Some(i) => i,
-            None => {
-                platforms.push(g.platform.clone());
-                platforms.len() - 1
-            }
-        };
-        for _ in 0..g.count {
-            meta.push(ReplicaMeta {
-                platform_idx,
-                pool: g.role,
-                state: RState::Up,
-                unit_cost_ns: 0.0,
-            });
-        }
-    }
-    let lat: Vec<LatencyModel> = platforms
-        .iter()
-        .map(|p| LatencyModel::new(p.clone(), cfg.model.clone()))
-        .collect();
-    // The cost-model router's exchange rate, one per replica. Pure and
-    // memoized, so pricing eagerly here only warms the latency caches.
-    for m in &mut meta {
-        m.unit_cost_ns = unit_cost_ns(
-            &lat[m.platform_idx],
-            m.pool,
-            cfg.max_batch,
-            cfg.prompt_len,
-            cfg.new_tokens,
-        );
-    }
-    let n = meta.len();
-    let links: Vec<LinkRt> = (0..n).map(|_| LinkRt::default()).collect();
-
-    let arrivals = cfg.arrivals.generate(
-        cfg.requests as usize,
-        cfg.prompt_len,
-        cfg.new_tokens,
-        cfg.seed,
-    );
-    let first_arrival = arrivals.first().map(|r| r.arrival);
-    let mut sim: Simulator<Event> = Simulator::new();
-    for req in &arrivals {
-        sim.schedule(req.arrival, Event::Arrival(*req));
-    }
-    if let Some(auto) = &cfg.autoscale {
-        sim.schedule(SimTime::ZERO + auto.interval, Event::ScaleTick);
-    }
-
-    let initial_live = n as u32;
-    let disagg = cfg.spec.is_disaggregated();
     let obs = if traced {
         // Preallocate the whole-run recording: every request's lifecycle
         // takes a bounded number of events (arrive/admit/first
@@ -150,111 +83,54 @@ pub(crate) fn run_fleet(
         // disaggregated), so the recording hot path never reallocates
         // mid-simulation.
         let mut t = FleetTrace::new(cfg.model.name.clone(), cfg.spec.label());
-        t.reserve(cfg.requests, if disagg { 7 } else { 4 });
+        t.reserve(
+            cfg.requests,
+            if cfg.spec.is_disaggregated() { 7 } else { 4 },
+        );
         FloorObs::Fleet(t)
     } else {
         FloorObs::Lean
     };
-    let mut floor = UnifiedFloor {
-        set: ReplicaSet {
-            platforms,
-            lat,
-            meta,
-            links,
-            arrival_router: cfg.router.build(),
-            // A second instance, so round-robin handoff dispatch keeps
-            // its own cursor, independent of arrival dispatch.
-            handoff_router: cfg.router.build(),
-            kv: KvSpec::for_model(&cfg.model, KvSpec::DEFAULT_BLOCK_TOKENS),
-            disagg,
-            targeted: true,
-            autoscale: cfg.autoscale,
-            weight_bytes: cfg.model.weight_bytes_fp16(),
-            handoffs: 0,
-            handoff_bytes: 0,
-            handoff_waits: Vec::with_capacity(if disagg { cfg.requests as usize } else { 0 }),
-            handoff_transfer_ns: 0.0,
-            scale_ups: 0,
-            scale_downs: 0,
-            peak_live: initial_live,
-            replica_ns: 0.0,
-            last_bill: SimTime::ZERO,
-        },
-        policy: cfg.policy.build(cfg.max_batch),
-        queues: (0..n).map(|_| VecDeque::new()).collect(),
-        queue_of: (0..n).collect(),
-        states: (0..n)
-            .map(|_| ReplicaState {
-                actives: Vec::with_capacity(cfg.max_batch as usize),
-                ..ReplicaState::default()
-            })
-            .collect(),
-        mem: None,
-        finished: Vec::with_capacity(cfg.requests as usize),
-        first_token: vec![SimTime::ZERO; cfg.requests as usize],
-        last_completion: SimTime::ZERO,
-        // Fleet policies admit at every boundary, so no flush timers.
-        flush: Vec::new(),
-        obs,
-        expired_buf: Vec::new(),
-        load_buf: Vec::with_capacity(n),
-        scratch_actives: Vec::with_capacity(cfg.max_batch as usize),
-        scratch_handoffs: Vec::with_capacity(if disagg { cfg.max_batch as usize } else { 0 }),
+    let arrivals = cfg.arrivals.generate(
+        cfg.requests as usize,
+        cfg.prompt_len,
+        cfg.new_tokens,
+        cfg.seed,
+    );
+    let FloorRun {
+        floor,
+        latency: l,
+        aborted,
+    } = FloorSpec {
+        groups: &cfg.spec.groups,
+        model: &cfg.model,
+        arrivals: Box::new(arrivals.into_iter()),
+        requests: cfg.requests,
         prompt_len: cfg.prompt_len,
         new_tokens: cfg.new_tokens,
         max_batch: cfg.max_batch,
-        requests: cfg.requests,
-    };
-
-    let aborted = run_unified(&mut floor, &mut sim, stop, cfg.slo, CostBasis::Billed);
-
-    let bill_to = if aborted {
-        // Bill the span actually simulated — the truncated report still
-        // prices what the run rented before it was called off.
-        sim.now()
-            .max(floor.last_completion)
-            .max(floor.set.last_bill)
-    } else {
-        floor.last_completion.max(floor.set.last_bill)
-    };
-    floor.set.bill(bill_to);
-
-    let mut report = assemble_fleet_report(cfg, &floor, first_arrival);
-    report.aborted = aborted;
-    (report, floor.obs)
-}
-
-fn assemble_fleet_report(
-    cfg: &FleetConfig,
-    floor: &UnifiedFloor,
-    first_arrival: Option<SimTime>,
-) -> FleetReport {
-    let latencies: Vec<(SimDuration, SimDuration)> =
-        floor.finished.iter().map(|f| (f.ttft, f.e2e)).collect();
-    let ttfts: Vec<f64> = latencies.iter().map(|(t, _)| t.as_nanos_f64()).collect();
-    let e2es: Vec<f64> = latencies.iter().map(|(_, e)| e.as_nanos_f64()).collect();
-    let makespan = floor
-        .last_completion
-        .saturating_duration_since(first_arrival.unwrap_or(SimTime::ZERO));
-    let completed = latencies.len() as u32;
-    let total_tokens = u64::from(completed) * u64::from(cfg.new_tokens.max(1));
-    let throughput_tok_s = if completed == 0 {
-        0.0
-    } else {
-        total_tokens as f64 / makespan.as_secs_f64().max(1e-12)
-    };
-    let d = |v: f64| SimDuration::from_nanos_f64(v);
+        policy: cfg.policy.build(cfg.max_batch),
+        arrival_router: cfg.router.build(),
+        handoff_router: cfg.router.build(),
+        mem: None,
+        autoscale: cfg.autoscale,
+        obs,
+        slo: cfg.slo,
+        stop,
+    }
+    .run();
     let set = &floor.set;
-    FleetReport {
-        completed,
-        ttft_p50: d(percentile(&ttfts, 50.0)),
-        ttft_p95: d(percentile(&ttfts, 95.0)),
-        ttft_p99: d(percentile(&ttfts, 99.0)),
-        e2e_p50: d(percentile(&e2es, 50.0)),
-        e2e_p95: d(percentile(&e2es, 95.0)),
-        throughput_tok_s,
-        makespan,
-        slo: SloReport::evaluate(cfg.slo, &latencies, cfg.new_tokens.max(1), makespan),
+    let d = |v: f64| SimDuration::from_nanos_f64(v);
+    let report = FleetReport {
+        completed: l.completed,
+        ttft_p50: l.ttft_p50,
+        ttft_p95: l.ttft_p95,
+        ttft_p99: l.ttft_p99,
+        e2e_p50: l.e2e_p50,
+        e2e_p95: l.e2e_p95,
+        throughput_tok_s: l.throughput_tok_s,
+        makespan: l.makespan,
+        slo: l.slo,
         handoffs: set.handoffs,
         handoff_bytes: set.handoff_bytes,
         handoff_wait_p50: d(percentile(&set.handoff_waits, 50.0)),
@@ -264,8 +140,9 @@ fn assemble_fleet_report(
         scale_downs: set.scale_downs,
         peak_replicas: set.peak_live,
         replica_seconds: set.replica_ns / 1e9,
-        aborted: false,
-    }
+        aborted,
+    };
+    (report, floor.obs)
 }
 
 #[cfg(test)]
@@ -275,8 +152,9 @@ mod tests {
     use crate::fleet::autoscale::{AutoscaleConfig, ScaleAction};
     use crate::fleet::spec::{FleetBatchPolicy, FleetRouterPolicy, FleetSpec, PoolRole};
     use crate::observe::{LifecycleKind, SloTargets};
-    use skip_hw::{Coupling, Interconnect, PlatformBuilder};
+    use skip_hw::{Coupling, Interconnect, Platform, PlatformBuilder};
     use skip_llm::zoo;
+    use skip_mem::KvSpec;
 
     fn base(spec: FleetSpec) -> FleetConfig {
         FleetConfig {

@@ -12,7 +12,10 @@ use skip_des::{SimDuration, SimTime};
 use skip_trace::{CounterEvent, Trace};
 
 use crate::fleet::autoscale::ScalingEvent;
-use crate::observe::{LifecycleKind, RequestLifecycle, ServingTrace, SloReport};
+use crate::observe::{
+    grow_lifecycles, lifecycle_trace, push_collapsed, LifecycleEvent, LifecycleKind,
+    RequestLifecycle, SloReport,
+};
 
 /// One deterministic sample of the fleet counters, taken after each
 /// simulator event.
@@ -99,55 +102,33 @@ impl FleetTrace {
     }
 
     /// Preallocates lifecycle and sample storage for `requests` requests
-    /// of ~`events_per_request` lifecycle events each, so a sized run
-    /// records without reallocating mid-simulation. Purely a capacity
-    /// hint: recorded content (and its serialized form) is unchanged,
-    /// because every request id below `requests` arrives eventually and
-    /// [`record`](Self::record) would have created the same entries.
+    /// of ~`events_per_request` lifecycle events each, as
+    /// [`ServingTrace::reserve`](crate::ServingTrace::reserve) does: a
+    /// capacity hint that never changes what is recorded.
     pub fn reserve(&mut self, requests: u32, events_per_request: usize) {
-        let requests = requests as usize;
-        self.lifecycles
-            .reserve(requests.saturating_sub(self.lifecycles.len()));
-        while self.lifecycles.len() < requests {
-            self.lifecycles.push(RequestLifecycle {
-                id: self.lifecycles.len() as u64,
-                events: Vec::with_capacity(events_per_request),
-            });
-        }
-        // Sample count tracks handled events; start near the floor of two
-        // boundaries per request and let growth amortize the rest.
-        self.samples.reserve(requests.saturating_mul(2));
+        grow_lifecycles(&mut self.lifecycles, requests as usize, events_per_request);
+        self.samples.reserve((requests as usize).saturating_mul(2));
     }
 
     /// Appends a lifecycle transition for request `id` (dense arrival
-    /// order, as in [`ServingTrace::record`]).
+    /// order, as in
+    /// [`ServingTrace::record`](crate::ServingTrace::record)).
     pub fn record(&mut self, id: u64, at: SimTime, kind: LifecycleKind) {
-        while self.lifecycles.len() <= id as usize {
-            self.lifecycles.push(RequestLifecycle {
-                id: self.lifecycles.len() as u64,
-                events: Vec::new(),
-            });
-        }
         match kind {
             LifecycleKind::Arrived => self.arrived += 1,
             LifecycleKind::Completed { .. } => self.completed += 1,
             _ => {}
         }
+        grow_lifecycles(&mut self.lifecycles, id as usize + 1, 0);
         self.lifecycles[id as usize]
             .events
-            .push(crate::observe::LifecycleEvent { at, kind });
+            .push(LifecycleEvent { at, kind });
     }
 
     /// Appends a counter sample, collapsing same-instant samples to the
     /// final state of the boundary.
     pub fn push_sample(&mut self, sample: FleetSample) {
-        if let Some(last) = self.samples.last_mut() {
-            if last.at == sample.at {
-                *last = sample;
-                return;
-            }
-        }
-        self.samples.push(sample);
+        push_collapsed(&mut self.samples, sample, |s| s.at);
     }
 
     /// `true` if every sample satisfies the fleet conservation law.
@@ -158,21 +139,13 @@ impl FleetTrace {
 
     /// Exports the recording as a [`Trace`]: request lifecycles become
     /// per-request slice tracks and handoff flow arrows exactly as in
-    /// [`ServingTrace::to_trace`], and the fleet counters
-    /// (`prefill_queue`, `decode_queue`, `running`, `handoff_queued`,
-    /// `handoff_inflight`, `live_replicas`, `completed_total`) become
-    /// counter tracks.
+    /// [`ServingTrace::to_trace`](crate::ServingTrace::to_trace), and the
+    /// fleet counters (`prefill_queue`, `decode_queue`, `running`,
+    /// `handoff_queued`, `handoff_inflight`, `live_replicas`,
+    /// `completed_total`) become counter tracks.
     #[must_use]
     pub fn to_trace(&self) -> Trace {
-        // Replay the lifecycles through a ServingTrace so slice naming
-        // and flow-pair construction stay in one place.
-        let mut st = ServingTrace::new(self.model.clone(), self.fleet.clone(), 0);
-        for lc in &self.lifecycles {
-            for ev in &lc.events {
-                st.record(lc.id, ev.at, ev.kind);
-            }
-        }
-        let mut t = st.to_trace();
+        let mut t = lifecycle_trace(&self.model, &self.fleet, 0, &self.lifecycles);
         for s in &self.samples {
             let mut counter = |track: &str, value: f64| {
                 t.push_counter(CounterEvent {

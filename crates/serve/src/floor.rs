@@ -1,28 +1,25 @@
-//! The single-node serving front: a thin constructor over the unified
-//! floor.
+//! The single-node serving front: a config lowered to the unified floor.
 //!
 //! This module owns the public single-node API — [`simulate`],
-//! [`simulate_replicas`], [`simulate_traced`], and the bounded variant —
-//! plus the [`ServingReport`] shape. The event loop itself lives in
-//! `crate::unified`: a single-node endpoint is the degenerate
-//! [`ReplicaSet`](crate::unified::ReplicaSet) — one homogeneous
-//! always-up group in one unified pool, with inert handoff links and
-//! broadcast (flush-timer-driven) wake-ups.
-
-use std::collections::VecDeque;
+//! [`simulate_replicas`] and [`simulate_traced`] — plus the
+//! [`ServingReport`] shape. It describes a single-node endpoint as one
+//! [`FloorSpec`](crate::unified::FloorSpec): one homogeneous group of
+//! always-up replicas in one unified pool, Poisson arrivals, the
+//! configured policy and router, and a KV layer when a budget is set.
+//! Building, running and summarising the floor happen in
+//! `crate::unified`; what is left here is the report's memory-pressure
+//! fields.
 
 use serde::{Deserialize, Serialize};
-use skip_des::{percentile, SimDuration, SimTime, Simulator};
+use skip_des::SimDuration;
 
 use crate::config::ServingConfig;
+use crate::fleet::spec::{PoolRole, ReplicaGroup};
 use crate::memctx::MemoryLayer;
 use crate::observe::{ServingTrace, SloReport};
-use crate::policy::{Finished, ReplicaState};
 use crate::request::RequestStream;
 use crate::stop::StopCondition;
-use crate::unified::{
-    run_unified, CostBasis, Event, FloorObs, FlushTimer, ReplicaSet, UnifiedFloor,
-};
+use crate::unified::{FloorObs, FloorSpec, LatencySummary};
 
 /// Measured serving behaviour.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -60,12 +57,6 @@ pub struct ServingReport {
     /// SLO attainment against [`ServingConfig::slo`] (vacuous when no
     /// target is configured).
     pub slo: SloReport,
-    /// `true` when the run was stopped early by a
-    /// [`StopCondition`](crate::StopCondition): every metric covers only
-    /// the simulated prefix. Omitted from serialization when `false`, so
-    /// unbounded runs keep their pinned serde bytes.
-    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
-    pub aborted: bool,
 }
 
 /// Runs the serving simulation on a single replica.
@@ -92,28 +83,7 @@ pub fn simulate(cfg: &ServingConfig) -> ServingReport {
 /// [`ServingConfig::validate`].
 #[must_use]
 pub fn simulate_replicas(cfg: &ServingConfig, replicas: u32) -> ServingReport {
-    run_floor(cfg, replicas, StopCondition::UNBOUNDED, false).0
-}
-
-/// Runs the serving simulation under `stop`, aborting the moment a budget
-/// is blown — the single-platform twin of
-/// [`simulate_fleet_bounded`](crate::fleet::floor::simulate_fleet_bounded).
-/// An aborted run returns the truncated report of the simulated prefix
-/// with [`ServingReport::aborted`] set; the cost ceiling prices the fixed
-/// fleet at `replicas × elapsed` seconds. A run no budget stops is
-/// byte-identical to [`simulate_replicas`].
-///
-/// # Panics
-///
-/// Panics if `replicas` is zero or the configuration fails
-/// [`ServingConfig::validate`].
-#[must_use]
-pub fn simulate_replicas_bounded(
-    cfg: &ServingConfig,
-    replicas: u32,
-    stop: StopCondition,
-) -> ServingReport {
-    run_floor(cfg, replicas, stop, false).0
+    run_floor(cfg, replicas, false).0
 }
 
 /// Runs the serving simulation and additionally returns the full
@@ -130,43 +100,24 @@ pub fn simulate_replicas_bounded(
 /// validate first for a graceful error path).
 #[must_use]
 pub fn simulate_traced(cfg: &ServingConfig, replicas: u32) -> (ServingReport, ServingTrace) {
-    let (report, obs) = run_floor(cfg, replicas, StopCondition::UNBOUNDED, true);
+    let (report, obs) = run_floor(cfg, replicas, true);
     let FloorObs::Serve(trace) = obs else {
         unreachable!("a traced single-node run records a ServingTrace")
     };
     (report, trace)
 }
 
-/// Runs the single-node floor under `stop`, recording a [`ServingTrace`]
-/// when `traced` and nothing otherwise; the report is the same either way.
+/// Runs the single-node floor, recording a [`ServingTrace`] when `traced`
+/// and nothing otherwise; the report is the same either way.
 pub(crate) fn run_floor(
     cfg: &ServingConfig,
     replicas: u32,
-    stop: StopCondition,
     traced: bool,
 ) -> (ServingReport, FloorObs) {
     assert!(replicas > 0, "need at least one replica");
     if let Err(e) = cfg.validate() {
         panic!("{e}");
     }
-
-    let n = replicas as usize;
-    let mut sim: Simulator<Event> = Simulator::new();
-    let mut first_arrival: Option<SimTime> = None;
-    for req in RequestStream::poisson(
-        cfg.arrival_rate_per_s,
-        cfg.prompt_len,
-        cfg.new_tokens,
-        cfg.seed,
-    )
-    .take(cfg.requests as usize)
-    {
-        first_arrival.get_or_insert(req.arrival);
-        sim.schedule(req.arrival, Event::Arrival(req));
-    }
-
-    let router = cfg.router.build();
-    let nq = router.queue_count(n).clamp(1, n);
     let obs = if traced {
         let mut t = ServingTrace::new(cfg.model.name.clone(), cfg.platform.name.clone(), replicas);
         // Every request records at least arrive/admit/first-token/complete;
@@ -176,88 +127,61 @@ pub(crate) fn run_floor(
     } else {
         FloorObs::Lean
     };
-    let mut floor = UnifiedFloor {
-        set: ReplicaSet::single_group(cfg.platform.clone(), &cfg.model, n, router),
-        policy: cfg.policy.build(),
-        queues: (0..nq).map(|_| VecDeque::new()).collect(),
-        queue_of: (0..n).map(|r| r.min(nq - 1)).collect(),
-        states: (0..n).map(|_| ReplicaState::default()).collect(),
-        mem: cfg.kv.map(|kv| MemoryLayer::new(cfg, kv, n)),
-        finished: Vec::with_capacity(cfg.requests as usize),
-        first_token: vec![SimTime::ZERO; cfg.requests as usize],
-        last_completion: SimTime::ZERO,
-        flush: (0..nq).map(|_| FlushTimer::default()).collect(),
-        obs,
-        expired_buf: vec![false; nq],
-        load_buf: Vec::with_capacity(n),
-        scratch_actives: Vec::new(),
-        scratch_handoffs: Vec::new(),
+    let group = [ReplicaGroup {
+        platform: cfg.platform.clone(),
+        count: replicas,
+        role: PoolRole::Unified,
+    }];
+    let run = FloorSpec {
+        groups: &group,
+        model: &cfg.model,
+        arrivals: Box::new(
+            RequestStream::poisson(
+                cfg.arrival_rate_per_s,
+                cfg.prompt_len,
+                cfg.new_tokens,
+                cfg.seed,
+            )
+            .take(cfg.requests as usize),
+        ),
+        requests: cfg.requests,
         prompt_len: cfg.prompt_len,
         new_tokens: cfg.new_tokens,
         max_batch: 0,
-        requests: cfg.requests,
-    };
-
-    let aborted = run_unified(
-        &mut floor,
-        &mut sim,
-        stop,
-        cfg.slo,
-        CostBasis::FixedReplicas(replicas),
-    );
-
-    let mut report = assemble_report(
-        cfg,
-        &floor.finished,
-        floor.last_completion,
-        first_arrival,
-        floor.mem.as_ref(),
-    );
-    report.aborted = aborted;
-    (report, floor.obs)
+        policy: cfg.policy.build(),
+        arrival_router: cfg.router.build(),
+        handoff_router: cfg.router.build(),
+        mem: cfg
+            .kv
+            .map(|kv| MemoryLayer::new(cfg, kv, replicas as usize)),
+        autoscale: None,
+        obs,
+        slo: cfg.slo,
+        stop: StopCondition::UNBOUNDED,
+    }
+    .run();
+    let report = serving_report(run.latency, run.floor.mem.as_ref());
+    (report, run.floor.obs)
 }
 
-/// Folds the finished set into percentile metrics.
-///
-/// Total tokens count completed requests only, and an empty finished set
-/// yields an all-zero (but well-formed) report rather than a panic.
-fn assemble_report(
-    cfg: &ServingConfig,
-    finished: &[Finished],
-    last_completion: SimTime,
-    first_arrival: Option<SimTime>,
-    mem: Option<&MemoryLayer>,
-) -> ServingReport {
-    let latencies: Vec<(SimDuration, SimDuration)> =
-        finished.iter().map(|f| (f.ttft, f.e2e)).collect();
-    let ttfts: Vec<f64> = latencies.iter().map(|(t, _)| t.as_nanos_f64()).collect();
-    let e2es: Vec<f64> = latencies.iter().map(|(_, e)| e.as_nanos_f64()).collect();
-    let makespan =
-        last_completion.saturating_duration_since(first_arrival.unwrap_or(SimTime::ZERO));
-    let completed = finished.len() as u32;
-    let total_tokens = u64::from(completed) * u64::from(cfg.new_tokens.max(1));
-    let throughput_tok_s = if completed == 0 {
-        0.0
-    } else {
-        total_tokens as f64 / makespan.as_secs_f64().max(1e-12)
-    };
-    let d = |v: f64| SimDuration::from_nanos_f64(v);
+/// The shared latency summary plus the memory layer's pressure counters
+/// (all zero without a KV budget).
+fn serving_report(l: LatencySummary, mem: Option<&MemoryLayer>) -> ServingReport {
     ServingReport {
-        completed,
-        ttft_p50: d(percentile(&ttfts, 50.0)),
-        ttft_p95: d(percentile(&ttfts, 95.0)),
-        ttft_p99: d(percentile(&ttfts, 99.0)),
-        e2e_p50: d(percentile(&e2es, 50.0)),
-        e2e_p95: d(percentile(&e2es, 95.0)),
-        throughput_tok_s,
-        makespan,
+        completed: l.completed,
+        ttft_p50: l.ttft_p50,
+        ttft_p95: l.ttft_p95,
+        ttft_p99: l.ttft_p99,
+        e2e_p50: l.e2e_p50,
+        e2e_p95: l.e2e_p95,
+        throughput_tok_s: l.throughput_tok_s,
+        makespan: l.makespan,
         preemptions: mem.map_or(0, |m| m.counters().preemptions),
         swap_outs: mem.map_or(0, |m| m.counters().swap_outs),
         swapped_bytes: mem.map_or(0, |m| m.counters().swapped_bytes),
         recomputed_tokens: mem.map_or(0, |m| m.counters().recomputed_tokens),
         kv_peak_occupancy: mem.map_or(0.0, MemoryLayer::peak_occupancy),
-        slo: SloReport::evaluate(cfg.slo, &latencies, cfg.new_tokens.max(1), makespan),
-        aborted: false,
+        slo: l.slo,
     }
 }
 
@@ -267,6 +191,7 @@ mod tests {
     use crate::config::{KvCacheConfig, Policy, RouterPolicy};
     use crate::latency::LatencyModel;
     use crate::observe::SloTargets;
+    use skip_des::{percentile, SimTime};
     use skip_hw::Platform;
     use skip_llm::zoo;
     use skip_mem::{KvSpec, OffloadPolicy};
@@ -507,7 +432,8 @@ mod tests {
     fn empty_finished_set_yields_zeroed_report() {
         // Defensive: percentile collection must tolerate zero completions.
         let cfg = base_cfg(Policy::Continuous { max_batch: 1 });
-        let r = assemble_report(&cfg, &[], SimTime::ZERO, None, None);
+        let summary = LatencySummary::of(&[], None, SimTime::ZERO, cfg.new_tokens, cfg.slo);
+        let r = serving_report(summary, None);
         assert_eq!(r.completed, 0);
         assert_eq!(r.ttft_p99, SimDuration::ZERO);
         assert_eq!(r.throughput_tok_s, 0.0);

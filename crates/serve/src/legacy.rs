@@ -790,7 +790,6 @@ fn assemble_report(
         recomputed_tokens: mem.map_or(0, |m| m.counters().recomputed_tokens),
         kv_peak_occupancy: mem.map_or(0.0, MemoryLayer::peak_occupancy),
         slo: SloReport::evaluate(cfg.slo, &latencies, cfg.new_tokens.max(1), makespan),
-        aborted: false,
     }
 }
 
@@ -861,6 +860,24 @@ mod tests {
                     pressured,
                 ),
                 2,
+            ),
+            // Partitioned queues without flush timers: the live floor kicks
+            // only the touched replica where the legacy loop swept them all.
+            (
+                cfg(
+                    Policy::Continuous { max_batch: 4 },
+                    RouterPolicy::RoundRobin,
+                    pressured,
+                ),
+                4,
+            ),
+            (
+                cfg(
+                    Policy::Continuous { max_batch: 4 },
+                    RouterPolicy::JoinShortestQueue,
+                    None,
+                ),
+                3,
             ),
         ] {
             let legacy = simulate_traced(&c, replicas);

@@ -104,9 +104,7 @@ pub use fleet::{
     PoolRole, ReplicaGroup, Resolution, ScaleAction, ScalingEvent, SweepBounds, SweepStats,
     TrafficEnvelope,
 };
-pub use floor::{
-    simulate, simulate_replicas, simulate_replicas_bounded, simulate_traced, ServingReport,
-};
+pub use floor::{simulate, simulate_replicas, simulate_traced, ServingReport};
 pub use latency::LatencyModel;
 pub use observe::{
     CounterSample, LifecycleEvent, LifecycleKind, RequestLifecycle, ResumeAction, ServingTrace,

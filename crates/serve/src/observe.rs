@@ -384,18 +384,10 @@ impl ServingTrace {
     /// because every id below `requests` arrives eventually and
     /// [`record`](Self::record) would have created the same entries.
     pub fn reserve(&mut self, requests: u32, events_per_request: usize) {
-        let requests = requests as usize;
-        self.lifecycles
-            .reserve(requests.saturating_sub(self.lifecycles.len()));
-        while self.lifecycles.len() < requests {
-            self.lifecycles.push(RequestLifecycle {
-                id: self.lifecycles.len() as u64,
-                events: Vec::with_capacity(events_per_request),
-            });
-        }
+        grow_lifecycles(&mut self.lifecycles, requests as usize, events_per_request);
         // Sample count tracks handled events; start near the floor of two
         // boundaries per request and let growth amortize the rest.
-        self.samples.reserve(requests.saturating_mul(2));
+        self.samples.reserve((requests as usize).saturating_mul(2));
     }
 
     /// Appends a lifecycle transition for request `id`.
@@ -403,17 +395,12 @@ impl ServingTrace {
     /// IDs are dense arrival-order indices; the first transition recorded
     /// for a new ID allocates its lifecycle record.
     pub fn record(&mut self, id: u64, at: SimTime, kind: LifecycleKind) {
-        while self.lifecycles.len() <= id as usize {
-            self.lifecycles.push(RequestLifecycle {
-                id: self.lifecycles.len() as u64,
-                events: Vec::new(),
-            });
-        }
         match kind {
             LifecycleKind::Admitted { .. } => self.admitted += 1,
             LifecycleKind::Completed { .. } => self.completed += 1,
             _ => {}
         }
+        grow_lifecycles(&mut self.lifecycles, id as usize + 1, 0);
         self.lifecycles[id as usize]
             .events
             .push(LifecycleEvent { at, kind });
@@ -423,13 +410,7 @@ impl ServingTrace {
     /// simulator events fire at the same instant (the iteration boundary's
     /// final state wins).
     pub fn push_sample(&mut self, sample: CounterSample) {
-        if let Some(last) = self.samples.last_mut() {
-            if last.at == sample.at {
-                *last = sample;
-                return;
-            }
-        }
-        self.samples.push(sample);
+        push_collapsed(&mut self.samples, sample, |s| s.at);
     }
 
     /// `true` if every sample satisfies admitted = completed + running +
@@ -457,96 +438,7 @@ impl ServingTrace {
     /// passes [`Trace::validate`].
     #[must_use]
     pub fn to_trace(&self) -> Trace {
-        let mut t = Trace::new(TraceMeta {
-            model: self.model.clone(),
-            platform: self.platform.clone(),
-            exec_mode: "serving".into(),
-            phase: "serving".into(),
-            batch_size: self.replicas,
-            seq_len: 0,
-        });
-        let mut next_op = 0u64;
-        let mut next_corr = 1u64;
-        for lc in &self.lifecycles {
-            let tid = ThreadId::new(lc.id as u32);
-            let mut pending_preempt: Option<SimTime> = None;
-            for pair in lc.events.windows(2) {
-                let (cur, next) = (&pair[0], &pair[1]);
-                let name = match cur.kind {
-                    LifecycleKind::Arrived => t.intern("queued"),
-                    LifecycleKind::Admitted { .. } => t.intern("prefill"),
-                    LifecycleKind::FirstToken
-                    | LifecycleKind::Resumed { .. }
-                    | LifecycleKind::DecodeAdmitted { .. } => t.intern("decode"),
-                    LifecycleKind::Preempted { action, .. } => {
-                        t.intern(&format!("parked:{}", action.label()))
-                    }
-                    LifecycleKind::HandoffQueued { .. } => t.intern("handoff"),
-                    LifecycleKind::HandoffDone { .. } => t.intern("queued"),
-                    LifecycleKind::Completed { .. } => continue,
-                };
-                t.push_cpu_op(CpuOpEvent {
-                    id: OpId::new(next_op),
-                    name,
-                    thread: tid,
-                    begin: cur.at,
-                    end: next.at,
-                });
-                next_op += 1;
-            }
-            let mut pending_handoff: Option<SimTime> = None;
-            for ev in &lc.events {
-                match ev.kind {
-                    LifecycleKind::Preempted { .. } => pending_preempt = Some(ev.at),
-                    LifecycleKind::HandoffQueued { .. } => pending_handoff = Some(ev.at),
-                    LifecycleKind::Resumed { .. } => {
-                        if let Some(preempted_at) = pending_preempt.take() {
-                            let corr = CorrelationId::new(next_corr);
-                            next_corr += 1;
-                            let preempt = t.intern("preempt");
-                            t.push_launch(RuntimeLaunchEvent {
-                                name: preempt,
-                                thread: tid,
-                                begin: preempted_at,
-                                end: preempted_at,
-                                correlation: corr,
-                            });
-                            let resume = t.intern("resume");
-                            t.push_kernel(KernelEvent {
-                                name: resume,
-                                stream: StreamId::new(lc.id as u32),
-                                begin: ev.at,
-                                end: ev.at,
-                                correlation: corr,
-                            });
-                        }
-                    }
-                    LifecycleKind::HandoffDone { .. } => {
-                        if let Some(queued_at) = pending_handoff.take() {
-                            let corr = CorrelationId::new(next_corr);
-                            next_corr += 1;
-                            let depart = t.intern("kv_depart");
-                            t.push_launch(RuntimeLaunchEvent {
-                                name: depart,
-                                thread: tid,
-                                begin: queued_at,
-                                end: queued_at,
-                                correlation: corr,
-                            });
-                            let land = t.intern("kv_land");
-                            t.push_kernel(KernelEvent {
-                                name: land,
-                                stream: StreamId::new(lc.id as u32),
-                                begin: ev.at,
-                                end: ev.at,
-                                correlation: corr,
-                            });
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
+        let mut t = lifecycle_trace(&self.model, &self.platform, self.replicas, &self.lifecycles);
         let kv_tracked = self.samples.iter().any(|s| s.kv_total_blocks > 0);
         for s in &self.samples {
             let mut counter = |track: &str, value: f64| {
@@ -567,6 +459,119 @@ impl ServingTrace {
         }
         t
     }
+}
+
+/// Grows `lifecycles` to `len` records with dense arrival-order ids, each
+/// new one with room for `events` transitions.
+pub(crate) fn grow_lifecycles(lifecycles: &mut Vec<RequestLifecycle>, len: usize, events: usize) {
+    lifecycles.reserve(len.saturating_sub(lifecycles.len()));
+    while lifecycles.len() < len {
+        lifecycles.push(RequestLifecycle {
+            id: lifecycles.len() as u64,
+            events: Vec::with_capacity(events),
+        });
+    }
+}
+
+/// Appends `sample`, replacing the last one when both were taken at the
+/// same instant (`at` reads a sample's instant).
+pub(crate) fn push_collapsed<S>(samples: &mut Vec<S>, sample: S, at: impl Fn(&S) -> SimTime) {
+    match samples.last_mut() {
+        Some(last) if at(last) == at(&sample) => *last = sample,
+        _ => samples.push(sample),
+    }
+}
+
+/// Exports request lifecycles as a [`Trace`] of per-request slice tracks
+/// and flow pairs (see [`ServingTrace::to_trace`]); each trace type adds
+/// its own counter tracks.
+pub(crate) fn lifecycle_trace(
+    model: &str,
+    platform: &str,
+    batch_size: u32,
+    lifecycles: &[RequestLifecycle],
+) -> Trace {
+    let mut t = Trace::new(TraceMeta {
+        model: model.to_owned(),
+        platform: platform.to_owned(),
+        exec_mode: "serving".into(),
+        phase: "serving".into(),
+        batch_size,
+        seq_len: 0,
+    });
+    let mut next_op = 0u64;
+    let mut next_corr = 1u64;
+    for lc in lifecycles {
+        let tid = ThreadId::new(lc.id as u32);
+        let mut pending_preempt: Option<SimTime> = None;
+        for pair in lc.events.windows(2) {
+            let (cur, next) = (&pair[0], &pair[1]);
+            let name = match cur.kind {
+                LifecycleKind::Arrived => t.intern("queued"),
+                LifecycleKind::Admitted { .. } => t.intern("prefill"),
+                LifecycleKind::FirstToken
+                | LifecycleKind::Resumed { .. }
+                | LifecycleKind::DecodeAdmitted { .. } => t.intern("decode"),
+                LifecycleKind::Preempted { action, .. } => {
+                    t.intern(&format!("parked:{}", action.label()))
+                }
+                LifecycleKind::HandoffQueued { .. } => t.intern("handoff"),
+                LifecycleKind::HandoffDone { .. } => t.intern("queued"),
+                LifecycleKind::Completed { .. } => continue,
+            };
+            t.push_cpu_op(CpuOpEvent {
+                id: OpId::new(next_op),
+                name,
+                thread: tid,
+                begin: cur.at,
+                end: next.at,
+            });
+            next_op += 1;
+        }
+        let mut pending_handoff: Option<SimTime> = None;
+        for ev in &lc.events {
+            // Each preempt→resume and kv_depart→kv_land hand-off becomes
+            // one correlated launch/kernel pair: a flow arrow.
+            let flow = match ev.kind {
+                LifecycleKind::Preempted { .. } => {
+                    pending_preempt = Some(ev.at);
+                    None
+                }
+                LifecycleKind::HandoffQueued { .. } => {
+                    pending_handoff = Some(ev.at);
+                    None
+                }
+                LifecycleKind::Resumed { .. } => {
+                    pending_preempt.take().map(|at| (at, ["preempt", "resume"]))
+                }
+                LifecycleKind::HandoffDone { .. } => pending_handoff
+                    .take()
+                    .map(|at| (at, ["kv_depart", "kv_land"])),
+                _ => None,
+            };
+            if let Some((begin, [from, to])) = flow {
+                let correlation = CorrelationId::new(next_corr);
+                next_corr += 1;
+                let name = t.intern(from);
+                t.push_launch(RuntimeLaunchEvent {
+                    name,
+                    thread: tid,
+                    begin,
+                    end: begin,
+                    correlation,
+                });
+                let name = t.intern(to);
+                t.push_kernel(KernelEvent {
+                    name,
+                    stream: StreamId::new(lc.id as u32),
+                    begin: ev.at,
+                    end: ev.at,
+                    correlation,
+                });
+            }
+        }
+    }
+    t
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ use crate::config::Policy;
 use crate::fleet::spec::{FleetBatchPolicy, PoolRole};
 use crate::latency::LatencyModel;
 use crate::memctx::MemLane;
-use crate::observe::LifecycleKind;
+use crate::observe::{LifecycleKind, RecordSink};
 use crate::request::Request;
 use crate::unified::FloorObs;
 
@@ -252,50 +252,12 @@ pub(crate) struct ContinuousBatch {
     max_batch: u32,
 }
 
-impl ContinuousBatch {
-    /// The unbounded-cache iteration: prefill newcomers, else decode.
-    fn plain_iteration(&self, lane: &mut Lane<'_>) -> Option<SimDuration> {
-        let slots = self.max_batch as usize - lane.state.actives.len().min(self.max_batch as usize);
-        let newcomers = lane.queue.len().min(slots);
-        if newcomers > 0 {
-            // Prefill iteration for the newcomers.
-            for _ in 0..newcomers {
-                let req = lane.queue.pop_front().expect("counted above");
-                lane.obs.record(
-                    req.id,
-                    lane.now,
-                    LifecycleKind::Admitted {
-                        replica: lane.replica as u32,
-                    },
-                );
-                let prefilled = req.prompt_len;
-                lane.state.actives.push(Active {
-                    req,
-                    generated: 0,
-                    prefilled,
-                });
-            }
-            Some(lane.lat.prefill(newcomers as u32, lane.prompt_len))
-        } else if !lane.state.actives.is_empty() {
-            // One decode step for the whole running batch.
-            let ctx = lane
-                .state
-                .actives
-                .iter()
-                .map(|a| a.req.prompt_len + a.generated)
-                .max()
-                .expect("non-empty");
-            Some(lane.lat.decode_step(lane.state.actives.len() as u32, ctx))
-        } else {
-            None
-        }
-    }
-
-    /// The memory-aware iteration: resume parked requests first, then
-    /// admit newcomers whose prompts fit, else run one decode step,
-    /// preempting the newest requests until the whole batch's next token
-    /// fits.
-    fn memory_iteration(&self, lane: &mut Lane<'_>) -> Option<SimDuration> {
+impl BatchPolicy for ContinuousBatch {
+    /// Resumes parked requests first, then admits newcomers whose prompts
+    /// fit, else runs one decode step, preempting the newest requests
+    /// until the whole batch's next token fits. Without a memory lane
+    /// every prompt fits and nothing is ever parked or preempted.
+    fn next_iteration(&self, lane: &mut Lane<'_>, _flush: bool) -> Option<SimDuration> {
         let Lane {
             prompt_len,
             lat,
@@ -307,24 +269,27 @@ impl ContinuousBatch {
             obs,
             ..
         } = lane;
-        let mem = mem.as_mut().expect("memory path requires a lane");
         let now = *now;
         let replica_id = *replica as u32;
         let slots = (self.max_batch as usize).saturating_sub(state.actives.len());
 
         // 1. Resume preempted requests; the cohort rides one iteration.
-        if let Some(cost) = mem.resume_cohort(slots, lat, now, &mut state.actives, obs) {
-            return Some(cost);
+        if let Some(mem) = mem.as_mut() {
+            if let Some(cost) = mem.resume_cohort(slots, lat, now, &mut state.actives, obs) {
+                return Some(cost);
+            }
         }
 
         // 2. Admit newcomers whose prompt blocks fit (only when no
         //    preempted request is waiting — they have priority).
-        if mem.parked_is_empty() && slots > 0 && !queue.is_empty() {
+        if mem.as_ref().is_none_or(MemLane::parked_is_empty) && slots > 0 && !queue.is_empty() {
             let mut admitted = 0u32;
             while (admitted as usize) < slots {
                 let Some(req) = queue.front() else { break };
-                if !mem.try_reserve(req.id, u64::from(req.prompt_len)) {
-                    break;
+                if let Some(mem) = mem.as_mut() {
+                    if !mem.try_reserve(req.id, u64::from(req.prompt_len)) {
+                        break;
+                    }
                 }
                 let req = queue.pop_front().expect("front probed above");
                 obs.record(
@@ -353,14 +318,17 @@ impl ContinuousBatch {
         if state.actives.is_empty() {
             return None;
         }
-        let swap_stall = mem.fit_and_grow(
-            &mut state.actives,
-            |a| Some(u64::from(a.prefilled) + u64::from(a.generated) + 1),
-            lat,
-            now,
-            obs,
-            |_| {},
-        );
+        let mut swap_stall = SimDuration::ZERO;
+        if let Some(mem) = mem.as_mut() {
+            swap_stall = mem.fit_and_grow(
+                &mut state.actives,
+                |a| Some(u64::from(a.prefilled) + u64::from(a.generated) + 1),
+                lat,
+                now,
+                obs,
+                |_| {},
+            );
+        }
         let ctx = state
             .actives
             .iter()
@@ -368,16 +336,6 @@ impl ContinuousBatch {
             .max()
             .expect("non-empty");
         Some(lat.decode_step(state.actives.len() as u32, ctx) + swap_stall)
-    }
-}
-
-impl BatchPolicy for ContinuousBatch {
-    fn next_iteration(&self, lane: &mut Lane<'_>, _flush: bool) -> Option<SimDuration> {
-        if lane.mem.is_some() {
-            self.memory_iteration(lane)
-        } else {
-            self.plain_iteration(lane)
-        }
     }
 
     fn retire(&self, lane: &mut Lane<'_>) {

@@ -6,9 +6,9 @@
 //! already bills more than a known-better incumbent — both quantities are
 //! monotone in simulated time, so the verdict at the abort instant is the
 //! verdict of the full run. [`StopCondition`] carries those budgets into
-//! the serving and fleet floors; a run stopped by one returns a
-//! truncated-but-honest report with its `aborted` flag set, which callers
-//! must never count as a completed envelope.
+//! the fleet floor (`simulate_fleet_bounded`); a run stopped by one
+//! returns a truncated-but-honest report with its `aborted` flag set,
+//! which callers must never count as a completed envelope.
 
 use skip_des::SimDuration;
 

@@ -1,14 +1,20 @@
-//! The unified serving floor: one DES loop behind both public fronts.
+//! The unified serving floor: the one place a serving floor is built, run
+//! and summarised.
 //!
-//! A [`UnifiedFloor`] is a generic event loop over a [`ReplicaSet`] — a
-//! pool-aware collection of replicas with per-platform pricing, optional
-//! handoff links, and optional autoscaling. The single-node front
-//! (`crate::floor`) builds a one-group, one-pool set with zero-cost
-//! (inert) links and broadcast wake-ups; the fleet front
-//! (`crate::fleet::floor`) builds a heterogeneous, optionally
-//! disaggregated set with targeted wake-ups. Both fronts are thin
-//! constructors: every event, every scheduling decision, and every
-//! counter sample flows through this one loop.
+//! Both public fronts lower their config to one [`FloorSpec`]: replica
+//! groups, arrivals, batch policy, arrival and handoff routers, an
+//! optional KV layer, an optional autoscaler, and the observer. The
+//! single-node front (`crate::floor`) describes one homogeneous unified
+//! group with a KV layer when budgeted; the fleet front
+//! (`crate::fleet::floor`) describes heterogeneous, optionally
+//! disaggregated and autoscaled groups. [`FloorSpec::run`] builds the
+//! [`ReplicaSet`] and the [`UnifiedFloor`], drives the one DES loop, and
+//! folds the finished set into the [`LatencySummary`] both reports share.
+//!
+//! How a wake-up restarts idle replicas follows from the description, not
+//! from which front built it: when replicas share one queue, or the policy
+//! arms flush timers (static batching), a wake-up sweeps every replica;
+//! otherwise it kicks only the replica that was touched.
 //!
 //! Scheduling itself still lives behind the three seams: the
 //! [`Router`] picks a queue for each arrival (and a destination for each
@@ -19,18 +25,19 @@
 
 use std::collections::VecDeque;
 
-use skip_des::{SimContext, SimDuration, SimTime, Simulator};
+use skip_des::{percentile, SimContext, SimDuration, SimTime, Simulator};
 use skip_hw::Platform;
 use skip_llm::ModelConfig;
 use skip_mem::KvSpec;
 
-use crate::config::RouterPolicy;
 use crate::fleet::autoscale::{AutoscaleConfig, ScaleAction, ScalingEvent};
 use crate::fleet::observe::{FleetSample, FleetTrace};
-use crate::fleet::spec::PoolRole;
+use crate::fleet::spec::{PoolRole, ReplicaGroup};
 use crate::latency::LatencyModel;
 use crate::memctx::MemoryLayer;
-use crate::observe::{CounterSample, LifecycleKind, RecordSink, ServingTrace, SloTargets};
+use crate::observe::{
+    CounterSample, LifecycleKind, RecordSink, ServingTrace, SloReport, SloTargets,
+};
 use crate::policy::{Active, BatchPolicy, Finished, Lane, ReplicaState};
 use crate::request::Request;
 use crate::router::{ReplicaLoad, Router};
@@ -52,14 +59,6 @@ pub(crate) enum FloorObs {
 }
 
 impl FloorObs {
-    pub(crate) fn record(&mut self, id: u64, at: SimTime, kind: LifecycleKind) {
-        match self {
-            FloorObs::Lean => {}
-            FloorObs::Serve(t) => t.record(id, at, kind),
-            FloorObs::Fleet(t) => t.record(id, at, kind),
-        }
-    }
-
     fn push_scaling(&mut self, ev: ScalingEvent) {
         if let FloorObs::Fleet(t) = self {
             t.scaling.push(ev);
@@ -69,12 +68,16 @@ impl FloorObs {
 
 impl RecordSink for FloorObs {
     fn record(&mut self, id: u64, at: SimTime, kind: LifecycleKind) {
-        FloorObs::record(self, id, at, kind);
+        match self {
+            FloorObs::Lean => {}
+            FloorObs::Serve(t) => t.record(id, at, kind),
+            FloorObs::Fleet(t) => t.record(id, at, kind),
+        }
     }
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Event {
+enum Event {
     Arrival(Request),
     /// A replica finished its current iteration/job.
     IterationDone(usize),
@@ -93,7 +96,7 @@ pub(crate) enum Event {
 
 /// Replica lifecycle under autoscaling; fixed sets stay [`RState::Up`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RState {
+enum RState {
     Launching,
     Up,
     Draining,
@@ -111,10 +114,10 @@ struct Handoff {
 
 /// Per-replica ingress link: FIFO queue plus at most one in-flight
 /// transfer, so concurrent handoffs to the same destination serialize and
-/// the interconnect shows up as occupancy. Single-node sets keep these
+/// the interconnect shows up as occupancy. One-pool floors keep these
 /// permanently empty (zero-cost links).
 #[derive(Debug, Default)]
-pub(crate) struct LinkRt {
+struct LinkRt {
     queue: VecDeque<Handoff>,
     inflight: Option<(Handoff, SimTime)>,
 }
@@ -129,7 +132,7 @@ impl LinkRt {
 /// plus the policy's `max_wait`. The generation counter invalidates
 /// superseded timer events still sitting in the DES queue.
 #[derive(Default)]
-pub(crate) struct FlushTimer {
+struct FlushTimer {
     generation: u64,
     deadline: Option<SimTime>,
 }
@@ -137,11 +140,11 @@ pub(crate) struct FlushTimer {
 /// One replica's identity inside the set: which platform prices it,
 /// which pool it serves, its scaling state, and its unit serving cost
 /// (the cost-model router's exchange rate; 0 when pricing is uniform).
-pub(crate) struct ReplicaMeta {
-    pub(crate) platform_idx: usize,
-    pub(crate) pool: PoolRole,
-    pub(crate) state: RState,
-    pub(crate) unit_cost_ns: f64,
+struct ReplicaMeta {
+    platform_idx: usize,
+    pool: PoolRole,
+    state: RState,
+    unit_cost_ns: f64,
 }
 
 /// The replica-set abstraction the unified floor is generic over: the
@@ -150,25 +153,20 @@ pub(crate) struct ReplicaMeta {
 /// single-node floor is the degenerate case — one group, one pool,
 /// always-up replicas, inert links, no autoscaler.
 pub(crate) struct ReplicaSet {
-    pub(crate) platforms: Vec<Platform>,
-    pub(crate) lat: Vec<LatencyModel>,
-    pub(crate) meta: Vec<ReplicaMeta>,
-    pub(crate) links: Vec<LinkRt>,
+    platforms: Vec<Platform>,
+    lat: Vec<LatencyModel>,
+    meta: Vec<ReplicaMeta>,
+    links: Vec<LinkRt>,
     /// Routes arrivals to a queue.
-    pub(crate) arrival_router: Box<dyn Router>,
-    /// Routes finished prefills to a decode replica (separate instance,
-    /// so round-robin keeps independent cursors per direction).
-    pub(crate) handoff_router: Box<dyn Router>,
+    arrival_router: Box<dyn Router>,
+    /// Routes finished prefills to a decode replica.
+    handoff_router: Box<dyn Router>,
     /// KV geometry for handoff sizing.
-    pub(crate) kv: KvSpec,
-    pub(crate) disagg: bool,
-    /// `true` for fleet-style targeted wake-ups (kick only the touched
-    /// replica); `false` for the single-node broadcast sweep with flush
-    /// timers.
-    pub(crate) targeted: bool,
-    pub(crate) autoscale: Option<AutoscaleConfig>,
+    kv: KvSpec,
+    disagg: bool,
+    autoscale: Option<AutoscaleConfig>,
     /// Model weight bytes a launching replica loads over its host link.
-    pub(crate) weight_bytes: u64,
+    weight_bytes: u64,
     // Cumulative handoff and scaling telemetry.
     pub(crate) handoffs: u64,
     pub(crate) handoff_bytes: u64,
@@ -178,53 +176,10 @@ pub(crate) struct ReplicaSet {
     pub(crate) scale_downs: u32,
     pub(crate) peak_live: u32,
     pub(crate) replica_ns: f64,
-    pub(crate) last_bill: SimTime,
+    last_bill: SimTime,
 }
 
 impl ReplicaSet {
-    /// One homogeneous always-up group of `replicas` — the single-node
-    /// serving endpoint as a degenerate fleet: one pool, zero-cost links,
-    /// broadcast wake-ups, uniform (zero) unit pricing.
-    pub(crate) fn single_group(
-        platform: Platform,
-        model: &ModelConfig,
-        replicas: usize,
-        arrival_router: Box<dyn Router>,
-    ) -> Self {
-        let lat = LatencyModel::new(platform.clone(), model.clone());
-        ReplicaSet {
-            kv: KvSpec::for_model(model, KvSpec::DEFAULT_BLOCK_TOKENS),
-            platforms: vec![platform],
-            lat: vec![lat],
-            meta: (0..replicas)
-                .map(|_| ReplicaMeta {
-                    platform_idx: 0,
-                    pool: PoolRole::Unified,
-                    state: RState::Up,
-                    unit_cost_ns: 0.0,
-                })
-                .collect(),
-            links: (0..replicas).map(|_| LinkRt::default()).collect(),
-            arrival_router,
-            // Never consulted: a one-pool set finishes every request in
-            // place, so nothing reaches the handoff seam.
-            handoff_router: RouterPolicy::SharedQueue.build(),
-            disagg: false,
-            targeted: false,
-            autoscale: None,
-            weight_bytes: 0,
-            handoffs: 0,
-            handoff_bytes: 0,
-            handoff_waits: Vec::new(),
-            handoff_transfer_ns: 0.0,
-            scale_ups: 0,
-            scale_downs: 0,
-            peak_live: replicas as u32,
-            replica_ns: 0.0,
-            last_bill: SimTime::ZERO,
-        }
-    }
-
     fn live_count(&self) -> u32 {
         self.meta
             .iter()
@@ -234,7 +189,7 @@ impl ReplicaSet {
 
     /// Accrues replica-seconds up to `now` at the current live count.
     /// Called before any state transition and once at the end.
-    pub(crate) fn bill(&mut self, now: SimTime) {
+    fn bill(&mut self, now: SimTime) {
         let live = self.live_count();
         self.replica_ns +=
             now.saturating_duration_since(self.last_bill).as_nanos_f64() * f64::from(live);
@@ -256,7 +211,7 @@ impl ReplicaSet {
 /// cost-model JSQ's exchange rate between queue depths on different
 /// platforms. Memoized inside the [`LatencyModel`], so this is two map
 /// hits after the first call.
-pub(crate) fn unit_cost_ns(
+fn unit_cost_ns(
     lat: &LatencyModel,
     pool: PoolRole,
     max_batch: u32,
@@ -274,55 +229,299 @@ pub(crate) fn unit_cost_ns(
     }
 }
 
-/// How a bounded run prices elapsed time against a cost ceiling.
-#[derive(Clone, Copy)]
-pub(crate) enum CostBasis {
-    /// Fixed fleet: `replicas × elapsed` seconds.
-    FixedReplicas(u32),
-    /// Autoscale-aware: the set's accrued replica-seconds.
-    Billed,
+/// A serving floor as both fronts describe it. [`FloorSpec::run`] is the
+/// only constructor of a [`UnifiedFloor`].
+pub(crate) struct FloorSpec<'a> {
+    /// Replica groups, in replica-index order.
+    pub(crate) groups: &'a [ReplicaGroup],
+    pub(crate) model: &'a ModelConfig,
+    /// Arrivals in time order with dense ids from 0, consumed as they are
+    /// scheduled.
+    pub(crate) arrivals: Box<dyn Iterator<Item = Request> + 'a>,
+    /// How many requests `arrivals` yields.
+    pub(crate) requests: u32,
+    pub(crate) prompt_len: u32,
+    pub(crate) new_tokens: u32,
+    /// Admission slots per replica under the fleet policies, and the batch
+    /// the cost-model router's unit prices assume. Zero for the
+    /// single-node policies, which carry their own limits; their routers
+    /// read no price, so every unit price stays zero.
+    pub(crate) max_batch: u32,
+    pub(crate) policy: Box<dyn BatchPolicy>,
+    pub(crate) arrival_router: Box<dyn Router>,
+    /// A second router instance, so round-robin handoff dispatch keeps its
+    /// own cursor. Never consulted without a decode pool.
+    pub(crate) handoff_router: Box<dyn Router>,
+    /// Paged-KV bookkeeping, one pool per replica; `None` is an infinite
+    /// cache.
+    pub(crate) mem: Option<MemoryLayer>,
+    pub(crate) autoscale: Option<AutoscaleConfig>,
+    pub(crate) obs: FloorObs,
+    pub(crate) slo: SloTargets,
+    pub(crate) stop: StopCondition,
+}
+
+/// A finished floor: its final state, the latency summary of what it
+/// completed, and whether a [`StopCondition`] cut it short.
+pub(crate) struct FloorRun {
+    pub(crate) floor: UnifiedFloor,
+    pub(crate) latency: LatencySummary,
+    pub(crate) aborted: bool,
+}
+
+impl FloorSpec<'_> {
+    /// Builds the described floor, drives it to completion (or to the
+    /// first blown budget), bills the span it ran, and summarises its
+    /// latencies.
+    pub(crate) fn run(self) -> FloorRun {
+        // One platform entry (and LatencyModel) per distinct platform
+        // name; replicas reference them by index so a 4-replica group
+        // shares one memo cache.
+        let mut platforms: Vec<Platform> = Vec::new();
+        let mut meta: Vec<ReplicaMeta> = Vec::new();
+        for g in self.groups {
+            let platform_idx = match platforms.iter().position(|p| p.name == g.platform.name) {
+                Some(i) => i,
+                None => {
+                    platforms.push(g.platform.clone());
+                    platforms.len() - 1
+                }
+            };
+            meta.extend((0..g.count).map(|_| ReplicaMeta {
+                platform_idx,
+                pool: g.role,
+                state: RState::Up,
+                unit_cost_ns: 0.0,
+            }));
+        }
+        let lat: Vec<LatencyModel> = platforms
+            .iter()
+            .map(|p| LatencyModel::new(p.clone(), self.model.clone()))
+            .collect();
+        if self.max_batch > 0 {
+            // Pure and memoized, so pricing eagerly here only warms the
+            // latency caches.
+            for m in &mut meta {
+                m.unit_cost_ns = unit_cost_ns(
+                    &lat[m.platform_idx],
+                    m.pool,
+                    self.max_batch,
+                    self.prompt_len,
+                    self.new_tokens,
+                );
+            }
+        }
+        let n = meta.len();
+        let nq = self.arrival_router.queue_count(n).clamp(1, n);
+        let disagg = self.groups.iter().any(|g| g.role != PoolRole::Unified);
+
+        let mut sim: Simulator<Event> = Simulator::new();
+        let mut first_arrival: Option<SimTime> = None;
+        for req in self.arrivals {
+            first_arrival.get_or_insert(req.arrival);
+            sim.schedule(req.arrival, Event::Arrival(req));
+        }
+        if let Some(auto) = &self.autoscale {
+            sim.schedule(SimTime::ZERO + auto.interval, Event::ScaleTick);
+        }
+
+        let mut floor = UnifiedFloor {
+            set: ReplicaSet {
+                platforms,
+                lat,
+                meta,
+                links: (0..n).map(|_| LinkRt::default()).collect(),
+                arrival_router: self.arrival_router,
+                handoff_router: self.handoff_router,
+                kv: KvSpec::for_model(self.model, KvSpec::DEFAULT_BLOCK_TOKENS),
+                disagg,
+                autoscale: self.autoscale,
+                weight_bytes: self.model.weight_bytes_fp16(),
+                handoffs: 0,
+                handoff_bytes: 0,
+                handoff_waits: Vec::with_capacity(if disagg { self.requests as usize } else { 0 }),
+                handoff_transfer_ns: 0.0,
+                scale_ups: 0,
+                scale_downs: 0,
+                peak_live: n as u32,
+                replica_ns: 0.0,
+                last_bill: SimTime::ZERO,
+            },
+            sweeps: nq < n || self.policy.flush_after().is_some(),
+            policy: self.policy,
+            queues: (0..nq).map(|_| VecDeque::new()).collect(),
+            queue_of: (0..n).map(|r| r.min(nq - 1)).collect(),
+            states: (0..n)
+                .map(|_| ReplicaState {
+                    actives: Vec::with_capacity(self.max_batch as usize),
+                    ..ReplicaState::default()
+                })
+                .collect(),
+            mem: self.mem,
+            finished: Vec::with_capacity(self.requests as usize),
+            first_token: vec![SimTime::ZERO; self.requests as usize],
+            last_completion: SimTime::ZERO,
+            flush: (0..nq).map(|_| FlushTimer::default()).collect(),
+            obs: self.obs,
+            expired_buf: vec![false; nq],
+            load_buf: Vec::with_capacity(n),
+            scratch_actives: Vec::with_capacity(self.max_batch as usize),
+            scratch_handoffs: Vec::with_capacity(if disagg { self.max_batch as usize } else { 0 }),
+            prompt_len: self.prompt_len,
+            new_tokens: self.new_tokens,
+            max_batch: self.max_batch,
+            requests: self.requests,
+        };
+
+        let aborted = floor.drive(&mut sim, self.stop, self.slo);
+        // An aborted run bills the span actually simulated: its truncated
+        // report still prices what it rented before it was called off.
+        let end = if aborted { sim.now() } else { SimTime::ZERO };
+        floor
+            .set
+            .bill(end.max(floor.last_completion).max(floor.set.last_bill));
+        let latency = LatencySummary::of(
+            &floor.finished,
+            first_arrival,
+            floor.last_completion,
+            self.new_tokens,
+            self.slo,
+        );
+        FloorRun {
+            floor,
+            latency,
+            aborted,
+        }
+    }
+}
+
+/// The fields [`ServingReport`](crate::ServingReport) and
+/// [`FleetReport`](crate::FleetReport) share, folded from a finished set.
+pub(crate) struct LatencySummary {
+    pub(crate) completed: u32,
+    pub(crate) ttft_p50: SimDuration,
+    pub(crate) ttft_p95: SimDuration,
+    pub(crate) ttft_p99: SimDuration,
+    pub(crate) e2e_p50: SimDuration,
+    pub(crate) e2e_p95: SimDuration,
+    pub(crate) throughput_tok_s: f64,
+    pub(crate) makespan: SimDuration,
+    pub(crate) slo: SloReport,
+}
+
+impl LatencySummary {
+    /// Summarises `finished` over the span from the first arrival to the
+    /// last completion. Tokens count completed requests only, and an empty
+    /// finished set yields an all-zero (but well-formed) summary rather
+    /// than a panic.
+    pub(crate) fn of(
+        finished: &[Finished],
+        first_arrival: Option<SimTime>,
+        last_completion: SimTime,
+        new_tokens: u32,
+        slo: SloTargets,
+    ) -> Self {
+        let latencies: Vec<(SimDuration, SimDuration)> =
+            finished.iter().map(|f| (f.ttft, f.e2e)).collect();
+        let ttfts: Vec<f64> = latencies.iter().map(|(t, _)| t.as_nanos_f64()).collect();
+        let e2es: Vec<f64> = latencies.iter().map(|(_, e)| e.as_nanos_f64()).collect();
+        let makespan =
+            last_completion.saturating_duration_since(first_arrival.unwrap_or(SimTime::ZERO));
+        let completed = finished.len() as u32;
+        let total_tokens = u64::from(completed) * u64::from(new_tokens.max(1));
+        let throughput_tok_s = if completed == 0 {
+            0.0
+        } else {
+            total_tokens as f64 / makespan.as_secs_f64().max(1e-12)
+        };
+        let d = |v: f64| SimDuration::from_nanos_f64(v);
+        LatencySummary {
+            completed,
+            ttft_p50: d(percentile(&ttfts, 50.0)),
+            ttft_p95: d(percentile(&ttfts, 95.0)),
+            ttft_p99: d(percentile(&ttfts, 99.0)),
+            e2e_p50: d(percentile(&e2es, 50.0)),
+            e2e_p95: d(percentile(&e2es, 95.0)),
+            throughput_tok_s,
+            makespan,
+            slo: SloReport::evaluate(slo, &latencies, new_tokens.max(1), makespan),
+        }
+    }
 }
 
 /// The unified floor: DES state shared by both serving fronts, plus the
 /// policy/router/memory seams.
 pub(crate) struct UnifiedFloor {
     pub(crate) set: ReplicaSet,
-    pub(crate) policy: Box<dyn BatchPolicy>,
+    policy: Box<dyn BatchPolicy>,
     /// Pending queues — one shared (index 0) or one per replica,
     /// whichever topology the router declared.
-    pub(crate) queues: Vec<VecDeque<Request>>,
+    queues: Vec<VecDeque<Request>>,
     /// Which queue each replica pulls from.
-    pub(crate) queue_of: Vec<usize>,
-    pub(crate) states: Vec<ReplicaState>,
+    queue_of: Vec<usize>,
+    states: Vec<ReplicaState>,
     pub(crate) mem: Option<MemoryLayer>,
-    pub(crate) finished: Vec<Finished>,
+    finished: Vec<Finished>,
     /// First-token instant of every request, indexed by request id (see
     /// [`Lane::first_token`]).
-    pub(crate) first_token: Vec<SimTime>,
-    pub(crate) last_completion: SimTime,
-    pub(crate) flush: Vec<FlushTimer>,
+    first_token: Vec<SimTime>,
+    last_completion: SimTime,
+    flush: Vec<FlushTimer>,
     /// The observer: lean, or lifecycle records + counter samples.
     pub(crate) obs: FloorObs,
+    /// Whether a wake-up sweeps every replica, derived from the
+    /// description: when replicas share a queue, any idle one may take new
+    /// work; when the policy arms flush timers, an expiry may release a
+    /// partial batch on any queue. Otherwise only the touched replica's
+    /// inputs changed: every other idle replica found nothing to start
+    /// when its own inputs last changed, and still finds nothing.
+    sweeps: bool,
     /// Reused per-event scratch: which queues' oldest waiter timed out.
     /// Refilled by [`refresh_expired`](Self::refresh_expired); never
     /// reallocated after construction.
-    pub(crate) expired_buf: Vec<bool>,
+    expired_buf: Vec<bool>,
     /// Reused per-arrival scratch: the router's load snapshot.
-    pub(crate) load_buf: Vec<ReplicaLoad>,
+    load_buf: Vec<ReplicaLoad>,
     /// Reusable retire scratch (see [`Lane::scratch`]).
-    pub(crate) scratch_actives: Vec<Active>,
+    scratch_actives: Vec<Active>,
     /// Reusable buffer for handoffs discovered during a retire.
-    pub(crate) scratch_handoffs: Vec<Request>,
-    pub(crate) prompt_len: u32,
-    pub(crate) new_tokens: u32,
+    scratch_handoffs: Vec<Request>,
+    prompt_len: u32,
+    new_tokens: u32,
     /// Per-replica admission slots (fleet policies; scaling unit costs).
-    pub(crate) max_batch: u32,
+    max_batch: u32,
     /// Total requests this run serves (the autoscaler's done check).
-    pub(crate) requests: u32,
+    requests: u32,
 }
 
 impl UnifiedFloor {
-    pub(crate) fn handle(&mut self, ctx: &mut SimContext<'_, Event>, event: Event) {
+    /// Drives the event loop to completion (or to the first blown budget),
+    /// returning whether the run aborted. Bounded runs step the same loop
+    /// one event at a time with incremental miss and bill bookkeeping, so
+    /// a run no budget stops is byte-identical to the unbounded run.
+    fn drive(&mut self, sim: &mut Simulator<Event>, stop: StopCondition, slo: SloTargets) -> bool {
+        if stop.is_unbounded() {
+            sim.run(|ctx, event| self.handle(ctx, event));
+            return false;
+        }
+        let mut guard = StopGuard::new(stop, slo);
+        let mut noted = 0usize;
+        while sim.step(|ctx, event| self.handle(ctx, event)) {
+            for f in &self.finished[noted..] {
+                guard.note(f.ttft, f.e2e);
+            }
+            noted = self.finished.len();
+            if guard.miss_budget_blown()
+                || (guard.wants_cost()
+                    && guard.cost_blown(self.set.accrued_replica_seconds(sim.now())))
+            {
+                return true;
+            }
+        }
+        false
+    }
+
+    fn handle(&mut self, ctx: &mut SimContext<'_, Event>, event: Event) {
         let now = ctx.now();
         match event {
             Event::Arrival(req) => {
@@ -352,7 +551,7 @@ impl UnifiedFloor {
                 self.with_lane(now, replica, |policy, lane| policy.retire(lane));
                 self.dispatch_handoffs(ctx, replica, now);
                 self.wake(ctx, replica);
-                if self.set.targeted {
+                if self.set.autoscale.is_some() {
                     self.settle_drains(now);
                 }
             }
@@ -380,7 +579,7 @@ impl UnifiedFloor {
                 self.set.handoff_transfer_ns += h.transfer.as_nanos_f64();
                 self.queues[self.queue_of[dst]].push_back(h.req);
                 self.pump_link(ctx, dst, now);
-                self.kick(ctx, dst);
+                self.kick(ctx, dst, false);
             }
             Event::ScaleTick => self.scale_tick(ctx, now),
             Event::ReplicaUp(r) => {
@@ -395,22 +594,22 @@ impl UnifiedFloor {
                     replica: r as u32,
                     action: ScaleAction::Up,
                 });
-                self.kick(ctx, r);
+                self.kick(ctx, r, false);
             }
         }
         self.sample(now);
     }
 
     /// Restarts idle replicas after `touched`'s queue or state changed:
-    /// a targeted set kicks just that replica; a broadcast set refreshes
-    /// flush expiry, sweeps every replica, and re-arms the timers.
+    /// a sweeping floor refreshes flush expiry, kicks every replica, and
+    /// re-arms the timers; otherwise only `touched` is kicked.
     fn wake(&mut self, ctx: &mut SimContext<'_, Event>, touched: usize) {
-        if self.set.targeted {
-            self.kick(ctx, touched);
-        } else {
+        if self.sweeps {
             self.refresh_expired(ctx.now());
             self.kick_all(ctx);
             self.arm_flush_timers(ctx);
+        } else {
+            self.kick(ctx, touched, false);
         }
     }
 
@@ -445,39 +644,28 @@ impl UnifiedFloor {
     }
 
     /// Starts the next iteration on replica `r` if it is idle, routable,
-    /// and has work (targeted wake-up).
-    fn kick(&mut self, ctx: &mut SimContext<'_, Event>, r: usize) {
+    /// and has work; `flush` forces a partial static batch.
+    fn kick(&mut self, ctx: &mut SimContext<'_, Event>, r: usize, flush: bool) {
         if self.states[r].busy || matches!(self.set.meta[r].state, RState::Launching | RState::Down)
         {
             return;
         }
         let now = ctx.now();
-        let dur = self.with_lane(now, r, |policy, lane| policy.next_iteration(lane, false));
+        let dur = self.with_lane(now, r, |policy, lane| policy.next_iteration(lane, flush));
         if let Some(dur) = dur {
             self.states[r].busy = true;
             ctx.schedule(now + dur, Event::IterationDone(r));
         }
     }
 
-    /// Starts work on every idle replica that has something to do.
-    /// `expired_buf` marks queues whose oldest waiter timed out (forcing a
-    /// partial static batch); the caller fills it once per pass so a
+    /// Kicks every replica, flushing those whose queue `expired_buf`
+    /// marks as timed out. The caller fills the mask once per pass, so a
     /// replica consuming a queue's head cannot change the flush decision
     /// for the replicas after it.
     fn kick_all(&mut self, ctx: &mut SimContext<'_, Event>) {
-        let now = ctx.now();
-        for replica in 0..self.states.len() {
-            if self.states[replica].busy {
-                continue;
-            }
-            let flush = self.expired_buf[self.queue_of[replica]];
-            let dur = self.with_lane(now, replica, |policy, lane| {
-                policy.next_iteration(lane, flush)
-            });
-            if let Some(dur) = dur {
-                self.states[replica].busy = true;
-                ctx.schedule(now + dur, Event::IterationDone(replica));
-            }
+        for r in 0..self.states.len() {
+            let flush = self.expired_buf[self.queue_of[r]];
+            self.kick(ctx, r, flush);
         }
     }
 
@@ -529,9 +717,9 @@ impl UnifiedFloor {
     }
 
     /// Refills `load_buf` with per-replica load snapshots for the
-    /// routers. A targeted set additionally marks pool/state eligibility
-    /// for the routed direction (`arrivals` or handoffs); a broadcast set
-    /// leaves every replica eligible.
+    /// routers, marking which replicas may receive the routed direction
+    /// (`arrivals` or handoffs): up, and in a pool serving it. A
+    /// one-pool, always-up floor marks every replica eligible.
     fn snapshot_load(&mut self, arrivals: bool) {
         let UnifiedFloor {
             set,
@@ -542,18 +730,6 @@ impl UnifiedFloor {
             load_buf,
             ..
         } = self;
-        load_buf.clear();
-        load_buf.extend((0..states.len()).map(|r| ReplicaLoad {
-            queued: queues[queue_of[r]].len() as u32,
-            running: states[r].running() as u32,
-            parked: mem.as_ref().map_or(0, |m| m.parked_len(r)) as u32,
-            link: set.links[r].depth(),
-            eligible: true,
-            unit_cost_ns: set.meta[r].unit_cost_ns,
-        }));
-        if !set.targeted {
-            return;
-        }
         let want = |m: &ReplicaMeta| {
             if arrivals {
                 matches!(m.pool, PoolRole::Unified | PoolRole::Prefill)
@@ -561,21 +737,27 @@ impl UnifiedFloor {
                 m.pool == PoolRole::Decode
             }
         };
-        let mut any = false;
-        for (l, m) in load_buf.iter_mut().zip(&set.meta) {
-            l.eligible = m.state == RState::Up && want(m);
-            any |= l.eligible;
-        }
-        if !any {
+        load_buf.clear();
+        load_buf.extend((0..states.len()).map(|r| ReplicaLoad {
+            queued: queues[queue_of[r]].len() as u32,
+            running: states[r].running() as u32,
+            parked: mem.as_ref().map_or(0, |m| m.parked_len(r)) as u32,
+            link: set.links[r].depth(),
+            eligible: set.meta[r].state == RState::Up && want(&set.meta[r]),
+            unit_cost_ns: set.meta[r].unit_cost_ns,
+        }));
+        if !load_buf.iter().any(|l| l.eligible) {
             // Degenerate fallback (every candidate mid-drain): route to
             // any non-down replica of the right pool so no request is
             // stranded.
             for (l, m) in load_buf.iter_mut().zip(&set.meta) {
                 l.eligible = m.state != RState::Down && want(m);
-                any |= l.eligible;
             }
+            assert!(
+                load_buf.iter().any(|l| l.eligible),
+                "fleet has no routable replica"
+            );
         }
-        assert!(any, "fleet has no routable replica");
     }
 
     /// Starts every handoff the retire just parked in the scratch buffer
@@ -833,48 +1015,6 @@ impl UnifiedFloor {
     }
 }
 
-/// Drives the event loop to completion (or to the first blown budget),
-/// returning whether the run aborted. Bounded runs step the same loop
-/// one event at a time with incremental miss and bill bookkeeping, so a
-/// run no budget stops is byte-identical to the unbounded run.
-pub(crate) fn run_unified(
-    floor: &mut UnifiedFloor,
-    sim: &mut Simulator<Event>,
-    stop: StopCondition,
-    slo: SloTargets,
-    cost: CostBasis,
-) -> bool {
-    let mut aborted = false;
-    if stop.is_unbounded() {
-        sim.run(|ctx, event| floor.handle(ctx, event));
-    } else {
-        let mut guard = StopGuard::new(stop, slo);
-        let mut noted = 0usize;
-        while sim.step(|ctx, event| floor.handle(ctx, event)) {
-            while noted < floor.finished.len() {
-                let f = &floor.finished[noted];
-                noted += 1;
-                guard.note(f.ttft, f.e2e);
-            }
-            let accrued = || match cost {
-                CostBasis::FixedReplicas(n) => {
-                    f64::from(n)
-                        * sim
-                            .now()
-                            .saturating_duration_since(SimTime::ZERO)
-                            .as_secs_f64()
-                }
-                CostBasis::Billed => floor.set.accrued_replica_seconds(sim.now()),
-            };
-            if guard.miss_budget_blown() || (guard.wants_cost() && guard.cost_blown(accrued())) {
-                aborted = true;
-                break;
-            }
-        }
-    }
-    aborted
-}
-
 #[cfg(test)]
 mod tests {
     use skip_des::SimDuration;
@@ -934,9 +1074,9 @@ mod tests {
     }
 
     /// The lean observer never changes what the floor computes: over
-    /// policy × router × KV pressure × stop condition, the single-node
-    /// floor returns a serde-identical report whether it records or not,
-    /// aborting at the same point.
+    /// policy × router × KV pressure, the single-node floor returns a
+    /// serde-identical report whether it records or not. Single-node runs
+    /// are unbounded, so the grid has no stop-condition axis.
     #[test]
     fn lean_single_node_floor_reports_what_the_recording_floor_reports() {
         let model = zoo::gpt2();
@@ -974,17 +1114,14 @@ mod tests {
                         slo: SLO,
                         router,
                     };
-                    for stop in stops(cfg.requests) {
-                        let (lean, _) = run_floor(&cfg, 2, stop, false);
-                        let (traced, _) = run_floor(&cfg, 2, stop, true);
-                        let what = format!("{policy:?} / {router} / kv {kv:?} / {stop:?}");
-                        tally.check(&lean, &traced, lean.aborted, &what);
-                    }
+                    let (lean, _) = run_floor(&cfg, 2, false);
+                    let (traced, _) = run_floor(&cfg, 2, true);
+                    let what = format!("{policy:?} / {router} / kv {kv:?}");
+                    tally.check(&lean, &traced, false, &what);
                 }
             }
         }
-        assert_eq!(tally.runs, 72);
-        assert!(tally.aborted > 0, "the grid must cover aborted runs");
+        assert_eq!(tally.runs, 18);
     }
 
     /// The same contract on fleet floors: policy × router × unified or

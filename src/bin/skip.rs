@@ -126,6 +126,45 @@ fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
     Ok(flags)
 }
 
+/// The flags each command line reads, space-separated; [`reject_unread`]
+/// refuses any other.
+const PROFILE_FLAGS: &str = "model platform batch seq mode export";
+const SWEEP_FLAGS: &str = "model platform seq";
+const FUSE_FLAGS: &str = "model platform chain-len threshold";
+const GENERATE_FLAGS: &str = "model platform batch seq tokens";
+const SERVE_FLAGS: &str = "model platform qps requests max-batch replicas policy router \
+    batch-size max-wait-ms chunk-tokens seq tokens kv-blocks offload trace-out slo-ttft-ms \
+    slo-e2e-ms";
+const SERVE_FLEET_FLAGS: &str = "model fleet disagg autoscale fleet-router policy chunk-tokens \
+    arrivals peak-qps period-ms burst-ms lull-ms qps requests max-batch seq tokens trace-out \
+    slo-ttft-ms slo-e2e-ms";
+const PLAN_FLAGS: &str = "model qps peak-qps requests max-batch seq tokens slo-ttft-ms \
+    slo-e2e-ms max-replicas workers";
+
+/// Fails on the first flag `command` does not read, so a typo or a flag
+/// meant for another mode is an error instead of a silent default.
+fn reject_unread(
+    command: &str,
+    flags: &BTreeMap<String, String>,
+    reads: &str,
+) -> Result<(), String> {
+    let Some(flag) = flags
+        .keys()
+        .find(|k| !reads.split_whitespace().any(|r| r == k.as_str()))
+    else {
+        return Ok(());
+    };
+    let reads: Vec<String> = reads.split_whitespace().map(|r| format!("--{r}")).collect();
+    let reads = if reads.is_empty() {
+        "no flags".to_owned()
+    } else {
+        reads.join(" ")
+    };
+    Err(format!(
+        "`{command}` does not read --{flag} (it reads {reads})"
+    ))
+}
+
 fn get_u32(flags: &BTreeMap<String, String>, key: &str, default: u32) -> Result<u32, String> {
     match flags.get(key) {
         Some(v) => v.parse().map_err(|_| format!("--{key}: bad number '{v}'")),
@@ -172,6 +211,7 @@ fn get_count(
 }
 
 fn cmd_profile(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
+    reject_unread("skip profile", flags, PROFILE_FLAGS)?;
     let model = find_model(flags.get("model").ok_or("--model is required")?)?;
     let platform = find_platform(flags.get("platform").map_or("intel_h100", String::as_str))?;
     let batch = get_count(flags, "batch", 1, 1)?;
@@ -220,6 +260,7 @@ fn cmd_profile(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_sweep(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
+    reject_unread("skip sweep", flags, SWEEP_FLAGS)?;
     let model = find_model(flags.get("model").ok_or("--model is required")?)?;
     let seq = get_count(flags, "seq", 512, 1)?;
     let selected = flags.get("platform").map_or("all", String::as_str);
@@ -261,6 +302,7 @@ fn cmd_sweep(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_fuse(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
+    reject_unread("skip fuse", flags, FUSE_FLAGS)?;
     let model = find_model(flags.get("model").ok_or("--model is required")?)?;
     let platform = find_platform(flags.get("platform").map_or("intel_h100", String::as_str))?;
     let chain_len = get_count(flags, "chain-len", 256, 2)? as usize;
@@ -298,6 +340,7 @@ fn cmd_fuse(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_generate(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
+    reject_unread("skip generate", flags, GENERATE_FLAGS)?;
     let model = find_model(flags.get("model").ok_or("--model is required")?)?;
     let platform = find_platform(flags.get("platform").map_or("gh200", String::as_str))?;
     let batch = get_count(flags, "batch", 1, 1)?;
@@ -469,6 +512,7 @@ fn cmd_serve_fleet(
 /// bounds and early aborts skipping decided candidates), and print the
 /// cost-optimal frontier by replica-seconds billing.
 fn cmd_plan(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
+    reject_unread("skip plan", flags, PLAN_FLAGS)?;
     let model = find_model(flags.get("model").ok_or("--model is required")?)?;
     let qps: f64 = flags
         .get("qps")
@@ -564,6 +608,11 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_serve(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
+    if flags.contains_key("fleet") {
+        reject_unread("skip serve --fleet", flags, SERVE_FLEET_FLAGS)?;
+    } else {
+        reject_unread("skip serve", flags, SERVE_FLAGS)?;
+    }
     let model = find_model(flags.get("model").ok_or("--model is required")?)?;
     if let Some(spec) = flags.get("fleet") {
         return cmd_serve_fleet(flags, model, spec);
@@ -714,6 +763,7 @@ fn run() -> Result<(), Box<dyn Error>> {
     };
     match cmd.as_str() {
         "models" => {
+            reject_unread("skip models", &parse_flags(&args[1..])?, "")?;
             for m in models() {
                 println!(
                     "{:<20} {:>7.0}M params  {} layers",
@@ -725,6 +775,7 @@ fn run() -> Result<(), Box<dyn Error>> {
             Ok(())
         }
         "platforms" => {
+            reject_unread("skip platforms", &parse_flags(&args[1..])?, "")?;
             for p in platforms() {
                 println!(
                     "{:<12} [{}] {} + {} over {}",

@@ -5,7 +5,8 @@
 //! helpers, and these tests pin the unified wording end to end — argv in,
 //! stderr out. The forward-pass subcommands (`profile`, `sweep`,
 //! `generate`, `fuse`) reject out-of-range sizes the same way: an error
-//! message and a failing exit status, never a panic.
+//! message and a failing exit status, never a panic. Every subcommand
+//! also rejects any flag it does not read, with one shared message.
 
 use std::process::Command;
 
@@ -172,4 +173,71 @@ fn library_validators_share_the_cli_wording() {
         planner.validate().unwrap_err().to_string(),
         "offered load must be positive and finite, got 0"
     );
+}
+
+/// A flag the subcommand does not read is an error with one message
+/// shape, never a silently ignored knob: a typo'd name, single-node
+/// flags under `skip serve --fleet`, fleet flags without `--fleet`, and a
+/// stray flag on every other subcommand.
+#[test]
+fn unread_flags_are_rejected_by_every_subcommand() {
+    assert_eq!(
+        skip_err(&["serve", "--model", "gpt2", "--qsp", "500"]),
+        "error: `skip serve` does not read --qsp (it reads --model --platform --qps --requests \
+         --max-batch --replicas --policy --router --batch-size --max-wait-ms --chunk-tokens \
+         --seq --tokens --kv-blocks --offload --trace-out --slo-ttft-ms --slo-e2e-ms)"
+    );
+    let mut cases: Vec<(Vec<&str>, &str, &str)> = Vec::new();
+    for flag in [
+        "platform",
+        "replicas",
+        "router",
+        "kv-blocks",
+        "offload",
+        "batch-size",
+        "max-wait-ms",
+    ] {
+        cases.push((
+            vec!["serve", "--model", "gpt2", "--fleet", "gh200:2"],
+            "serve --fleet",
+            flag,
+        ));
+    }
+    for flag in [
+        "fleet-router",
+        "disagg",
+        "autoscale",
+        "arrivals",
+        "peak-qps",
+        "period-ms",
+        "burst-ms",
+        "lull-ms",
+    ] {
+        cases.push((vec!["serve", "--model", "gpt2"], "serve", flag));
+    }
+    for (command, flag) in [
+        ("profile", "tokens"),
+        ("sweep", "batch"),
+        ("fuse", "seq"),
+        ("generate", "qps"),
+        ("plan", "replicas"),
+    ] {
+        cases.push((vec![command, "--model", "gpt2"], command, flag));
+    }
+    for (mut argv, command, flag) in cases {
+        let named = format!("--{flag}");
+        argv.push(&named);
+        if !["disagg", "autoscale"].contains(&flag) {
+            argv.push("3");
+        }
+        let want = format!("error: `skip {command}` does not read --{flag} (it reads --model");
+        let got = skip_err(&argv);
+        assert!(got.starts_with(&want), "skip {}: {got}", argv.join(" "));
+    }
+    for command in ["models", "platforms"] {
+        assert_eq!(
+            skip_err(&[command, "--model", "gpt2"]),
+            format!("error: `skip {command}` does not read --model (it reads no flags)")
+        );
+    }
 }
