@@ -21,12 +21,20 @@ cargo test --workspace -q
 echo "== cargo test --doc =="
 cargo test --workspace --doc -q
 
-echo "== fresh-seed property pass (legacy oracle vs the unified floor on 1000 new cases) =="
+echo "== fresh-seed property pass (1000 new cases per property) =="
 # A new seed every run, printed so a failure replays with
 # PROPTEST_SEED=<seed>; set PROPTEST_SEED yourself to rerun a logged one.
+# Covers the legacy oracle vs the unified floor (skip-serve --lib), the
+# DES queue and arrival merge, the planner, fleet and policy/router
+# properties, and the end-to-end pipeline properties.
 proptest_seed=${PROPTEST_SEED:-$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')}
 echo "PROPTEST_SEED=$proptest_seed"
-PROPTEST_SEED=$proptest_seed PROPTEST_CASES=1000 cargo test -p skip-serve --lib -q
+export PROPTEST_SEED=$proptest_seed PROPTEST_CASES=1000
+cargo test -p skip-serve --lib -q
+cargo test -p skip-des --test proptests -q
+cargo test -p skip-serve --test plan_props --test fleet_props --test policy_router_props -q
+cargo test --test proptest_e2e -q
+unset PROPTEST_SEED PROPTEST_CASES
 
 echo "== serving_trace example (lifecycle/counter export end-to-end) =="
 cargo run --release -p skip-suite --example serving_trace

@@ -1,15 +1,4 @@
 //! Timestamped event queue with deterministic ordering.
-//!
-//! Two implementations live here:
-//!
-//! * [`EventQueue`] — a calendar (bucket) queue: O(1) amortized push/pop
-//!   against the clock-advancing access pattern a discrete-event
-//!   simulation produces. This is what [`Simulator`](crate::Simulator)
-//!   runs on.
-//! * [`HeapEventQueue`] — the original `BinaryHeap` implementation, kept
-//!   as the differential oracle: the calendar queue must pop the exact
-//!   same `(time, seq)` sequence for any workload, and the property tests
-//!   pin that equivalence.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -28,26 +17,6 @@ pub struct Scheduled<E> {
     pub event: E,
 }
 
-#[derive(Debug, Clone)]
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-/// Initial (and minimum) bucket count. A power of two so the ring index is
-/// a mask.
-const MIN_BUCKETS: usize = 16;
-
-/// Hard ceiling on the ring size: `resize` doubles on demand, and one
-/// bucket per ~million pending events is already far past any simulation
-/// this stack runs.
-const MAX_BUCKETS: usize = 1 << 20;
-
-/// How many entry timestamps `resize` samples to estimate the mean
-/// inter-event gap that sets the new bucket width.
-const WIDTH_SAMPLE: usize = 64;
-
 /// A min-priority queue of events ordered by `(time, insertion order)`.
 ///
 /// `EventQueue` tags every insertion with a monotone sequence number,
@@ -55,23 +24,14 @@ const WIDTH_SAMPLE: usize = 64;
 /// an unstable priority queue would pop simultaneous events in an
 /// unspecified order and simulations would not be reproducible.
 ///
-/// # Implementation: calendar queue
+/// A binary heap: O(log n) push and pop with no tuning state. The queues
+/// this stack drives are shallow — a serving floor holds one pending
+/// completion per replica plus a few timers, because arrivals are merged
+/// in front of the queue ([`Simulator::step_merged`]) instead of being
+/// pushed into it — so a few comparisons per operation are all the
+/// ordering costs (DESIGN.md §4.8 measures it against a calendar queue).
 ///
-/// Events live in a ring of `n` buckets of `width` nanoseconds each;
-/// an event at time `t` sits in bucket `(t / width) mod n`. A cursor
-/// tracks the *current window* `[floor, floor + width)`: `pop` scans the
-/// cursor's bucket for the earliest `(time, seq)` entry inside the window
-/// and otherwise advances the cursor one window at a time. Because every
-/// pending event's time is `>= floor` (pushes behind the cursor rewind
-/// it), an in-window entry is the global minimum — no other bucket can
-/// hold a time inside the current window. If a whole ring revolution
-/// finds nothing in-window (all events far in the future), the queue
-/// jumps the cursor straight to the global minimum instead of crawling.
-///
-/// The ring is resized (and the width re-estimated from a sample of
-/// inter-event gaps) whenever the population outgrows two entries per
-/// bucket or shrinks below half an entry per bucket, keeping bucket scans
-/// O(1) amortized for any stationary event-density regime.
+/// [`Simulator::step_merged`]: crate::Simulator::step_merged
 ///
 /// # Example
 ///
@@ -87,235 +47,12 @@ const WIDTH_SAMPLE: usize = 64;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    buckets: Vec<Vec<Entry<E>>>,
-    /// Bucket width in nanoseconds, always >= 1.
-    width: u64,
-    /// Lower edge of the current window; no pending event is earlier.
-    floor: u64,
-    /// Bucket holding the current window: `(floor / width) mod n`.
-    cursor: usize,
-    len: usize,
-    next_seq: u64,
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        EventQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width: 1,
-            floor: 0,
-            cursor: 0,
-            len: 0,
-            next_seq: 0,
-        }
-    }
-
-    fn bucket_of(&self, at_ns: u64) -> usize {
-        ((at_ns / self.width) as usize) & (self.buckets.len() - 1)
-    }
-
-    /// Points the cursor at the window containing `at_ns`.
-    fn seek(&mut self, at_ns: u64) {
-        self.floor = at_ns - at_ns % self.width;
-        self.cursor = self.bucket_of(at_ns);
-    }
-
-    /// Schedules `event` to fire at `at`. Returns the sequence number used
-    /// for tie-breaking, which is unique per queue.
-    pub fn push(&mut self, at: SimTime, event: E) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let at_ns = at.as_nanos();
-        // An event behind the cursor (or into an empty queue) re-anchors
-        // the window, restoring the "nothing earlier than floor" invariant
-        // the pop scan relies on.
-        if self.len == 0 || at_ns < self.floor {
-            self.seek(at_ns);
-        }
-        let b = self.bucket_of(at_ns);
-        self.buckets[b].push(Entry { at, seq, event });
-        self.len += 1;
-        if self.len > self.buckets.len() * 2 && self.buckets.len() < MAX_BUCKETS {
-            self.resize(self.buckets.len() * 2);
-        }
-        seq
-    }
-
-    /// Finds the position `(bucket, slot)` of the earliest `(time, seq)`
-    /// entry, advancing the cursor to its window. `None` when empty.
-    fn locate_min(&mut self) -> Option<(usize, usize)> {
-        if self.len == 0 {
-            return None;
-        }
-        let n = self.buckets.len();
-        for _ in 0..n {
-            let top = self.floor.saturating_add(self.width);
-            let hit = self.buckets[self.cursor]
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.at.as_nanos() < top || top == u64::MAX)
-                .min_by_key(|(_, e)| (e.at, e.seq))
-                .map(|(i, _)| i);
-            if let Some(slot) = hit {
-                return Some((self.cursor, slot));
-            }
-            self.floor = top;
-            self.cursor = (self.cursor + 1) & (n - 1);
-        }
-        // A full revolution with nothing in-window: every event is at
-        // least a "year" ahead. Jump straight to the global minimum.
-        let (b, slot, at_ns) = self
-            .buckets
-            .iter()
-            .enumerate()
-            .flat_map(|(b, bucket)| bucket.iter().enumerate().map(move |(i, e)| (b, i, e)))
-            .min_by_key(|(_, _, e)| (e.at, e.seq))
-            .map(|(b, i, e)| (b, i, e.at.as_nanos()))
-            .expect("len > 0 but no entry found");
-        self.seek(at_ns);
-        debug_assert_eq!(self.cursor, b);
-        Some((b, slot))
-    }
-
-    /// Removes and returns the earliest event, FIFO among equal timestamps.
-    pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        let (b, slot) = self.locate_min()?;
-        let e = self.buckets[b].swap_remove(slot);
-        self.len -= 1;
-        if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / 2 {
-            self.resize(self.buckets.len() / 2);
-        }
-        Some(Scheduled {
-            at: e.at,
-            seq: e.seq,
-            event: e.event,
-        })
-    }
-
-    /// The firing time of the earliest pending event.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        // The cursor advance `locate_min` performs is invisible to callers
-        // (it never skips a pending event), but `peek_time` takes `&self`,
-        // so scan without it: walk windows from `floor` locally.
-        if self.len == 0 {
-            return None;
-        }
-        let n = self.buckets.len();
-        let (mut floor, mut cursor) = (self.floor, self.cursor);
-        for _ in 0..n {
-            let top = floor.saturating_add(self.width);
-            let hit = self.buckets[cursor]
-                .iter()
-                .filter(|e| e.at.as_nanos() < top || top == u64::MAX)
-                .map(|e| e.at)
-                .min();
-            if hit.is_some() {
-                return hit;
-            }
-            floor = top;
-            cursor = (cursor + 1) & (n - 1);
-        }
-        self.buckets.iter().flatten().map(|e| e.at).min()
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Discards all pending events, keeping the sequence counter monotone.
-    pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.len = 0;
-        self.floor = 0;
-        self.cursor = 0;
-    }
-
-    /// Rebuilds the ring at `new_n` buckets, re-estimating the bucket
-    /// width from the mean gap between a sorted sample of pending
-    /// timestamps (Brown's calendar-queue heuristic): the width tracks the
-    /// event density, so the current window holds O(1) events no matter
-    /// whether timestamps are nanoseconds or seconds apart.
-    fn resize(&mut self, new_n: usize) {
-        let entries: Vec<Entry<E>> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
-
-        let mut sample: Vec<u64> = entries
-            .iter()
-            .take(WIDTH_SAMPLE)
-            .map(|e| e.at.as_nanos())
-            .collect();
-        sample.sort_unstable();
-        let gaps: Vec<u64> = sample.windows(2).map(|w| w[1] - w[0]).collect();
-        let positive: Vec<u64> = gaps.iter().copied().filter(|&g| g > 0).collect();
-        if !positive.is_empty() {
-            let mean = positive.iter().sum::<u64>() / positive.len() as u64;
-            // Three mean gaps per bucket: wide enough that consecutive
-            // events usually share a window, narrow enough that a window
-            // scan stays O(1).
-            self.width = mean.saturating_mul(3).max(1);
-        }
-
-        self.buckets = (0..new_n).map(|_| Vec::new()).collect();
-        let min = entries.iter().map(|e| e.at.as_nanos()).min();
-        if let Some(min) = min {
-            self.seek(min);
-        } else {
-            self.floor = 0;
-            self.cursor = 0;
-        }
-        for e in entries {
-            let b = self.bucket_of(e.at.as_nanos());
-            self.buckets[b].push(e);
-        }
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        EventQueue::new()
-    }
-}
-
-impl<E> Extend<(SimTime, E)> for EventQueue<E> {
-    fn extend<I: IntoIterator<Item = (SimTime, E)>>(&mut self, iter: I) {
-        for (at, event) in iter {
-            self.push(at, event);
-        }
-    }
-}
-
-impl<E> FromIterator<(SimTime, E)> for EventQueue<E> {
-    fn from_iter<I: IntoIterator<Item = (SimTime, E)>>(iter: I) -> Self {
-        let mut q = EventQueue::new();
-        q.extend(iter);
-        q
-    }
-}
-
-/// The original `BinaryHeap`-backed event queue, kept as the differential
-/// oracle for [`EventQueue`]: same API, same `(time, insertion order)`
-/// contract. Binary heaps are not stable, so the entry carries the same
-/// monotone sequence number to break timestamp ties deterministically.
-#[derive(Debug, Clone)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<HeapEntry<E>>,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
 }
 
 #[derive(Debug, Clone)]
-struct HeapEntry<E> {
+struct Entry<E> {
     at: SimTime,
     seq: u64,
     event: E,
@@ -323,39 +60,39 @@ struct HeapEntry<E> {
 
 // Manual ordering impls: only `at` and `seq` participate, and the heap is a
 // max-heap so comparisons are reversed to obtain min-first behaviour.
-impl<E> PartialEq for HeapEntry<E> {
+impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<E> Eq for HeapEntry<E> {}
-impl<E> PartialOrd for HeapEntry<E> {
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for HeapEntry<E> {
+impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
-impl<E> HeapEventQueue<E> {
+impl<E> EventQueue<E> {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
-        HeapEventQueue {
+        EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
         }
     }
 
-    /// Schedules `event` to fire at `at`, returning the tie-break sequence
-    /// number.
+    /// Schedules `event` to fire at `at`. Returns the sequence number used
+    /// for tie-breaking, which is unique per queue.
     pub fn push(&mut self, at: SimTime, event: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(HeapEntry { at, seq, event });
+        self.heap.push(Entry { at, seq, event });
         seq
     }
 
@@ -392,9 +129,25 @@ impl<E> HeapEventQueue<E> {
     }
 }
 
-impl<E> Default for HeapEventQueue<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
-        HeapEventQueue::new()
+        EventQueue::new()
+    }
+}
+
+impl<E> Extend<(SimTime, E)> for EventQueue<E> {
+    fn extend<I: IntoIterator<Item = (SimTime, E)>>(&mut self, iter: I) {
+        for (at, event) in iter {
+            self.push(at, event);
+        }
+    }
+}
+
+impl<E> FromIterator<(SimTime, E)> for EventQueue<E> {
+    fn from_iter<I: IntoIterator<Item = (SimTime, E)>>(iter: I) -> Self {
+        let mut q = EventQueue::new();
+        q.extend(iter);
+        q
     }
 }
 
@@ -458,8 +211,8 @@ mod tests {
 
     #[test]
     fn push_earlier_than_cursor_rewinds() {
-        // Drain forward, then push behind the advanced cursor: the queue
-        // must still surface the early event first.
+        // Drain forward, then push an event earlier than the last one
+        // popped: the queue must still surface it first.
         let mut q = EventQueue::new();
         q.push(SimTime::from_nanos(1_000_000), 1);
         assert_eq!(q.pop().unwrap().event, 1);
@@ -471,8 +224,7 @@ mod tests {
 
     #[test]
     fn far_future_jump_does_not_crawl_or_misorder() {
-        // Events separated by huge gaps force the "full revolution, jump
-        // to global min" path.
+        // Events separated by huge gaps, up to the end of the clock.
         let mut q = EventQueue::new();
         q.push(SimTime::from_nanos(u64::from(u32::MAX) * 1000), 2);
         q.push(SimTime::from_nanos(3), 1);
@@ -486,7 +238,7 @@ mod tests {
     #[test]
     fn resize_preserves_order_across_growth_and_shrink() {
         let mut q = EventQueue::new();
-        // Push enough to trigger several doublings, with colliding times.
+        // A deep queue with heavily colliding times.
         for i in 0..10_000u32 {
             q.push(SimTime::from_nanos(u64::from(i % 997) * 10), i);
         }
@@ -500,43 +252,5 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 10_000);
-    }
-
-    /// The differential pin: calendar queue and heap oracle pop identical
-    /// `(time, seq, event)` sequences for an interleaved workload with
-    /// heavy timestamp collisions.
-    #[test]
-    fn matches_heap_oracle_on_interleaved_workload() {
-        let mut cal = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
-        let mut rnd = || {
-            // xorshift
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut last_pop = 0u64;
-        for i in 0..5_000u64 {
-            let r = rnd();
-            if r % 3 == 0 && !cal.is_empty() {
-                let a = cal.pop().unwrap();
-                let b = heap.pop().unwrap();
-                assert_eq!((a.at, a.seq, a.event), (b.at, b.seq, b.event), "pop {i}");
-                last_pop = a.at.as_nanos();
-            } else {
-                // Schedule at or after the last popped time (the simulator
-                // contract), with frequent exact collisions.
-                let at = SimTime::from_nanos(last_pop + r % 50);
-                cal.push(at, i);
-                heap.push(at, i);
-            }
-        }
-        while let Some(a) = cal.pop() {
-            let b = heap.pop().unwrap();
-            assert_eq!((a.at, a.seq, a.event), (b.at, b.seq, b.event));
-        }
-        assert!(heap.is_empty());
     }
 }

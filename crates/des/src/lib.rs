@@ -45,7 +45,7 @@ mod sim;
 mod stats;
 mod time;
 
-pub use event::{EventQueue, HeapEventQueue, Scheduled};
+pub use event::{EventQueue, Scheduled};
 pub use ids::IdAllocator;
 pub use resource::{Busy, FifoResource};
 pub use sim::{SimContext, Simulator};

@@ -1,5 +1,7 @@
 //! The event loop: a clock plus an [`EventQueue`], driven by a handler.
 
+use std::iter::Peekable;
+
 use crate::event::{EventQueue, Scheduled};
 use crate::time::SimTime;
 
@@ -114,7 +116,7 @@ impl<E> Simulator<E> {
 
     /// Pops and handles a single event, advancing the clock to its firing
     /// time. Returns `false` if the queue was empty.
-    pub fn step<F>(&mut self, mut handler: F) -> bool
+    pub fn step<F>(&mut self, handler: F) -> bool
     where
         F: FnMut(&mut SimContext<'_, E>, E),
     {
@@ -122,6 +124,54 @@ impl<E> Simulator<E> {
             return false;
         };
         debug_assert!(at >= self.now, "event queue yielded a past event");
+        self.fire(at, event, handler);
+        true
+    }
+
+    /// Handles the earlier of `source`'s next event and the queue's head,
+    /// advancing the clock to its time. Returns `false` once both are
+    /// exhausted.
+    ///
+    /// `source` is a time-ordered stream of events that were never
+    /// pushed — a workload's arrivals, say. Merging it in front of the
+    /// queue keeps the queue as deep as what handlers schedule, not as deep
+    /// as the whole stream, and draws the stream one event at a time. On a
+    /// time tie the source's event fires first, so the order is exactly
+    /// the one pushing the whole source before anything else would give:
+    /// its events would hold the lowest sequence numbers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` yields an event earlier than the clock (it is
+    /// not time-ordered).
+    pub fn step_merged<I, F>(&mut self, source: &mut Peekable<I>, handler: F) -> bool
+    where
+        I: Iterator<Item = (SimTime, E)>,
+        F: FnMut(&mut SimContext<'_, E>, E),
+    {
+        let source_first = match (source.peek(), self.queue.peek_time()) {
+            (Some(&(at, _)), Some(head)) => at <= head,
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
+        if !source_first {
+            return self.step(handler);
+        }
+        let (at, event) = source.next().expect("peeked a source event");
+        assert!(
+            at >= self.now,
+            "merged source is not time-ordered: {at} < {now}",
+            now = self.now
+        );
+        self.fire(at, event, handler);
+        true
+    }
+
+    /// Advances the clock to `at` and hands `event` to `handler`.
+    fn fire<F>(&mut self, at: SimTime, event: E, mut handler: F)
+    where
+        F: FnMut(&mut SimContext<'_, E>, E),
+    {
         self.now = at;
         self.processed += 1;
         let mut ctx = SimContext {
@@ -129,7 +179,6 @@ impl<E> Simulator<E> {
             queue: &mut self.queue,
         };
         handler(&mut ctx, event);
-        true
     }
 
     /// Runs until the queue drains, returning the final clock value.
@@ -216,6 +265,40 @@ mod tests {
         sim.run(|ctx, ()| {
             ctx.schedule(SimTime::from_nanos(5), ());
         });
+    }
+
+    #[test]
+    fn merged_source_wins_ties_and_advances_the_clock() {
+        let mut sim = Simulator::new();
+        sim.schedule(SimTime::from_nanos(10), "queued@10");
+        let mut source = [(10, "source@10"), (20, "source@20")]
+            .into_iter()
+            .map(|(t, e)| (SimTime::from_nanos(t), e))
+            .peekable();
+        let mut seen = Vec::new();
+        while sim.step_merged(&mut source, |ctx, ev| {
+            if ev == "source@10" {
+                ctx.schedule(ctx.now(), "scheduled@10");
+            }
+            seen.push(ev);
+        }) {}
+        assert_eq!(
+            seen,
+            ["source@10", "queued@10", "scheduled@10", "source@20"]
+        );
+        assert_eq!(sim.now(), SimTime::from_nanos(20));
+        assert_eq!(sim.events_processed(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "merged source is not time-ordered")]
+    fn merged_source_out_of_order_panics() {
+        let mut sim: Simulator<u32> = Simulator::new();
+        let mut source = [(5, 0u32), (3, 1)]
+            .into_iter()
+            .map(|(t, e)| (SimTime::from_nanos(t), e))
+            .peekable();
+        while sim.step_merged(&mut source, |_, _| {}) {}
     }
 
     #[test]

@@ -1,86 +1,82 @@
 //! Property-based tests for the DES core invariants.
 
 use proptest::prelude::*;
-use skip_des::{EventQueue, FifoResource, HeapEventQueue, SimDuration, SimTime, Simulator};
+use skip_des::{EventQueue, FifoResource, SimContext, SimDuration, SimTime, Simulator};
+
+/// An event of the merge property: a source event, a timer scheduled
+/// before the loop starts, or a follow-up one scheduled by a handler.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ev {
+    Source { i: usize, fanout: u32, delay: u64 },
+    Timer,
+    FollowUp { i: usize, k: u32 },
+    Echo { i: usize, k: u32 },
+}
+
+/// Records `ev` at the current instant and schedules its follow-ups.
+fn handle(ctx: &mut SimContext<'_, Ev>, ev: Ev, seen: &mut Vec<(u64, Ev)>) {
+    seen.push((ctx.now().as_nanos(), ev));
+    match ev {
+        Ev::Source { i, fanout, delay } => {
+            for k in 0..fanout {
+                ctx.schedule(
+                    ctx.now() + SimDuration::from_nanos(delay),
+                    Ev::FollowUp { i, k },
+                );
+            }
+        }
+        Ev::FollowUp { i, k } if k % 2 == 0 => ctx.schedule(ctx.now(), Ev::Echo { i, k }),
+        Ev::Timer | Ev::FollowUp { .. } | Ev::Echo { .. } => {}
+    }
+}
 
 proptest! {
-    /// Differential pin for the calendar queue: for arbitrary interleaved
-    /// push/pop workloads — heavy timestamp collisions included — the
-    /// calendar queue and the original heap pop identical
-    /// `(time, seq, event)` sequences.
+    /// Merging a time-ordered source in front of the queue
+    /// ([`Simulator::step_merged`]) handles the same `(time, event)`
+    /// sequence as pushing the whole source into the queue before anything
+    /// else and running it.
     ///
-    /// Each workload step is `(kind, gap)`: a pop (`kind == 0`), or a push
-    /// `gap` nanoseconds after the last popped time (the simulator's
-    /// no-scheduling-into-the-past contract; `gap == 0` is the
-    /// schedule-at-`now` case). The small gap range forces many events
-    /// onto the same instant, exercising the FIFO tiebreak.
+    /// Each source step is `(gap, fanout, delay)`: the event fires `gap`
+    /// nanoseconds after the previous one (`gap == 0`, a tie, is common),
+    /// and its handler schedules `fanout` follow-ups `delay` nanoseconds
+    /// later (`delay == 0` schedules at `now`). Every even follow-up
+    /// schedules one more event at `now`, so ties between source events,
+    /// queued events and events scheduled at the current instant all
+    /// occur. A timer at `timer` is scheduled outside the loop, as a
+    /// floor schedules its first scale tick: after the whole source when
+    /// it is pushed, before the first step when it is merged.
     #[test]
-    fn calendar_queue_matches_heap_oracle(
-        ops in prop::collection::vec((0u32..2, 0u64..40), 1..400)
+    fn merged_source_matches_pushing_it_first(
+        steps in prop::collection::vec((0u64..3, 0u32..3, 0u64..3), 1..200),
+        timer in 0u64..200
     ) {
-        let mut cal = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let mut now = 0u64;
-        for (i, &(kind, gap)) in ops.iter().enumerate() {
-            if kind == 0 {
-                let a = cal.pop();
-                let b = heap.pop();
-                match (&a, &b) {
-                    (Some(a), Some(b)) => {
-                        prop_assert_eq!(
-                            (a.at, a.seq, &a.event),
-                            (b.at, b.seq, &b.event),
-                            "divergence at step {}", i
-                        );
-                        now = a.at.as_nanos();
-                    }
-                    (None, None) => {}
-                    _ => prop_assert!(false, "one queue empty, the other not"),
-                }
-                prop_assert_eq!(cal.len(), heap.len());
-                prop_assert_eq!(cal.peek_time(), heap.peek_time());
-            } else {
-                let at = SimTime::from_nanos(now + gap);
-                let sa = cal.push(at, i);
-                let sb = heap.push(at, i);
-                prop_assert_eq!(sa, sb, "sequence numbers diverged");
-            }
-        }
-        // Drain: the tails must agree too.
-        loop {
-            match (cal.pop(), heap.pop()) {
-                (Some(a), Some(b)) => {
-                    prop_assert_eq!((a.at, a.seq, a.event), (b.at, b.seq, b.event));
-                }
-                (None, None) => break,
-                _ => prop_assert!(false, "tail lengths diverged"),
-            }
-        }
-    }
+        let mut at = 0u64;
+        let source: Vec<(SimTime, Ev)> = steps
+            .iter()
+            .enumerate()
+            .map(|(i, &(gap, fanout, delay))| {
+                at += gap;
+                (SimTime::from_nanos(at), Ev::Source { i, fanout, delay })
+            })
+            .collect();
 
-    /// Unrestricted pushes (no simulator contract): events may land far in
-    /// the past or future relative to the pop cursor, forcing the
-    /// calendar queue's rewind and far-future-jump paths. Order must still
-    /// match the heap exactly.
-    #[test]
-    fn calendar_queue_matches_heap_on_unordered_pushes(
-        ops in prop::collection::vec((0u32..4, 0u64..u64::MAX / 2), 1..300)
-    ) {
-        let mut cal = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        for (i, &(kind, at)) in ops.iter().enumerate() {
-            if kind == 0 {
-                let (a, b) = (cal.pop(), heap.pop());
-                prop_assert_eq!(
-                    a.as_ref().map(|s| (s.at, s.seq, s.event)),
-                    b.as_ref().map(|s| (s.at, s.seq, s.event))
-                );
-            } else {
-                let at = SimTime::from_nanos(at);
-                cal.push(at, i);
-                heap.push(at, i);
-            }
+        let mut pushed = Simulator::new();
+        for &(t, ev) in &source {
+            pushed.schedule(t, ev);
         }
+        pushed.schedule(SimTime::from_nanos(timer), Ev::Timer);
+        let mut want = Vec::new();
+        pushed.run(|ctx, ev| handle(ctx, ev, &mut want));
+
+        let mut merged = Simulator::new();
+        merged.schedule(SimTime::from_nanos(timer), Ev::Timer);
+        let mut src = source.iter().copied().peekable();
+        let mut got = Vec::new();
+        while merged.step_merged(&mut src, |ctx, ev| handle(ctx, ev, &mut got)) {}
+
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(merged.now(), pushed.now());
+        prop_assert_eq!(merged.events_processed(), pushed.events_processed());
     }
 
     /// Schedule-at-`now` from inside a handler: a handler that re-schedules

@@ -17,11 +17,13 @@ use crate::observe::SloTargets;
 /// [`ConfigError`], [`FleetError`](crate::FleetError), and
 /// [`PlanError`](crate::fleet::plan::PlanError) all reject the same
 /// classes of mistake — zero requests, non-positive rates, zero batch and
-/// replica counts — and historically each spelled the message its own
-/// way. Routing every Display impl through these helpers keeps the three
-/// validators (and the CLIs built on them) word-for-word identical for
-/// identical mistakes.
+/// replica counts, requests longer than the price grid — and historically
+/// each spelled the message its own way. Routing every Display impl
+/// through these helpers keeps the three validators (and the CLIs built
+/// on them) word-for-word identical for identical mistakes.
 pub(crate) mod check {
+    use crate::latency::MAX_PRICED_LEN;
+
     /// A zero-request configuration: nothing to simulate.
     pub(crate) const ZERO_REQUESTS: &str = "simulate at least one request";
 
@@ -33,6 +35,18 @@ pub(crate) mod check {
     /// A count-like knob that must be at least one.
     pub(crate) fn at_least_one(label: &str) -> String {
         format!("{label} must be at least 1")
+    }
+
+    /// A request's prompt plus output tokens, if longer than the price
+    /// grid covers (the context a decode step prices reaches their sum).
+    pub(crate) fn overlong(prompt_len: u32, new_tokens: u32) -> Option<u64> {
+        let tokens = u64::from(prompt_len) + u64::from(new_tokens);
+        (tokens > MAX_PRICED_LEN).then_some(tokens)
+    }
+
+    /// A request longer than the price grid covers.
+    pub(crate) fn too_long(tokens: u64) -> String {
+        format!("prompt plus output tokens must be at most {MAX_PRICED_LEN}, got {tokens}")
     }
 }
 
@@ -217,6 +231,12 @@ pub enum ConfigError {
         /// The offending rate.
         f64,
     ),
+    /// `prompt_len + new_tokens` is longer than the price grid's `2^31`
+    /// tokens.
+    RequestTooLong(
+        /// The offending prompt plus output tokens.
+        u64,
+    ),
     /// A static policy with `batch_size` zero.
     ZeroStaticBatch,
     /// A continuous policy with `max_batch` zero.
@@ -246,6 +266,7 @@ impl fmt::Display for ConfigError {
             ConfigError::BadArrivalRate(rate) => {
                 f.write_str(&check::positive_rate("arrival rate", rate))
             }
+            ConfigError::RequestTooLong(tokens) => f.write_str(&check::too_long(tokens)),
             ConfigError::ZeroStaticBatch => f.write_str(&check::at_least_one("static batch_size")),
             ConfigError::ZeroContinuousBatch => {
                 f.write_str(&check::at_least_one("continuous max_batch"))
@@ -287,6 +308,9 @@ impl ServingConfig {
         }
         if !(self.arrival_rate_per_s.is_finite() && self.arrival_rate_per_s > 0.0) {
             return Err(ConfigError::BadArrivalRate(self.arrival_rate_per_s));
+        }
+        if let Some(tokens) = check::overlong(self.prompt_len, self.new_tokens) {
+            return Err(ConfigError::RequestTooLong(tokens));
         }
         match self.policy {
             Policy::Static { batch_size: 0, .. } => {
@@ -366,6 +390,22 @@ mod tests {
         assert_eq!(c.validate(), Err(ConfigError::BadArrivalRate(0.0)));
         c.arrival_rate_per_s = f64::INFINITY;
         assert!(matches!(c.validate(), Err(ConfigError::BadArrivalRate(_))));
+
+        // The price grid's top point is fine; one token past it is not.
+        let mut c = valid();
+        c.prompt_len = (1 << 31) - 4;
+        assert_eq!(c.validate(), Ok(()));
+        c.prompt_len = 3_000_000_000;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::RequestTooLong(3_000_000_004))
+        );
+        c.prompt_len = 1 << 31;
+        c.new_tokens = 1;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::RequestTooLong((1 << 31) + 1))
+        );
 
         let mut c = valid();
         c.policy = Policy::Static {

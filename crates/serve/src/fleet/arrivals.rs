@@ -170,32 +170,73 @@ impl ArrivalProcess {
     /// Panics if the process fails [`validate`](Self::validate).
     #[must_use]
     pub fn generate(&self, n: usize, prompt_len: u32, new_tokens: u32, seed: u64) -> Vec<Request> {
+        self.stream(prompt_len, new_tokens, seed).take(n).collect()
+    }
+
+    /// The arrivals of [`generate`](Self::generate), drawn one at a time:
+    /// an endless stream whose first `n` items are `generate(n, ..)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the process fails [`validate`](Self::validate).
+    pub(crate) fn stream(&self, prompt_len: u32, new_tokens: u32, seed: u64) -> ArrivalStream {
         if let Err(e) = self.validate() {
             panic!("{e}");
         }
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let peak = self.peak_rate();
-        let mut clock = SimTime::ZERO;
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
+        ArrivalStream {
+            process: *self,
+            peak: self.peak_rate(),
+            rng: SmallRng::seed_from_u64(seed),
+            clock: SimTime::ZERO,
+            next_id: 0,
+            prompt_len,
+            new_tokens,
+        }
+    }
+}
+
+/// A seeded [`ArrivalProcess`] as an endless iterator of requests.
+#[derive(Debug, Clone)]
+pub(crate) struct ArrivalStream {
+    process: ArrivalProcess,
+    /// The thinning envelope's rate.
+    peak: f64,
+    rng: SmallRng,
+    clock: SimTime,
+    next_id: u64,
+    prompt_len: u32,
+    new_tokens: u32,
+}
+
+impl Iterator for ArrivalStream {
+    type Item = Request;
+
+    fn next(&mut self) -> Option<Request> {
+        loop {
             // Candidate gap from the peak-rate envelope process…
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let gap_s = -u.ln() / peak;
-            clock += SimDuration::from_nanos_f64(gap_s * 1e9);
+            let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
+            let gap_s = -u.ln() / self.peak;
+            self.clock += SimDuration::from_nanos_f64(gap_s * 1e9);
             // …thinned down to the instantaneous rate. The acceptance
             // draw happens for stationary Poisson too (it always
             // accepts), so all three processes share one stream shape.
-            let accept: f64 = rng.gen_range(0.0..1.0);
-            if thin_accepts(accept, peak, self.rate_at(clock.as_millis_f64() / 1e3)) {
-                out.push(Request {
-                    id: out.len() as u64,
-                    arrival: clock,
-                    prompt_len,
-                    new_tokens,
+            let accept: f64 = self.rng.gen_range(0.0..1.0);
+            let rate = self.process.rate_at(self.clock.as_millis_f64() / 1e3);
+            if thin_accepts(accept, self.peak, rate) {
+                let id = self.next_id;
+                self.next_id += 1;
+                return Some(Request {
+                    id,
+                    arrival: self.clock,
+                    prompt_len: self.prompt_len,
+                    new_tokens: self.new_tokens,
                 });
             }
         }
-        out
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (usize::MAX, None)
     }
 }
 
@@ -236,6 +277,29 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.windows(2).all(|w| w[1].arrival >= w[0].arrival));
         assert_eq!(a.last().unwrap().id, 199);
+    }
+
+    /// The lazy stream the fleet front consumes draws exactly what
+    /// `generate` collects, for every process shape.
+    #[test]
+    fn stream_yields_what_generate_collects() {
+        for p in [
+            ArrivalProcess::Poisson { rate_per_s: 50.0 },
+            ArrivalProcess::Diurnal {
+                base_rate_per_s: 10.0,
+                peak_rate_per_s: 100.0,
+                period: SimDuration::from_secs(10),
+            },
+            ArrivalProcess::Bursty {
+                base_rate_per_s: 0.0,
+                burst_rate_per_s: 200.0,
+                burst_len: SimDuration::from_secs(2),
+                lull_len: SimDuration::from_secs(8),
+            },
+        ] {
+            let lazy: Vec<Request> = p.stream(128, 8, 7).take(300).collect();
+            assert_eq!(lazy, p.generate(300, 128, 8, 7), "{p:?}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * each replica prices iterations through its **own platform's**
 //!   [`LatencyModel`](crate::LatencyModel), so a gh200 and an amd_a100
 //!   replica in one fleet charge different prefill/decode costs (deduped
-//!   by platform name, so a 4-replica group shares one memo cache);
+//!   by platform name, so a 4-replica group prices through one model);
 //! * a disaggregated fleet splits replicas into a prefill pool and a
 //!   decode pool, connected by per-destination **handoff links**: a
 //!   finished prefill's KV blocks queue on the destination's link and
@@ -91,12 +91,6 @@ pub(crate) fn run_fleet(
     } else {
         FloorObs::Lean
     };
-    let arrivals = cfg.arrivals.generate(
-        cfg.requests as usize,
-        cfg.prompt_len,
-        cfg.new_tokens,
-        cfg.seed,
-    );
     let FloorRun {
         floor,
         latency: l,
@@ -104,7 +98,11 @@ pub(crate) fn run_fleet(
     } = FloorSpec {
         groups: &cfg.spec.groups,
         model: &cfg.model,
-        arrivals: Box::new(arrivals.into_iter()),
+        arrivals: Box::new(
+            cfg.arrivals
+                .stream(cfg.prompt_len, cfg.new_tokens, cfg.seed)
+                .take(cfg.requests as usize),
+        ),
         requests: cfg.requests,
         prompt_len: cfg.prompt_len,
         new_tokens: cfg.new_tokens,

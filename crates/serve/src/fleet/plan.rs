@@ -36,7 +36,7 @@ use std::error::Error;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use skip_des::{SimDuration, SimTime};
+use skip_des::SimDuration;
 use skip_hw::Platform;
 use skip_llm::ModelConfig;
 use skip_mem::KvSpec;
@@ -49,6 +49,7 @@ use crate::fleet::observe::FleetReport;
 use crate::fleet::spec::{FleetBatchPolicy, FleetConfig, FleetRouterPolicy, FleetSpec, PoolRole};
 use crate::latency::LatencyModel;
 use crate::observe::{SloReport, SloTargets};
+use crate::request::Request;
 use crate::stop::{allowed_misses, StopCondition};
 
 /// Period of the diurnal arrival cycle a peaked envelope simulates. Long
@@ -120,6 +121,12 @@ pub enum PlanError {
     ),
     /// The envelope scores zero requests — nothing to simulate.
     EmptyEnvelope,
+    /// The envelope's `prompt_len + new_tokens` is longer than the price
+    /// grid's `2^31` tokens.
+    RequestTooLong(
+        /// The offending prompt plus output tokens.
+        u64,
+    ),
     /// The envelope's offered load was not positive and finite.
     BadLoad(
         /// The offending req/s rate.
@@ -137,6 +144,7 @@ impl fmt::Display for PlanError {
                 write!(f, "attainment floor must be in (0, 1], got {v}")
             }
             PlanError::EmptyEnvelope => f.write_str(check::ZERO_REQUESTS),
+            PlanError::RequestTooLong(tokens) => f.write_str(&check::too_long(*tokens)),
             PlanError::BadLoad(v) => f.write_str(&check::positive_rate("offered load", *v)),
             PlanError::NoPlatforms => write!(f, "the platform menu is empty"),
         }
@@ -199,6 +207,9 @@ impl PlannerConfig {
         }
         if self.envelope.requests == 0 {
             return Err(PlanError::EmptyEnvelope);
+        }
+        if let Some(tokens) = check::overlong(self.envelope.prompt_len, self.envelope.new_tokens) {
+            return Err(PlanError::RequestTooLong(tokens));
         }
         if !(self.envelope.qps.is_finite() && self.envelope.qps > 0.0) {
             return Err(PlanError::BadLoad(self.envelope.qps));
@@ -578,22 +589,21 @@ pub struct SweepBounds {
 }
 
 impl SweepBounds {
-    /// Prices the envelope and the platform menu. One arrival-stream
-    /// generation and `O(platforms × max_batch × new_tokens)` memoized
+    /// Prices the envelope and the platform menu. One pass over the
+    /// arrival stream and `O(platforms × max_batch × new_tokens)` memoized
     /// latency-table lookups — negligible next to a single candidate
     /// simulation.
     #[must_use]
     pub fn new(cfg: &PlannerConfig) -> Self {
         let env = &cfg.envelope;
-        let arrivals = env.arrivals().generate(
-            env.requests as usize,
-            env.prompt_len,
-            env.new_tokens,
-            env.seed,
-        );
-        let at_ns = |t: SimTime| t.as_nanos() as f64;
-        let t_first_ns = arrivals.first().map_or(0.0, |r| at_ns(r.arrival));
-        let t_last_ns = arrivals.last().map_or(0.0, |r| at_ns(r.arrival));
+        let mut arrivals = env
+            .arrivals()
+            .stream(env.prompt_len, env.new_tokens, env.seed)
+            .take(env.requests as usize);
+        let first = arrivals.next();
+        let last = arrivals.last().or(first);
+        let at_ns = |r: Option<Request>| r.map_or(0.0, |r| r.arrival.as_nanos() as f64);
+        let (t_first_ns, t_last_ns) = (at_ns(first), at_ns(last));
         let allowed = allowed_misses(env.requests, cfg.attainment_floor);
         let auto = AutoscaleConfig::default();
         let kv = KvSpec::for_model(&env.model, KvSpec::DEFAULT_BLOCK_TOKENS);
@@ -887,7 +897,7 @@ impl SweepBounds {
 /// Prices one platform for the analytic bounds: minimum whole-iteration
 /// and per-request-share costs over every batch size up to the planner's
 /// cap and every decode context the envelope can produce. Minima (not
-/// point samples) because the interpolated pattern table is not assumed
+/// point samples) because the interpolated price table is not assumed
 /// monotone in batch or context — the bound must under-estimate every
 /// iteration the simulator could price.
 fn price_platform(platform: &Platform, cfg: &PlannerConfig) -> PlatformPrice {
@@ -1142,6 +1152,13 @@ mod tests {
         let mut bad = ok.clone();
         bad.envelope.requests = 0;
         assert_eq!(bad.validate(), Err(PlanError::EmptyEnvelope));
+        let mut bad = ok.clone();
+        bad.envelope.prompt_len = 3_000_000_000;
+        bad.envelope.new_tokens = 8;
+        assert_eq!(
+            bad.validate(),
+            Err(PlanError::RequestTooLong(3_000_000_008))
+        );
         let mut bad = ok.clone();
         bad.envelope.qps = 0.0;
         assert_eq!(bad.validate(), Err(PlanError::BadLoad(0.0)));

@@ -372,6 +372,12 @@ pub enum FleetError {
     ),
     /// `requests` was zero.
     ZeroRequests,
+    /// `prompt_len + new_tokens` is longer than the price grid's `2^31`
+    /// tokens.
+    RequestTooLong(
+        /// The offending prompt plus output tokens.
+        u64,
+    ),
     /// `max_batch` was zero.
     ZeroMaxBatch,
     /// Chunked prefill with a zero token budget.
@@ -403,6 +409,7 @@ impl fmt::Display for FleetError {
                 write!(f, "disaggregated fleet needs a {} pool", role.label())
             }
             FleetError::ZeroRequests => f.write_str(check::ZERO_REQUESTS),
+            FleetError::RequestTooLong(tokens) => f.write_str(&check::too_long(*tokens)),
             FleetError::ZeroMaxBatch => f.write_str(&check::at_least_one("max_batch")),
             FleetError::ZeroChunkTokens => {
                 f.write_str(&check::at_least_one("chunked-prefill chunk_tokens"))
@@ -443,6 +450,9 @@ impl FleetConfig {
         }
         if self.requests == 0 {
             return Err(FleetError::ZeroRequests);
+        }
+        if let Some(tokens) = check::overlong(self.prompt_len, self.new_tokens) {
+            return Err(FleetError::RequestTooLong(tokens));
         }
         if self.max_batch == 0 {
             return Err(FleetError::ZeroMaxBatch);
@@ -544,6 +554,15 @@ mod tests {
         let mut c = valid();
         c.requests = 0;
         assert_eq!(c.validate(), Err(FleetError::ZeroRequests));
+
+        let mut c = valid();
+        c.prompt_len = 3_000_000_000;
+        assert_eq!(
+            c.validate(),
+            Err(FleetError::RequestTooLong(
+                3_000_000_000 + u64::from(c.new_tokens)
+            ))
+        );
 
         let mut c = valid();
         c.max_batch = 0;

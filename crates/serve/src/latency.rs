@@ -10,24 +10,29 @@
 //! to be charged as 1024 tokens — up to ~2× TTFT error that also corrupted
 //! the recompute-vs-swap break-even of the offload policy).
 //!
-//! Cold keys are priced through [`Engine::run_summary`] — the engine run
-//! aggregates in place instead of materializing a trace that would be
-//! reduced to one number and dropped — and are *single-flight*: each key
-//! owns a [`OnceLock`] cell, so concurrent sweep workers racing on the same
-//! cold key perform exactly one engine run between them (the losers block
-//! on the cell instead of burning milliseconds on a duplicate simulation).
+//! Prices live in one process-global table per *shape signature*: the
+//! canonical serialization of (platform, model). A batch's price is fully
+//! determined by the signature plus (phase, batch, power-of-two length);
+//! nothing else about a serving simulation reaches the engine. So every
+//! [`LatencyModel`] over one signature — every floor, sweep candidate and
+//! fleet replica — holds the same table, and a key one of them has priced
+//! is a lookup for all the others. The signature is the *full* serialized
+//! string, not a hash of it, so distinct platforms or models can never
+//! collide into each other's prices.
 //!
-//! On top of the per-instance memo sits a process-global *priced-pattern
-//! table*. A batch's price is fully determined by its shape signature — the
-//! canonical serialization of (platform, model) — plus (phase, batch,
-//! bucketed length); nothing else about a serving simulation reaches the
-//! engine. So when one floor (or one sweep configuration, or one fleet
-//! replica) has already priced a pattern, every later [`LatencyModel`] over
-//! the same signature resolves it by table lookup instead of re-simulating.
-//! The signature is the *full* serialized string, not a hash of it, so
-//! distinct platforms or models can never collide into each other's prices.
+//! The table is a dense array of cells indexed by (phase, batch, grid
+//! point) for batches up to [`DENSE_BATCH`], so a warm price is an index
+//! and one atomic load. Larger batches — a static job over a long queue, a
+//! large `--max-batch` — go to one locked map of cells inside the same
+//! table. Cold cells are priced through [`Engine::run_summary`], which
+//! aggregates in place instead of materializing a trace that would be
+//! reduced to one number and dropped, and are *single-flight*: each cell
+//! is a [`OnceLock`], so concurrent sweep workers racing on the same cold
+//! key perform exactly one engine run between them (the losers block on
+//! the cell instead of burning milliseconds on a duplicate simulation).
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -40,48 +45,85 @@ use skip_runtime::{Engine, ExecMode};
 #[cfg(test)]
 use skip_trace::Trace;
 
-/// Single-flight cell map: each key owns a lazily-filled latency cell.
-type KeyCells = BTreeMap<(u8, u32, u32), Arc<OnceLock<SimDuration>>>;
+/// The longest context the price grid covers: its top grid point, `2^31`
+/// tokens. Every longer length would round up past `u32`.
+pub(crate) const MAX_PRICED_LEN: u64 = 1 << 31;
 
-/// A priced-pattern key: shape signature (canonical platform + model
-/// serialization) plus the serving key. The signature `Arc` is shared by
-/// every key of one model, so the per-key cost is one pointer, not a
-/// string copy.
-type PatternKey = (Arc<str>, u8, u32, u32);
+/// Batches priced through the dense array; larger ones use the table's
+/// map.
+const DENSE_BATCH: u32 = 64;
 
-/// One shard of the process-global priced-pattern table.
-type PatternShard = Mutex<HashMap<PatternKey, Arc<OnceLock<SimDuration>>>>;
+/// Power-of-two grid points per (phase, batch): lengths `2^0..=2^31`.
+const GRID_POINTS: usize = MAX_PRICED_LEN.trailing_zeros() as usize + 1;
 
-/// The process-global priced-pattern table, sharded like the per-instance
-/// memo so concurrent floors touching different keys rarely contend.
-fn pattern_table() -> &'static [PatternShard; CACHE_SHARDS] {
-    static TABLE: OnceLock<[PatternShard; CACHE_SHARDS]> = OnceLock::new();
-    TABLE.get_or_init(|| std::array::from_fn(|_| Mutex::new(HashMap::new())))
+/// Cells of batches above [`DENSE_BATCH`], keyed by (phase, batch, grid
+/// length). The `Arc` lets a cell outlive the map's lock, so its engine
+/// run happens outside it.
+type WideCells = HashMap<(u8, u32, u32), Arc<OnceLock<SimDuration>>>;
+
+/// Every price of one shape signature, shared by all models over it.
+struct PriceTable {
+    /// Batches `1..=DENSE_BATCH`, laid out by [`dense_index`].
+    dense: Box<[OnceLock<SimDuration>]>,
+    wide: Mutex<WideCells>,
 }
 
-/// Number of independent key-map shards. A power of two so the shard
-/// selector is a mask; 16 is comfortably above any sweep's worker count,
-/// so two workers only contend when their keys land in the same shard.
-const CACHE_SHARDS: usize = 16;
+impl PriceTable {
+    fn new() -> Self {
+        PriceTable {
+            dense: (0..2 * DENSE_BATCH as usize * GRID_POINTS)
+                .map(|_| OnceLock::new())
+                .collect(),
+            wide: Mutex::default(),
+        }
+    }
+
+    /// Number of cells priced so far.
+    fn priced(&self) -> usize {
+        let wide = self.wide.lock().expect("price table poisoned");
+        self.dense.iter().filter(|c| c.get().is_some()).count()
+            + wide.values().filter(|c| c.get().is_some()).count()
+    }
+}
+
+impl fmt::Debug for PriceTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PriceTable")
+            .field("priced", &self.priced())
+            .finish()
+    }
+}
+
+/// Cell of a dense key; `len` is a power of two.
+fn dense_index(phase: u8, batch: u32, len: u32) -> usize {
+    debug_assert!(len.is_power_of_two(), "{len} is not a grid point");
+    let row = usize::from(phase) * DENSE_BATCH as usize + (batch - 1) as usize;
+    row * GRID_POINTS + len.trailing_zeros() as usize
+}
+
+/// The one price table of `signature`, created on first use.
+fn table_for(signature: String) -> Arc<PriceTable> {
+    static TABLES: Mutex<BTreeMap<String, Arc<PriceTable>>> = Mutex::new(BTreeMap::new());
+    let mut tables = TABLES.lock().expect("price tables poisoned");
+    Arc::clone(
+        tables
+            .entry(signature)
+            .or_insert_with(|| Arc::new(PriceTable::new())),
+    )
+}
 
 /// Memoizing wrapper around [`Engine`] for serving simulations.
 ///
-/// The key map is split into [`CACHE_SHARDS`] independently-locked shards
-/// (selected by a mix of the key's fields) so a `LatencyModel` is `Sync`
-/// and concurrent sweep workers touching *different* keys rarely contend
-/// on the same `Mutex` — the former single map made every lookup serialize
-/// on one lock. Each shard lock is still taken exactly once per call, only
-/// to resolve the key to its cell; engine runs happen outside it, inside
-/// the key's [`OnceLock`], preserving the single-flight guarantee.
+/// `Sync`: concurrent sweep workers share one model, and every model over
+/// the same (platform, model) signature shares one price table, so a key
+/// costs one engine run per process no matter how many workers or models
+/// race on it.
 #[derive(Debug)]
 pub struct LatencyModel {
     engine: Engine,
     model: ModelConfig,
-    shards: [Mutex<KeyCells>; CACHE_SHARDS],
+    table: Arc<PriceTable>,
     engine_runs: AtomicU64,
-    pattern_hits: AtomicU64,
-    /// Shape signature: this model's half of the pattern-table key.
-    signature: Arc<str>,
 }
 
 /// Inference latency of one trace (Eq. 4: last kernel end − first operator
@@ -101,39 +143,33 @@ fn latency(trace: &Trace) -> SimDuration {
     }
 }
 
+/// The grid point at or above `len`.
+///
+/// # Panics
+///
+/// Panics above [`MAX_PRICED_LEN`]; the config validators reject such
+/// lengths first.
 fn bucket(len: u32) -> u32 {
-    len.max(1).next_power_of_two()
-}
-
-/// Shard index for a cache key: a Fibonacci-style multiplicative mix of
-/// the fields, masked down to [`CACHE_SHARDS`]. The bucketed lengths are
-/// powers of two, so hashing (rather than e.g. `len % SHARDS`) is what
-/// actually spreads neighbouring keys across shards.
-fn shard_of(key: (u8, u32, u32)) -> usize {
-    let (phase, batch, len) = key;
-    let mut h = u64::from(phase) ^ (u64::from(batch) << 8) ^ (u64::from(len) << 40);
-    h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((h >> 57) as usize) & (CACHE_SHARDS - 1)
+    len.max(1)
+        .checked_next_power_of_two()
+        .expect("length above the price grid's 2^31 tokens")
 }
 
 impl LatencyModel {
     /// Creates a latency model for `model` on `platform`.
     ///
-    /// Prices resolve through the process-global priced-pattern table:
-    /// keys another model over the same (platform, model) signature has
+    /// Prices resolve through the process-global table of the (platform,
+    /// model) signature: keys another model over the same signature has
     /// already priced are looked up instead of re-simulated.
     #[must_use]
     pub fn new(platform: Platform, model: ModelConfig) -> Self {
-        let signature = serde_json::to_string(&(&platform, &model))
-            .expect("platform and model serialize")
-            .into();
+        let signature =
+            serde_json::to_string(&(&platform, &model)).expect("platform and model serialize");
         LatencyModel {
             engine: Engine::new(platform),
             model,
-            shards: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
+            table: table_for(signature),
             engine_runs: AtomicU64::new(0),
-            pattern_hits: AtomicU64::new(0),
-            signature,
         }
     }
 
@@ -170,30 +206,20 @@ impl LatencyModel {
         })
     }
 
-    /// Number of distinct keys priced so far, summed over all shards.
+    /// Number of distinct keys priced so far over this model's shape
+    /// signature, by any model.
     #[must_use]
     pub fn cache_entries(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("latency cache poisoned").len())
-            .sum()
+        self.table.priced()
     }
 
     /// Number of engine runs actually performed *by this instance*.
-    /// Single-flight coalescing makes this at most
-    /// [`cache_entries`](Self::cache_entries) no matter how many workers
-    /// raced on the same cold keys; it is fewer when keys were already in
-    /// the pattern table, which cost no engine run at all.
+    /// Single-flight coalescing makes this at most one per key no matter
+    /// how many workers raced on the same cold keys; it is zero for keys
+    /// another model over the same signature had already priced.
     #[must_use]
     pub fn engine_runs(&self) -> u64 {
         self.engine_runs.load(Ordering::Relaxed)
-    }
-
-    /// Number of cold keys this instance resolved from the process-global
-    /// priced-pattern table instead of running the engine.
-    #[must_use]
-    pub fn pattern_hits(&self) -> u64 {
-        self.pattern_hits.load(Ordering::Relaxed)
     }
 
     /// Prices `len` by linear interpolation between the memoized engine
@@ -218,6 +244,8 @@ impl LatencyModel {
         SimDuration::from_nanos_f64(d_lo + (d_hi - d_lo) * frac)
     }
 
+    /// The price of one grid key, running the engine only if no model
+    /// over this signature has priced it yet.
     fn cached<F: Fn(u32) -> Workload>(
         &self,
         phase: u8,
@@ -225,38 +253,24 @@ impl LatencyModel {
         len: u32,
         wl: F,
     ) -> SimDuration {
-        let key = (phase, batch, len);
-        // One shard-lock acquisition resolves the key to its cell; cloning
-        // the Arc lets the lock drop before any simulation work starts.
+        let run = || {
+            self.engine_runs.fetch_add(1, Ordering::Relaxed);
+            self.engine.run_summary(&wl(len), ExecMode::Eager).latency()
+        };
+        if (1..=DENSE_BATCH).contains(&batch) {
+            return *self.table.dense[dense_index(phase, batch, len)].get_or_init(run);
+        }
+        // One lock acquisition resolves the key to its cell; cloning the
+        // Arc lets the lock drop before any simulation work starts.
         let cell = Arc::clone(
-            self.shards[shard_of(key)]
+            self.table
+                .wide
                 .lock()
-                .expect("latency cache poisoned")
-                .entry(key)
+                .expect("price table poisoned")
+                .entry((phase, batch, len))
                 .or_default(),
         );
-        // The key's pattern cell is itself single-flight, so racing
-        // *instances* (not just racing workers of one instance) coalesce
-        // onto one engine run per (signature, key) process-wide.
-        *cell.get_or_init(|| {
-            let pattern = Arc::clone(
-                pattern_table()[shard_of(key)]
-                    .lock()
-                    .expect("pattern table poisoned")
-                    .entry((Arc::clone(&self.signature), phase, batch, len))
-                    .or_default(),
-            );
-            let mut ran = false;
-            let priced = *pattern.get_or_init(|| {
-                ran = true;
-                self.engine_runs.fetch_add(1, Ordering::Relaxed);
-                self.engine.run_summary(&wl(len), ExecMode::Eager).latency()
-            });
-            if !ran {
-                self.pattern_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            priced
-        })
+        *cell.get_or_init(run)
     }
 }
 
@@ -268,7 +282,7 @@ mod tests {
     #[test]
     fn memoization_hits_after_first_run() {
         // A uniquely named config: the exact engine-run counts below must
-        // not depend on what other tests have fed the shared pattern table.
+        // not depend on what other tests have fed the shared price table.
         let mut cfg = zoo::gpt2();
         cfg.name = "gpt2/memoization-test".to_owned();
         let m = LatencyModel::new(Platform::intel_h100(), cfg);
@@ -321,28 +335,6 @@ mod tests {
         assert!(m.decode_step(4, 512) < m.prefill(4, 512));
     }
 
-    /// The shard selector must actually spread the serving key grid —
-    /// bucketed lengths are all powers of two, which is exactly the input
-    /// a naive modulo would clump onto a few shards.
-    #[test]
-    fn shard_selector_spreads_serving_keys() {
-        let mut used = std::collections::BTreeSet::new();
-        for phase in [0u8, 1] {
-            for batch in [1u32, 2, 4, 8, 16] {
-                for len in [32u32, 64, 128, 256, 512, 1024] {
-                    let s = shard_of((phase, batch, len));
-                    assert!(s < CACHE_SHARDS);
-                    used.insert(s);
-                }
-            }
-        }
-        assert!(
-            used.len() >= CACHE_SHARDS / 2,
-            "serving keys clump onto {} of {CACHE_SHARDS} shards",
-            used.len()
-        );
-    }
-
     #[test]
     fn bucket_rounds_up_to_power_of_two() {
         assert_eq!(bucket(1), 1);
@@ -350,6 +342,63 @@ mod tests {
         assert_eq!(bucket(128), 128);
         assert_eq!(bucket(129), 256);
         assert_eq!(bucket(0), 1);
+        assert_eq!(bucket((1 << 30) + 1), 1 << 31);
+        assert_eq!(u64::from(bucket(1 << 31)), MAX_PRICED_LEN);
+    }
+
+    #[test]
+    #[should_panic(expected = "above the price grid")]
+    fn lengths_above_the_grid_panic_instead_of_wrapping() {
+        let _ = bucket((1 << 31) + 1);
+    }
+
+    /// Around the dense array's edge (batch 64) and far past it, in both
+    /// phases: a grid-point price is exactly the engine's run, and an
+    /// off-grid price is exactly the interpolation of the two surrounding
+    /// runs. Uses a uniquely named config so every key here is cold.
+    #[test]
+    fn dense_and_wide_batches_price_like_the_engine() {
+        let mut cfg = zoo::gpt2();
+        cfg.name = "gpt2/dense-edge-test".to_owned();
+        let platform = Platform::gh200();
+        let engine = Engine::new(platform.clone());
+        let m = LatencyModel::new(platform, cfg.clone());
+        let run = |decode: bool, batch: u32, len: u32| {
+            let phase = if decode {
+                Phase::DecodeStep { past_len: len }
+            } else {
+                Phase::Prefill
+            };
+            engine
+                .run_summary(
+                    &Workload::new(cfg.clone(), phase, batch, len),
+                    ExecMode::Eager,
+                )
+                .latency()
+        };
+        for batch in [63u32, 64, 65, 200] {
+            for decode in [false, true] {
+                let price = |len| {
+                    if decode {
+                        m.decode_step(batch, len)
+                    } else {
+                        m.prefill(batch, len)
+                    }
+                };
+                let (at_64, at_128) = (run(decode, batch, 64), run(decode, batch, 128));
+                assert_eq!(price(64), at_64, "batch {batch} decode {decode} at 64");
+                assert_eq!(price(128), at_128, "batch {batch} decode {decode} at 128");
+                let (lo, hi) = (at_64.as_nanos_f64(), at_128.as_nanos_f64());
+                let want = SimDuration::from_nanos_f64(lo + (hi - lo) * (100.0 - 64.0) / 64.0);
+                assert_eq!(price(100), want, "batch {batch} decode {decode} at 100");
+            }
+        }
+        assert_eq!(
+            m.engine_runs(),
+            16,
+            "two grid points x two phases x four batches"
+        );
+        assert_eq!(m.cache_entries(), 16);
     }
 
     /// Single-flight: 8 workers hammering the same handful of keys must
@@ -368,24 +417,26 @@ mod tests {
                         let _ = m.prefill(1, 100); // buckets 64 + 128
                         let _ = m.decode_step(2, 128);
                         let _ = m.decode_step(2, 37); // buckets 32 + 64
+                        let _ = m.prefill(80, 64); // past the dense array
                     }
                 });
             }
         });
-        // Keys: prefill(1,{64,128}), decode(2,{128,32,64}).
-        assert_eq!(m.cache_entries(), 5);
+        // Keys: prefill(1,{64,128}), decode(2,{128,32,64}), prefill(80,64).
+        assert_eq!(m.cache_entries(), 6);
         assert_eq!(
             m.engine_runs(),
-            5,
+            6,
             "racing workers must coalesce onto one run per key"
         );
     }
 
-    /// Shape-signature pattern sharing: a second model over the same
-    /// (platform, model) signature must resolve already-priced keys by
-    /// table lookup — zero engine runs, identical prices — while a
-    /// different platform must price its own pattern from scratch. Uses a
-    /// uniquely-named config so other tests' table entries can't leak in.
+    /// One table per shape signature: a second model over the same
+    /// (platform, model) signature resolves already-priced keys by lookup —
+    /// zero engine runs, identical prices — in the dense array and past
+    /// it, while a different platform is a different signature and prices
+    /// from scratch. Uses a uniquely-named config so other tests' keys
+    /// can't leak in.
     #[test]
     fn pattern_table_shares_prices_across_instances() {
         let mut cfg = zoo::qwen25_05b();
@@ -394,25 +445,28 @@ mod tests {
         let first = LatencyModel::new(Platform::intel_h100(), cfg.clone());
         let a = first.prefill(3, 64);
         let b = first.decode_step(3, 128);
-        assert_eq!(first.engine_runs(), 2, "cold pattern: both keys simulate");
-        assert_eq!(first.pattern_hits(), 0);
+        let c = first.decode_step(96, 128);
+        assert_eq!(
+            first.engine_runs(),
+            3,
+            "cold signature: every key simulates"
+        );
 
         let second = LatencyModel::new(Platform::intel_h100(), cfg.clone());
         assert_eq!(second.prefill(3, 64), a);
         assert_eq!(second.decode_step(3, 128), b);
+        assert_eq!(second.decode_step(96, 128), c);
         assert_eq!(
             second.engine_runs(),
             0,
-            "previously priced pattern must be a table lookup"
+            "a priced signature must be a table lookup"
         );
-        assert_eq!(second.pattern_hits(), 2);
+        assert_eq!(second.cache_entries(), 3);
 
-        // Same model on a different platform is a different signature:
-        // nothing to hit, prices re-derived.
         let other = LatencyModel::new(Platform::gh200(), cfg);
         let _ = other.prefill(3, 64);
         assert_eq!(other.engine_runs(), 1);
-        assert_eq!(other.pattern_hits(), 0);
+        assert_eq!(other.cache_entries(), 1);
     }
 
     /// The serving experiments' key set, asserted (not sampled): every

@@ -24,6 +24,7 @@
 //! file.
 
 use std::collections::VecDeque;
+use std::iter::Peekable;
 
 use skip_des::{percentile, SimContext, SimDuration, SimTime, Simulator};
 use skip_hw::Platform;
@@ -209,8 +210,8 @@ impl ReplicaSet {
 
 /// Per-request service estimate on one platform, in nanoseconds — the
 /// cost-model JSQ's exchange rate between queue depths on different
-/// platforms. Memoized inside the [`LatencyModel`], so this is two map
-/// hits after the first call.
+/// platforms. Memoized in the [`LatencyModel`]'s price table, so this is
+/// two table hits after the first call.
 fn unit_cost_ns(
     lat: &LatencyModel,
     pool: PoolRole,
@@ -235,8 +236,8 @@ pub(crate) struct FloorSpec<'a> {
     /// Replica groups, in replica-index order.
     pub(crate) groups: &'a [ReplicaGroup],
     pub(crate) model: &'a ModelConfig,
-    /// Arrivals in time order with dense ids from 0, consumed as they are
-    /// scheduled.
+    /// Arrivals in time order with dense ids from 0, drawn one at a time
+    /// as the loop reaches them.
     pub(crate) arrivals: Box<dyn Iterator<Item = Request> + 'a>,
     /// How many requests `arrivals` yields.
     pub(crate) requests: u32,
@@ -276,7 +277,7 @@ impl FloorSpec<'_> {
     pub(crate) fn run(self) -> FloorRun {
         // One platform entry (and LatencyModel) per distinct platform
         // name; replicas reference them by index so a 4-replica group
-        // shares one memo cache.
+        // prices through one model.
         let mut platforms: Vec<Platform> = Vec::new();
         let mut meta: Vec<ReplicaMeta> = Vec::new();
         for g in self.groups {
@@ -316,11 +317,11 @@ impl FloorSpec<'_> {
         let disagg = self.groups.iter().any(|g| g.role != PoolRole::Unified);
 
         let mut sim: Simulator<Event> = Simulator::new();
-        let mut first_arrival: Option<SimTime> = None;
-        for req in self.arrivals {
-            first_arrival.get_or_insert(req.arrival);
-            sim.schedule(req.arrival, Event::Arrival(req));
-        }
+        let mut arrivals = self
+            .arrivals
+            .map(|req| (req.arrival, Event::Arrival(req)))
+            .peekable();
+        let first_arrival = arrivals.peek().map(|&(at, _)| at);
         if let Some(auto) = &self.autoscale {
             sim.schedule(SimTime::ZERO + auto.interval, Event::ScaleTick);
         }
@@ -373,7 +374,7 @@ impl FloorSpec<'_> {
             requests: self.requests,
         };
 
-        let aborted = floor.drive(&mut sim, self.stop, self.slo);
+        let aborted = floor.drive(&mut sim, &mut arrivals, self.stop, self.slo);
         // An aborted run bills the span actually simulated: its truncated
         // report still prices what it rented before it was called off.
         let end = if aborted { sim.now() } else { SimTime::ZERO };
@@ -496,17 +497,25 @@ pub(crate) struct UnifiedFloor {
 
 impl UnifiedFloor {
     /// Drives the event loop to completion (or to the first blown budget),
-    /// returning whether the run aborted. Bounded runs step the same loop
-    /// one event at a time with incremental miss and bill bookkeeping, so
-    /// a run no budget stops is byte-identical to the unbounded run.
-    fn drive(&mut self, sim: &mut Simulator<Event>, stop: StopCondition, slo: SloTargets) -> bool {
+    /// returning whether the run aborted. Arrivals are merged in front of
+    /// the queue one at a time, winning ties, so the queue only ever holds
+    /// what handlers schedule. Bounded runs step the same loop with
+    /// incremental miss and bill bookkeeping after every event, so a run
+    /// no budget stops is byte-identical to the unbounded run.
+    fn drive(
+        &mut self,
+        sim: &mut Simulator<Event>,
+        arrivals: &mut Peekable<impl Iterator<Item = (SimTime, Event)>>,
+        stop: StopCondition,
+        slo: SloTargets,
+    ) -> bool {
         if stop.is_unbounded() {
-            sim.run(|ctx, event| self.handle(ctx, event));
+            while sim.step_merged(arrivals, |ctx, event| self.handle(ctx, event)) {}
             return false;
         }
         let mut guard = StopGuard::new(stop, slo);
         let mut noted = 0usize;
-        while sim.step(|ctx, event| self.handle(ctx, event)) {
+        while sim.step_merged(arrivals, |ctx, event| self.handle(ctx, event)) {
             for f in &self.finished[noted..] {
                 guard.note(f.ttft, f.e2e);
             }

@@ -25,7 +25,7 @@ use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use skip_des::{Scheduled, SimDuration, SimTime};
+use skip_des::{SimDuration, SimTime};
 use skip_hw::Platform;
 use skip_llm::zoo;
 use skip_serve::{
@@ -193,19 +193,25 @@ const FLEET_BUDGET_PER_REQUEST: f64 = 8.0;
 /// growth, the allocator's free-list nodes and the resume cohorts.
 const CHUNKED_KV_BUDGET_PER_REQUEST: f64 = 16.0;
 
+/// Marginal allocations per request of an untraced floor. Every
+/// per-request vector is sized from the request count up front, arrivals
+/// are drawn one at a time instead of queued, and the event queue stays as
+/// deep as the replica count, so nothing grows with the population: the
+/// floor measures 0.000. A bound of 0.05 fails on any per-request or
+/// per-event allocation creeping back (an event queue holding every
+/// arrival cost 1.5 allocations per request).
+const UNTRACED_BUDGET_PER_REQUEST: f64 = 0.05;
+
 /// Marginal peak bytes per request an untraced floor may hold: what it
-/// must keep for a request — the request itself, its queued arrival
-/// event, its first-token instant and its finished latency pair — up to
-/// three times over, because the calendar queue holds every pending event
-/// twice while it re-buckets and vectors carry growth slack. A recording
-/// adds a lifecycle of four or more events and two or more counter
-/// samples per request, which no longer fits.
+/// must keep for a request — the request itself while it is in flight,
+/// its first-token instant and its finished latency pair — up to twice
+/// over, because the report's summary copies the latency pairs and
+/// vectors carry growth slack. A recording adds a lifecycle of four or
+/// more events and two or more counter samples per request, which no
+/// longer fits.
 fn untraced_bytes_budget() -> f64 {
-    let kept = size_of::<Request>()
-        + size_of::<Scheduled<Request>>()
-        + size_of::<SimTime>()
-        + 2 * size_of::<SimDuration>();
-    (3 * kept) as f64
+    let kept = size_of::<Request>() + size_of::<SimTime>() + 2 * size_of::<SimDuration>();
+    (2 * kept) as f64
 }
 
 #[test]
@@ -258,6 +264,12 @@ fn untraced_serving_floor_keeps_no_recording() {
         "untraced serving floor: {:.0} bytes/request (budget {budget})",
         lean.bytes
     );
+    assert!(
+        lean.allocs < UNTRACED_BUDGET_PER_REQUEST,
+        "untraced serving floor: {:.3} allocations/request (budget \
+         {UNTRACED_BUDGET_PER_REQUEST})",
+        lean.allocs
+    );
     let traced = marginal(|n| simulate_traced(&serve_cfg(n), 4).0.completed);
     assert!(
         traced.bytes > budget,
@@ -274,6 +286,12 @@ fn untraced_one_group_fleet_keeps_no_recording() {
         lean.bytes < budget,
         "untraced one-group fleet: {:.0} bytes/request (budget {budget})",
         lean.bytes
+    );
+    assert!(
+        lean.allocs < UNTRACED_BUDGET_PER_REQUEST,
+        "untraced one-group fleet: {:.3} allocations/request (budget \
+         {UNTRACED_BUDGET_PER_REQUEST})",
+        lean.allocs
     );
     let traced = marginal(|n| simulate_fleet_traced(&one_group_cfg(n)).0.completed);
     assert!(

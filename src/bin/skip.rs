@@ -439,8 +439,9 @@ fn cmd_serve_fleet(
             .contains_key("autoscale")
             .then(AutoscaleConfig::default),
     };
-    cfg.validate()
-        .map_err(|e| format!("{e} (check --fleet / --requests / --max-batch)"))?;
+    cfg.validate().map_err(|e| {
+        format!("{e} (check --fleet / --requests / --max-batch / --seq / --tokens)")
+    })?;
 
     // Record lifecycles and counter samples only when a trace is asked for.
     let (report, ftrace) = match flags.get("trace-out") {
@@ -673,7 +674,10 @@ fn cmd_serve(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
         router,
     };
     cfg.validate().map_err(|e| {
-        format!("{e} (check --kv-blocks / --requests / --qps and the policy sizing flags)")
+        format!(
+            "{e} (check --kv-blocks / --requests / --qps / --seq / --tokens and the policy \
+             sizing flags)"
+        )
     })?;
 
     // Record lifecycles and counter samples only when a trace is asked for.

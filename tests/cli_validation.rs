@@ -5,8 +5,9 @@
 //! helpers, and these tests pin the unified wording end to end — argv in,
 //! stderr out. The forward-pass subcommands (`profile`, `sweep`,
 //! `generate`, `fuse`) reject out-of-range sizes the same way: an error
-//! message and a failing exit status, never a panic. Every subcommand
-//! also rejects any flag it does not read, with one shared message.
+//! message and a failing exit status, never a panic; so do the serving
+//! fronts for requests longer than the price grid. Every subcommand also
+//! rejects any flag it does not read, with one shared message.
 
 use std::process::Command;
 
@@ -81,6 +82,35 @@ fn out_of_range_forward_pass_flags_are_errors_not_panics() {
             skip_err(&argv),
             format!("error: {want}"),
             "skip {}",
+            argv.join(" ")
+        );
+    }
+}
+
+/// A request longer than the price grid's 2^31 tokens used to panic
+/// inside the latency model (`seq_len must be positive`: the length's
+/// power-of-two bucket wrapped to 0). All three serving fronts now reject
+/// it up front with one message.
+#[test]
+fn overlong_requests_are_errors_not_panics_in_every_serving_front() {
+    let want = "prompt plus output tokens must be at most 2147483648, got 3000000008";
+    for argv in [
+        &["serve", "--model", "gpt2", "--seq", "3000000000"][..],
+        &[
+            "serve",
+            "--model",
+            "gpt2",
+            "--fleet",
+            "gh200:1",
+            "--seq",
+            "3000000000",
+        ],
+        &["plan", "--model", "gpt2", "--seq", "3000000000"],
+    ] {
+        let got = skip_err(argv);
+        assert!(
+            got.starts_with("error: ") && got.contains(want) && !got.contains("panicked"),
+            "skip {}: {got}",
             argv.join(" ")
         );
     }
@@ -173,6 +203,21 @@ fn library_validators_share_the_cli_wording() {
         planner.validate().unwrap_err().to_string(),
         "offered load must be positive and finite, got 0"
     );
+
+    // Requests longer than the price grid: one message, three validators.
+    serve.arrival_rate_per_s = 20.0;
+    fleet.arrivals = ArrivalProcess::Poisson { rate_per_s: 20.0 };
+    planner.envelope.qps = 20.0;
+    serve.prompt_len = u32::MAX;
+    fleet.prompt_len = u32::MAX;
+    planner.envelope.prompt_len = u32::MAX;
+    let serve_msg = serve.validate().unwrap_err().to_string();
+    assert_eq!(
+        serve_msg,
+        "prompt plus output tokens must be at most 2147483648, got 4294967299"
+    );
+    assert_eq!(serve_msg, fleet.validate().unwrap_err().to_string());
+    assert_eq!(serve_msg, planner.validate().unwrap_err().to_string());
 }
 
 /// A flag the subcommand does not read is an error with one message
