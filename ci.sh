@@ -15,11 +15,8 @@ cargo clippy --workspace --all-targets -- -D warnings -D dead_code
 echo "== cargo build --release =="
 cargo build --release --workspace
 
-echo "== cargo test =="
+echo "== cargo test (unit, integration and doctests) =="
 cargo test --workspace -q
-
-echo "== cargo test --doc =="
-cargo test --workspace --doc -q
 
 echo "== fresh-seed property pass (1000 new cases per property) =="
 # A new seed every run, printed so a failure replays with

@@ -15,18 +15,19 @@
 //!
 //! Sorting into sweep order is the only super-linear step, and engine
 //! traces skip it. The engine numbers operators in pre-order, which is
-//! sweep order, so the build places each operator at its [`OpId`] and
-//! checks the placed order in one O(n) pass. Traces whose ids are not a
-//! gap-free pre-order (imports, hand-built or multi-thread traces numbered
-//! otherwise) fail the check and are sorted instead. Both paths yield the
-//! same order, so the graph does not depend on which one ran.
+//! sweep order, so the build places each operator at its
+//! [`OpId`](skip_trace::OpId) and checks the placed order in one O(n)
+//! pass. Traces whose ids are not a gap-free pre-order (imports,
+//! hand-built or multi-thread traces numbered otherwise) fail the check
+//! and are sorted instead. Both paths yield the same order, so the graph
+//! does not depend on which one ran.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use skip_des::SimTime;
-use skip_trace::{CorrelationId, CpuOpEvent, OpId, ThreadId, Trace};
+use skip_trace::{CorrelationId, CpuOpEvent, ThreadId, Trace};
 
 /// Index of an operator within [`DependencyGraph::ops`] order (the trace's
 /// CPU-op order).
@@ -153,12 +154,6 @@ impl DependencyGraph {
             i = p;
         }
         i
-    }
-
-    /// Looks up the trace [`OpId`] for a graph node.
-    #[must_use]
-    pub fn op_id(&self, trace: &Trace, i: OpRef) -> OpId {
-        trace.cpu_ops()[i].id
     }
 }
 
@@ -351,7 +346,7 @@ fn launch_kernels(trace: &Trace) -> impl Iterator<Item = Option<usize>> + '_ {
 mod tests {
     use super::*;
     use skip_des::SimTime;
-    use skip_trace::{CpuOpEvent, KernelEvent, RuntimeLaunchEvent, StreamId, TraceMeta};
+    use skip_trace::{CpuOpEvent, KernelEvent, OpId, RuntimeLaunchEvent, StreamId, TraceMeta};
 
     fn ns(v: u64) -> SimTime {
         SimTime::from_nanos(v)

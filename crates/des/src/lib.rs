@@ -49,5 +49,5 @@ pub use event::{EventQueue, Scheduled};
 pub use ids::IdAllocator;
 pub use resource::{Busy, FifoResource};
 pub use sim::{SimContext, Simulator};
-pub use stats::{attainment, mean, percentile, Summary};
+pub use stats::{mean, percentile, Summary};
 pub use time::{SimDuration, SimTime};

@@ -70,27 +70,6 @@ fn select_nearest_rank(scratch: &mut [f64], p: f64) -> f64 {
     *nth
 }
 
-/// Fraction of `samples` at or below `threshold` — SLO attainment.
-///
-/// An empty slice attains vacuously (`1.0`): no sample violated the
-/// threshold.
-///
-/// # Example
-///
-/// ```
-/// let lat = [80.0, 120.0, 95.0, 400.0];
-/// assert_eq!(skip_des::attainment(&lat, 100.0), 0.5);
-/// assert_eq!(skip_des::attainment(&lat, 400.0), 1.0);
-/// assert_eq!(skip_des::attainment(&[], 1.0), 1.0);
-/// ```
-#[must_use]
-pub fn attainment(samples: &[f64], threshold: f64) -> f64 {
-    if samples.is_empty() {
-        return 1.0;
-    }
-    samples.iter().filter(|&&s| s <= threshold).count() as f64 / samples.len() as f64
-}
-
 /// A five-number-ish summary of a sample set.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Summary {
@@ -235,13 +214,5 @@ mod tests {
     #[should_panic(expected = "NaN sample in percentile")]
     fn percentile_still_panics_on_nan() {
         let _ = percentile(&[1.0, f64::NAN, 2.0], 50.0);
-    }
-
-    #[test]
-    fn attainment_is_inclusive_and_vacuous_on_empty() {
-        assert_eq!(attainment(&[1.0, 2.0, 3.0, 4.0], 2.0), 0.5);
-        assert_eq!(attainment(&[1.0], 1.0), 1.0, "threshold is inclusive");
-        assert_eq!(attainment(&[2.0], 1.0), 0.0);
-        assert_eq!(attainment(&[], 0.0), 1.0);
     }
 }

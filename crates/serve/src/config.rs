@@ -164,28 +164,6 @@ impl KvCacheConfig {
             offload,
         }
     }
-
-    /// Sizes the per-replica pool from what is left of `platform`'s HBM
-    /// after the FP16 weights of `model`, holding back `reserve_fraction`
-    /// for activations.
-    #[must_use]
-    pub fn for_platform(
-        platform: &Platform,
-        model: &ModelConfig,
-        reserve_fraction: f64,
-        offload: OffloadPolicy,
-    ) -> Self {
-        let spec = KvSpec::for_model(model, KvSpec::DEFAULT_BLOCK_TOKENS);
-        KvCacheConfig {
-            blocks_per_replica: spec.pool_blocks(
-                &platform.gpu,
-                model.weight_bytes_fp16(),
-                reserve_fraction,
-            ),
-            block_tokens: KvSpec::DEFAULT_BLOCK_TOKENS,
-            offload,
-        }
-    }
 }
 
 /// One serving experiment's configuration.

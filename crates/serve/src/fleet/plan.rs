@@ -46,7 +46,9 @@ use crate::fleet::arrivals::ArrivalProcess;
 use crate::fleet::autoscale::AutoscaleConfig;
 use crate::fleet::floor::{simulate_fleet, simulate_fleet_bounded};
 use crate::fleet::observe::FleetReport;
-use crate::fleet::spec::{FleetBatchPolicy, FleetConfig, FleetRouterPolicy, FleetSpec, PoolRole};
+use crate::fleet::spec::{
+    FleetBatchPolicy, FleetConfig, FleetError, FleetRouterPolicy, FleetSpec, PoolRole,
+};
 use crate::latency::LatencyModel;
 use crate::observe::{SloReport, SloTargets};
 use crate::request::Request;
@@ -119,21 +121,24 @@ pub enum PlanError {
         /// The offending floor.
         f64,
     ),
-    /// The envelope scores zero requests — nothing to simulate.
-    EmptyEnvelope,
-    /// The envelope's `prompt_len + new_tokens` is longer than the price
-    /// grid's `2^31` tokens.
-    RequestTooLong(
-        /// The offending prompt plus output tokens.
-        u64,
-    ),
     /// The envelope's offered load was not positive and finite.
     BadLoad(
         /// The offending req/s rate.
         f64,
     ),
+    /// The envelope's peak offered load was not positive and finite.
+    BadPeakLoad(
+        /// The offending req/s rate.
+        f64,
+    ),
     /// The platform menu is empty — no candidate can be enumerated.
     NoPlatforms,
+    /// A knob every candidate's fleet shares (request count and length,
+    /// batch cap, batch policy) fails [`FleetConfig::validate`].
+    Fleet(
+        /// The fleet validator's verdict.
+        FleetError,
+    ),
 }
 
 impl fmt::Display for PlanError {
@@ -143,10 +148,12 @@ impl fmt::Display for PlanError {
             PlanError::BadAttainmentFloor(v) => {
                 write!(f, "attainment floor must be in (0, 1], got {v}")
             }
-            PlanError::EmptyEnvelope => f.write_str(check::ZERO_REQUESTS),
-            PlanError::RequestTooLong(tokens) => f.write_str(&check::too_long(*tokens)),
             PlanError::BadLoad(v) => f.write_str(&check::positive_rate("offered load", *v)),
+            PlanError::BadPeakLoad(v) => {
+                f.write_str(&check::positive_rate("peak offered load", *v))
+            }
             PlanError::NoPlatforms => write!(f, "the platform menu is empty"),
+            PlanError::Fleet(e) => write!(f, "{e}"),
         }
     }
 }
@@ -193,7 +200,8 @@ impl PlannerConfig {
 
     /// Checks the planner for configurations no candidate could be built
     /// from, so front ends get an actionable error instead of a panic
-    /// deep inside [`fleet_config`].
+    /// deep inside [`fleet_config`]. `Ok` means every candidate
+    /// [`fleet_config`] builds is valid.
     ///
     /// # Errors
     ///
@@ -205,19 +213,27 @@ impl PlannerConfig {
         if !(self.attainment_floor > 0.0 && self.attainment_floor <= 1.0) {
             return Err(PlanError::BadAttainmentFloor(self.attainment_floor));
         }
-        if self.envelope.requests == 0 {
-            return Err(PlanError::EmptyEnvelope);
-        }
-        if let Some(tokens) = check::overlong(self.envelope.prompt_len, self.envelope.new_tokens) {
-            return Err(PlanError::RequestTooLong(tokens));
-        }
         if !(self.envelope.qps.is_finite() && self.envelope.qps > 0.0) {
             return Err(PlanError::BadLoad(self.envelope.qps));
+        }
+        if let Some(peak) = self.envelope.peak_qps {
+            if !(peak.is_finite() && peak > 0.0) {
+                return Err(PlanError::BadPeakLoad(peak));
+            }
         }
         if self.platforms.is_empty() {
             return Err(PlanError::NoPlatforms);
         }
-        Ok(())
+        // Candidates differ only in topology and autoscaling, which
+        // `enumerate` builds valid, so checking its first candidate checks
+        // every knob they share.
+        let first = PlanCandidate {
+            spec: FleetSpec::homogeneous(self.platforms[0].clone(), 1),
+            autoscaled: false,
+        };
+        fleet_config(self, &first)
+            .validate()
+            .map_err(PlanError::Fleet)
     }
 }
 
@@ -280,22 +296,6 @@ pub fn enumerate(cfg: &PlannerConfig) -> Vec<PlanCandidate> {
                 }
             }
         }
-    }
-    out
-}
-
-/// [`enumerate`]'s candidates regrouped into the pruned sweep's waves:
-/// `waves(cfg)[n - 1]` holds every candidate provisioning exactly `n`
-/// total replicas, in enumeration order. Waves run cheapest-first so the
-/// earliest (smallest) fleets seed the incumbents that prune the large
-/// tail of the space.
-#[must_use]
-pub fn waves(cfg: &PlannerConfig) -> Vec<Vec<PlanCandidate>> {
-    let buckets = cfg.max_replicas.max(1) as usize;
-    let mut out: Vec<Vec<PlanCandidate>> = (0..buckets).map(|_| Vec::new()).collect();
-    for c in enumerate(cfg) {
-        let n = (c.spec.total_replicas().max(1) as usize).min(buckets);
-        out[n - 1].push(c);
     }
     out
 }
@@ -1107,33 +1107,45 @@ mod tests {
     }
 
     #[test]
-    fn waves_partition_the_enumeration_by_ascending_size() {
+    fn sweep_with_runs_ascending_waves_and_returns_enumeration_order() {
         let cfg = small_planner();
-        let waves = waves(&cfg);
-        assert_eq!(waves.len(), cfg.max_replicas as usize);
-        let total: usize = waves.iter().map(Vec::len).sum();
-        assert_eq!(total, enumerate(&cfg).len());
-        for (i, wave) in waves.iter().enumerate() {
-            for c in wave {
-                assert_eq!(
-                    c.spec.total_replicas() as usize,
-                    i + 1,
-                    "{} in wave {}",
-                    c.label(),
-                    i
-                );
-            }
-        }
-        // Within a wave, candidates keep enumeration order.
         let order: Vec<String> = enumerate(&cfg).iter().map(PlanCandidate::label).collect();
-        for wave in &waves {
-            let mut last = 0;
-            for c in wave {
-                let pos = order.iter().position(|l| *l == c.label()).unwrap();
-                assert!(pos >= last, "wave preserves enumeration order");
-                last = pos;
-            }
+        let mut waves: Vec<Vec<PlanCandidate>> = Vec::new();
+        let sweep = sweep_with(&cfg, |wave, _| {
+            let outs = wave
+                .iter()
+                .map(|c| PlanOutcome {
+                    label: c.label(),
+                    disagg: c.spec.is_disaggregated(),
+                    autoscaled: c.autoscaled,
+                    base_replicas: c.spec.total_replicas(),
+                    feasible: false,
+                    report: skipped_report(&cfg),
+                    resolution: Resolution::PrunedInfeasible,
+                })
+                .collect();
+            waves.push(wave);
+            outs
+        });
+        // Waves arrive in ascending total-replica order, one size each.
+        let sizes: Vec<u32> = waves.iter().map(|w| w[0].spec.total_replicas()).collect();
+        assert_eq!(sizes, (1..=cfg.max_replicas).collect::<Vec<_>>());
+        for (wave, &n) in waves.iter().zip(&sizes) {
+            assert!(wave.iter().all(|c| c.spec.total_replicas() == n));
         }
+        // Each wave keeps enumeration order.
+        let pos = |c: &PlanCandidate| order.iter().position(|l| *l == c.label()).unwrap();
+        for wave in &waves {
+            assert!(wave.windows(2).all(|p| pos(&p[0]) < pos(&p[1])));
+        }
+        // Every candidate appears in exactly one wave, exactly once.
+        let mut seen: Vec<usize> = waves.iter().flatten().map(pos).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..order.len()).collect::<Vec<_>>());
+        // Outcomes come back in enumeration order, not wave order.
+        let labels: Vec<&str> = sweep.outcomes.iter().map(|o| o.label.as_str()).collect();
+        assert_eq!(labels, order);
+        assert_eq!(sweep.stats.pruned_infeasible as usize, order.len());
     }
 
     #[test]
@@ -1151,17 +1163,45 @@ mod tests {
         assert_eq!(bad.validate(), Err(PlanError::BadAttainmentFloor(1.5)));
         let mut bad = ok.clone();
         bad.envelope.requests = 0;
-        assert_eq!(bad.validate(), Err(PlanError::EmptyEnvelope));
+        assert_eq!(
+            bad.validate(),
+            Err(PlanError::Fleet(FleetError::ZeroRequests))
+        );
         let mut bad = ok.clone();
         bad.envelope.prompt_len = 3_000_000_000;
         bad.envelope.new_tokens = 8;
         assert_eq!(
             bad.validate(),
-            Err(PlanError::RequestTooLong(3_000_000_008))
+            Err(PlanError::Fleet(FleetError::RequestTooLong(3_000_000_008)))
         );
         let mut bad = ok.clone();
         bad.envelope.qps = 0.0;
         assert_eq!(bad.validate(), Err(PlanError::BadLoad(0.0)));
+        for peak in [f64::INFINITY, f64::NAN, -5.0, 0.0] {
+            let mut bad = ok.clone();
+            bad.envelope.peak_qps = Some(peak);
+            let got = bad.validate();
+            assert!(
+                matches!(got, Err(PlanError::BadPeakLoad(v)) if v.total_cmp(&peak).is_eq()),
+                "{got:?}"
+            );
+        }
+        // A positive peak at or below the mean is valid (it plans Poisson).
+        let mut flat = ok.clone();
+        flat.envelope.peak_qps = Some(flat.envelope.qps);
+        assert_eq!(flat.validate(), Ok(()));
+        let mut bad = ok.clone();
+        bad.max_batch = 0;
+        assert_eq!(
+            bad.validate(),
+            Err(PlanError::Fleet(FleetError::ZeroMaxBatch))
+        );
+        let mut bad = ok.clone();
+        bad.policy = FleetBatchPolicy::ChunkedPrefill { chunk_tokens: 0 };
+        assert_eq!(
+            bad.validate(),
+            Err(PlanError::Fleet(FleetError::ZeroChunkTokens))
+        );
         let mut bad = ok;
         bad.platforms.clear();
         assert_eq!(bad.validate(), Err(PlanError::NoPlatforms));

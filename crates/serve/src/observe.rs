@@ -84,9 +84,10 @@ impl SloReport {
         tokens_per_request: u32,
         makespan: SimDuration,
     ) -> Self {
-        // Attainment counts inline over the latency pairs (same inclusive
-        // `<=` and empty-set semantics as `skip_des::attainment`) instead
-        // of materializing per-axis sample vectors.
+        // Attainment is the share of requests at or below the target (an
+        // inclusive `<=`); an empty run, or an axis with no target, attains
+        // vacuously (1.0). Counted inline over the latency pairs instead of
+        // materializing per-axis sample vectors.
         let frac = |target: Option<SimDuration>, pick: fn(&(SimDuration, SimDuration)) -> f64| {
             let Some(t) = target else { return 1.0 };
             if latencies.is_empty() {
@@ -814,6 +815,14 @@ mod tests {
         assert_eq!(r.completed, 0);
         assert_eq!(r.ttft_attainment, 1.0);
         assert_eq!(r.goodput_req_s, 0.0);
+        // Set targets attain vacuously on an empty run too.
+        let targets = SloTargets {
+            ttft: Some(dur_ms(100)),
+            e2e: Some(dur_ms(500)),
+        };
+        let r = SloReport::evaluate(targets, &[], 4, SimDuration::ZERO);
+        assert_eq!(r.ttft_attainment, 1.0);
+        assert_eq!(r.e2e_attainment, 1.0);
     }
 
     #[test]

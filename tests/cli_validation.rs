@@ -6,7 +6,8 @@
 //! stderr out. The forward-pass subcommands (`profile`, `sweep`,
 //! `generate`, `fuse`) reject out-of-range sizes the same way: an error
 //! message and a failing exit status, never a panic; so do the serving
-//! fronts for requests longer than the price grid. Every subcommand also
+//! fronts for requests longer than the price grid, and the planner for
+//! batch caps and peak loads its sweep cannot build. Every subcommand also
 //! rejects any flag it does not read, with one shared message.
 
 use std::process::Command;
@@ -113,6 +114,31 @@ fn overlong_requests_are_errors_not_panics_in_every_serving_front() {
             "skip {}: {got}",
             argv.join(" ")
         );
+    }
+}
+
+/// Planner inputs its sweep cannot build used to pass validation: a zero
+/// batch cap and an infinite peak load panicked inside a sweep worker,
+/// and a NaN peak silently planned Poisson traffic. All three are now
+/// errors before any candidate runs.
+#[test]
+fn degenerate_planner_inputs_are_errors_not_panics() {
+    for (flag, value, want) in [
+        ("--max-batch", "0", "max_batch must be at least 1"),
+        (
+            "--peak-qps",
+            "inf",
+            "peak offered load must be positive and finite, got inf",
+        ),
+        (
+            "--peak-qps",
+            "nan",
+            "peak offered load must be positive and finite, got NaN",
+        ),
+    ] {
+        let got = skip_err(&["plan", "--model", "gpt2", flag, value]);
+        assert!(!got.contains("panicked"), "skip plan {flag} {value}: {got}");
+        assert_eq!(got, format!("error: skip plan: {want}"));
     }
 }
 
