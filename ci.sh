@@ -22,13 +22,15 @@ echo "== fresh-seed property pass (1000 new cases per property) =="
 # A new seed every run, printed so a failure replays with
 # PROPTEST_SEED=<seed>; set PROPTEST_SEED yourself to rerun a logged one.
 # Covers the legacy oracle vs the unified floor (skip-serve --lib), the
-# DES queue and arrival merge, the planner, fleet and policy/router
-# properties, and the end-to-end pipeline properties.
+# DES queue and arrival merge, the KV block pool against its reference
+# model, the planner, fleet and policy/router properties, and the
+# end-to-end pipeline properties.
 proptest_seed=${PROPTEST_SEED:-$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')}
 echo "PROPTEST_SEED=$proptest_seed"
 export PROPTEST_SEED=$proptest_seed PROPTEST_CASES=1000
 cargo test -p skip-serve --lib -q
 cargo test -p skip-des --test proptests -q
+cargo test -p skip-mem --test proptests -q
 cargo test -p skip-serve --test plan_props --test fleet_props --test policy_router_props -q
 cargo test --test proptest_e2e -q
 unset PROPTEST_SEED PROPTEST_CASES

@@ -1,40 +1,9 @@
-//! Deterministic paged block allocator with per-request block tables.
+//! Deterministic paged block pool that counts the blocks each owner holds.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::spec::KvSpec;
-
-/// Index of one fixed-size KV block in the device pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct BlockId(pub u32);
-
-/// One request's ordered list of owned blocks plus its logical token count.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BlockTable {
-    blocks: Vec<BlockId>,
-    tokens: u64,
-}
-
-impl BlockTable {
-    /// The blocks owned by this request, in allocation order.
-    #[must_use]
-    pub fn blocks(&self) -> &[BlockId] {
-        &self.blocks
-    }
-
-    /// Cached tokens currently stored in the table.
-    #[must_use]
-    pub fn tokens(&self) -> u64 {
-        self.tokens
-    }
-
-    /// Token slots this table could hold without growing.
-    #[must_use]
-    pub fn capacity_tokens(&self, spec: &KvSpec) -> u64 {
-        self.blocks.len() as u64 * u64::from(spec.block_tokens)
-    }
-}
 
 /// Error returned when a reservation cannot be satisfied.
 ///
@@ -60,27 +29,18 @@ impl fmt::Display for OutOfBlocks {
 
 impl std::error::Error for OutOfBlocks {}
 
-/// Cumulative allocator counters for reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemStats {
-    /// High-water mark of blocks in use.
-    pub peak_used_blocks: u32,
-    /// Successful reservations that allocated at least one new block.
-    pub grow_calls: u64,
-    /// Reservations rejected because the pool was exhausted.
-    pub failed_allocs: u64,
-    /// Blocks returned to the pool by `release`.
-    pub released_blocks: u64,
-}
-
-/// A fixed pool of KV blocks with deterministic lowest-id-first allocation.
+/// A fixed pool of interchangeable KV blocks, counted per owner.
+///
+/// Every admission, preemption and resume decision reads only how many
+/// blocks are free and how many a request holds, so the pool keeps those
+/// counts and never names a block.
 ///
 /// Invariants (checked by the property suite in `tests/proptests.rs`):
 ///
 /// * `used_blocks() + free_blocks() == total_blocks()` at all times.
-/// * No block is owned by two requests, and no owned block is free.
-/// * Identical operation sequences produce identical allocator states —
-///   the free set is ordered, not a hash set, so replay is bit-exact.
+/// * The owners' held blocks sum to `used_blocks()`.
+/// * An owner holds `blocks_for` the most tokens it was granted since its
+///   last release.
 ///
 /// # Example
 ///
@@ -91,28 +51,30 @@ pub struct MemStats {
 /// let spec = KvSpec::for_model(&zoo::llama2_7b(), 16);
 /// let mut pool = BlockAllocator::new(8);
 /// pool.grow_to(1, 100, &spec).unwrap(); // 100 tokens -> 7 blocks
-/// assert_eq!(pool.used_blocks(), 7);
+/// assert_eq!(pool.held_blocks(1), 7);
 /// assert!(pool.grow_to(2, 100, &spec).is_err()); // only 1 block left
 /// pool.release(1);
 /// assert_eq!(pool.free_blocks(), 8);
+/// assert_eq!(pool.peak_used_blocks(), 7);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockAllocator {
     total: u32,
-    free: BTreeSet<u32>,
-    tables: BTreeMap<u64, BlockTable>,
-    stats: MemStats,
+    free: u32,
+    peak_used: u32,
+    /// Blocks held per owner; an owner holding none has no entry.
+    held: BTreeMap<u64, u32>,
 }
 
 impl BlockAllocator {
-    /// Creates a pool of `total` free blocks numbered `0..total`.
+    /// Creates a pool of `total` free blocks.
     #[must_use]
     pub fn new(total: u32) -> Self {
         BlockAllocator {
             total,
-            free: (0..total).collect(),
-            tables: BTreeMap::new(),
-            stats: MemStats::default(),
+            free: total,
+            peak_used: 0,
+            held: BTreeMap::new(),
         }
     }
 
@@ -125,50 +87,34 @@ impl BlockAllocator {
     /// Blocks currently unowned.
     #[must_use]
     pub fn free_blocks(&self) -> u32 {
-        self.free.len() as u32
+        self.free
     }
 
     /// Blocks currently owned by some request.
     #[must_use]
     pub fn used_blocks(&self) -> u32 {
-        self.total - self.free_blocks()
+        self.total - self.free
     }
 
-    /// Fraction of the pool in use, in `[0, 1]` (0 for an empty pool).
+    /// Blocks `owner` holds (zero if it holds no reservation).
     #[must_use]
-    pub fn occupancy(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            f64::from(self.used_blocks()) / f64::from(self.total)
-        }
+    pub fn held_blocks(&self, owner: u64) -> u32 {
+        self.held.get(&owner).copied().unwrap_or(0)
     }
 
-    /// The block table of `owner`, if it holds any reservation.
+    /// High-water mark of [`used_blocks`](Self::used_blocks).
     #[must_use]
-    pub fn table(&self, owner: u64) -> Option<&BlockTable> {
-        self.tables.get(&owner)
-    }
-
-    /// Owners with live reservations, in ascending id order.
-    #[must_use]
-    pub fn owners(&self) -> Vec<u64> {
-        self.tables.keys().copied().collect()
-    }
-
-    /// Cumulative counters.
-    #[must_use]
-    pub fn stats(&self) -> MemStats {
-        self.stats
+    pub fn peak_used_blocks(&self) -> u32 {
+        self.peak_used
     }
 
     /// Whether `blocks` more blocks could be reserved right now.
     #[must_use]
     pub fn can_reserve(&self, blocks: u32) -> bool {
-        blocks <= self.free_blocks()
+        blocks <= self.free
     }
 
-    /// Grows `owner`'s table until it covers `tokens` cached tokens,
+    /// Grows `owner`'s reservation until it covers `tokens` cached tokens,
     /// returning how many new blocks were allocated (possibly zero).
     ///
     /// All-or-nothing: if the pool cannot supply the full deficit, nothing
@@ -180,70 +126,29 @@ impl BlockAllocator {
     /// deficit.
     pub fn grow_to(&mut self, owner: u64, tokens: u64, spec: &KvSpec) -> Result<u32, OutOfBlocks> {
         let needed_blocks = spec.blocks_for(tokens);
-        let held = self.tables.get(&owner).map_or(0, |t| t.blocks.len() as u32);
+        let held = self.held_blocks(owner);
         if needed_blocks <= held {
-            if let Some(t) = self.tables.get_mut(&owner) {
-                t.tokens = t.tokens.max(tokens);
-            }
             return Ok(0);
         }
         let deficit = needed_blocks - held;
-        if deficit > self.free_blocks() {
-            self.stats.failed_allocs += 1;
+        if deficit > self.free {
             return Err(OutOfBlocks {
                 needed: deficit,
-                free: self.free_blocks(),
+                free: self.free,
             });
         }
-        let table = self.tables.entry(owner).or_default();
-        for _ in 0..deficit {
-            let id = self
-                .free
-                .pop_first()
-                .expect("free set cannot be empty: deficit was checked");
-            table.blocks.push(BlockId(id));
-        }
-        table.tokens = table.tokens.max(tokens);
-        self.stats.grow_calls += 1;
-        self.stats.peak_used_blocks = self.stats.peak_used_blocks.max(self.used_blocks());
+        self.held.insert(owner, needed_blocks);
+        self.free -= deficit;
+        self.peak_used = self.peak_used.max(self.used_blocks());
         Ok(deficit)
     }
 
     /// Releases every block owned by `owner`, returning how many were
     /// freed (zero if `owner` held nothing).
     pub fn release(&mut self, owner: u64) -> u32 {
-        let Some(table) = self.tables.remove(&owner) else {
-            return 0;
-        };
-        let n = table.blocks.len() as u32;
-        for BlockId(id) in table.blocks {
-            let inserted = self.free.insert(id);
-            debug_assert!(inserted, "block {id} was double-owned");
-        }
-        self.stats.released_blocks += u64::from(n);
+        let n = self.held.remove(&owner).unwrap_or(0);
+        self.free += n;
         n
-    }
-
-    /// Unused token slots across all allocated blocks — the internal
-    /// fragmentation of the paged layout.
-    #[must_use]
-    pub fn fragmented_tokens(&self, spec: &KvSpec) -> u64 {
-        self.tables
-            .values()
-            .map(|t| t.capacity_tokens(spec) - t.tokens)
-            .sum()
-    }
-
-    /// Fraction of allocated token slots actually holding tokens
-    /// (1.0 for an empty pool: nothing allocated, nothing wasted).
-    #[must_use]
-    pub fn slot_utilization(&self, spec: &KvSpec) -> f64 {
-        let capacity: u64 = self.tables.values().map(|t| t.capacity_tokens(spec)).sum();
-        if capacity == 0 {
-            return 1.0;
-        }
-        let used: u64 = self.tables.values().map(BlockTable::tokens).sum();
-        used as f64 / capacity as f64
     }
 }
 
@@ -257,35 +162,27 @@ mod tests {
     }
 
     #[test]
-    fn allocates_lowest_ids_first() {
+    fn grow_holds_whole_blocks_per_owner() {
+        let s = spec();
         let mut pool = BlockAllocator::new(10);
-        pool.grow_to(7, 33, &spec()).unwrap(); // 3 blocks
-        let blocks: Vec<u32> = pool
-            .table(7)
-            .unwrap()
-            .blocks()
-            .iter()
-            .map(|b| b.0)
-            .collect();
-        assert_eq!(blocks, vec![0, 1, 2]);
+        assert_eq!(pool.grow_to(7, 33, &s).unwrap(), 3);
+        assert_eq!(pool.grow_to(8, 1, &s).unwrap(), 1);
+        assert_eq!((pool.held_blocks(7), pool.held_blocks(8)), (3, 1));
+        assert_eq!(pool.held_blocks(9), 0);
+        assert_eq!(pool.used_blocks(), 4);
     }
 
     #[test]
-    fn released_blocks_are_reused_lowest_first() {
+    fn released_blocks_return_to_the_free_count() {
         let s = spec();
-        let mut pool = BlockAllocator::new(10);
-        pool.grow_to(1, 32, &s).unwrap(); // blocks 0,1
-        pool.grow_to(2, 32, &s).unwrap(); // blocks 2,3
-        pool.release(1);
-        pool.grow_to(3, 48, &s).unwrap(); // needs 3: takes 0,1 then 4
-        let blocks: Vec<u32> = pool
-            .table(3)
-            .unwrap()
-            .blocks()
-            .iter()
-            .map(|b| b.0)
-            .collect();
-        assert_eq!(blocks, vec![0, 1, 4]);
+        let mut pool = BlockAllocator::new(5);
+        pool.grow_to(1, 32, &s).unwrap(); // 2 blocks
+        pool.grow_to(2, 32, &s).unwrap(); // 2 blocks
+        assert!(pool.grow_to(3, 48, &s).is_err()); // needs 3, 1 free
+        assert_eq!(pool.release(1), 2);
+        assert_eq!(pool.grow_to(3, 48, &s).unwrap(), 3);
+        assert_eq!(pool.free_blocks(), 0);
+        assert_eq!(pool.release(1), 0);
     }
 
     #[test]
@@ -295,7 +192,8 @@ mod tests {
         assert_eq!(pool.grow_to(1, 20, &s).unwrap(), 2);
         assert_eq!(pool.grow_to(1, 25, &s).unwrap(), 0); // still fits in 2
         assert_eq!(pool.grow_to(1, 33, &s).unwrap(), 1); // third block
-        assert_eq!(pool.table(1).unwrap().tokens(), 33);
+        assert_eq!(pool.grow_to(1, 10, &s).unwrap(), 0); // never shrinks
+        assert_eq!(pool.held_blocks(1), 3);
     }
 
     #[test]
@@ -306,11 +204,7 @@ mod tests {
         let before = pool.clone();
         let err = pool.grow_to(2, 40, &s).unwrap_err(); // needs 3, 1 free
         assert_eq!(err, OutOfBlocks { needed: 3, free: 1 });
-        // Only the failure counter moved.
-        assert_eq!(pool.stats().failed_allocs, before.stats().failed_allocs + 1);
-        let mut rewound = pool.clone();
-        rewound.stats = before.stats;
-        assert_eq!(rewound, before);
+        assert_eq!(pool, before);
     }
 
     #[test]
@@ -325,25 +219,13 @@ mod tests {
     }
 
     #[test]
-    fn fragmentation_counts_partial_blocks() {
-        let s = spec(); // 16 tokens/block
-        let mut pool = BlockAllocator::new(16);
-        pool.grow_to(1, 17, &s).unwrap(); // 2 blocks, 15 slots wasted
-        assert_eq!(pool.fragmented_tokens(&s), 15);
-        assert!((pool.slot_utilization(&s) - 17.0 / 32.0).abs() < 1e-12);
-        pool.release(1);
-        assert_eq!(pool.fragmented_tokens(&s), 0);
-        assert_eq!(pool.slot_utilization(&s), 1.0);
-    }
-
-    #[test]
     fn peak_occupancy_tracks_high_water() {
         let s = spec();
         let mut pool = BlockAllocator::new(8);
         pool.grow_to(1, 96, &s).unwrap(); // 6 blocks
         pool.release(1);
         pool.grow_to(2, 16, &s).unwrap(); // 1 block
-        assert_eq!(pool.stats().peak_used_blocks, 6);
-        assert!((pool.occupancy() - 1.0 / 8.0).abs() < 1e-12);
+        assert_eq!(pool.peak_used_blocks(), 6);
+        assert_eq!(pool.used_blocks(), 1);
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! vLLM-style paged attention memory management for the serving simulator:
 //! the KV cache is carved into fixed-size *blocks* of `block_tokens` token
-//! slots each, requests own ordered *block tables*, and a deterministic
-//! allocator hands out the lowest-numbered free block first so identical
-//! simulations replay bit-identically.
+//! slots each, and a request holds whole blocks for its cached tokens.
+//! Blocks are interchangeable, so the [`BlockAllocator`] counts them: free
+//! blocks, blocks per owner and the high-water mark, all integers, so
+//! identical simulations replay bit-identically.
 //!
 //! The subsystem exists to model the paper's coupling argument on the
 //! *memory* axis: when the pool is exhausted the scheduler must evict a
@@ -49,6 +50,6 @@ mod alloc;
 mod offload;
 mod spec;
 
-pub use alloc::{BlockAllocator, BlockId, BlockTable, MemStats, OutOfBlocks};
+pub use alloc::{BlockAllocator, OutOfBlocks};
 pub use offload::{swap_cost, EvictionAction, OffloadPolicy};
 pub use spec::KvSpec;

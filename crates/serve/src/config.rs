@@ -138,11 +138,15 @@ impl fmt::Display for RouterPolicy {
     }
 }
 
-/// Paged KV-cache budget and eviction policy for continuous batching.
+/// Paged KV-cache budget and eviction policy for continuous batching and
+/// chunked prefill.
 ///
 /// `None` in [`ServingConfig::kv`] models an infinite cache (the
 /// pre-memory-subsystem behaviour); `Some` bounds each replica to a block
-/// pool and makes the scheduler memory-aware.
+/// pool and makes the scheduler memory-aware. [`Policy::Static`] never
+/// consults the memory layer: it reserves, evicts and resumes nothing, so
+/// under static batching a budget only sets the pool size a trace reports
+/// (`skip serve` rejects `--kv-blocks` with `--policy static`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct KvCacheConfig {
     /// Device KV blocks available per replica.
@@ -185,7 +189,8 @@ pub struct ServingConfig {
     pub new_tokens: u32,
     /// RNG seed for the arrival process.
     pub seed: u64,
-    /// Paged KV-cache budget; `None` simulates an infinite cache.
+    /// Paged KV-cache budget; `None` simulates an infinite cache. Static
+    /// batching never consults the memory layer, so it ignores the budget.
     pub kv: Option<KvCacheConfig>,
     /// Latency SLO targets the run is scored against (all-`None` disables
     /// SLO accounting).
@@ -209,6 +214,9 @@ pub enum ConfigError {
         /// The offending rate.
         f64,
     ),
+    /// `prompt_len` was zero: an empty prompt never prefills, so no first
+    /// token is ever stamped.
+    ZeroPromptLen,
     /// `prompt_len + new_tokens` is longer than the price grid's `2^31`
     /// tokens.
     RequestTooLong(
@@ -244,6 +252,7 @@ impl fmt::Display for ConfigError {
             ConfigError::BadArrivalRate(rate) => {
                 f.write_str(&check::positive_rate("arrival rate", rate))
             }
+            ConfigError::ZeroPromptLen => f.write_str(&check::at_least_one("prompt_len")),
             ConfigError::RequestTooLong(tokens) => f.write_str(&check::too_long(tokens)),
             ConfigError::ZeroStaticBatch => f.write_str(&check::at_least_one("static batch_size")),
             ConfigError::ZeroContinuousBatch => {
@@ -286,6 +295,9 @@ impl ServingConfig {
         }
         if !(self.arrival_rate_per_s.is_finite() && self.arrival_rate_per_s > 0.0) {
             return Err(ConfigError::BadArrivalRate(self.arrival_rate_per_s));
+        }
+        if self.prompt_len == 0 {
+            return Err(ConfigError::ZeroPromptLen);
         }
         if let Some(tokens) = check::overlong(self.prompt_len, self.new_tokens) {
             return Err(ConfigError::RequestTooLong(tokens));
@@ -368,6 +380,10 @@ mod tests {
         assert_eq!(c.validate(), Err(ConfigError::BadArrivalRate(0.0)));
         c.arrival_rate_per_s = f64::INFINITY;
         assert!(matches!(c.validate(), Err(ConfigError::BadArrivalRate(_))));
+
+        let mut c = valid();
+        c.prompt_len = 0;
+        assert_eq!(c.validate(), Err(ConfigError::ZeroPromptLen));
 
         // The price grid's top point is fine; one token past it is not.
         let mut c = valid();

@@ -372,6 +372,9 @@ pub enum FleetError {
     ),
     /// `requests` was zero.
     ZeroRequests,
+    /// `prompt_len` was zero: an empty prompt never prefills, so no first
+    /// token is ever stamped.
+    ZeroPromptLen,
     /// `prompt_len + new_tokens` is longer than the price grid's `2^31`
     /// tokens.
     RequestTooLong(
@@ -409,6 +412,7 @@ impl fmt::Display for FleetError {
                 write!(f, "disaggregated fleet needs a {} pool", role.label())
             }
             FleetError::ZeroRequests => f.write_str(check::ZERO_REQUESTS),
+            FleetError::ZeroPromptLen => f.write_str(&check::at_least_one("prompt_len")),
             FleetError::RequestTooLong(tokens) => f.write_str(&check::too_long(*tokens)),
             FleetError::ZeroMaxBatch => f.write_str(&check::at_least_one("max_batch")),
             FleetError::ZeroChunkTokens => {
@@ -450,6 +454,9 @@ impl FleetConfig {
         }
         if self.requests == 0 {
             return Err(FleetError::ZeroRequests);
+        }
+        if self.prompt_len == 0 {
+            return Err(FleetError::ZeroPromptLen);
         }
         if let Some(tokens) = check::overlong(self.prompt_len, self.new_tokens) {
             return Err(FleetError::RequestTooLong(tokens));
@@ -554,6 +561,10 @@ mod tests {
         let mut c = valid();
         c.requests = 0;
         assert_eq!(c.validate(), Err(FleetError::ZeroRequests));
+
+        let mut c = valid();
+        c.prompt_len = 0;
+        assert_eq!(c.validate(), Err(FleetError::ZeroPromptLen));
 
         let mut c = valid();
         c.prompt_len = 3_000_000_000;

@@ -16,22 +16,12 @@ use crate::latency::LatencyModel;
 use crate::observe::{LifecycleKind, RecordSink, ResumeAction};
 use crate::policy::Active;
 
-/// How a preempted request gets its KV state back on resume.
-#[derive(Clone, Copy)]
-pub(crate) enum ResumeKind {
-    /// Blocks were dropped; the context re-prefills.
-    Recompute,
-    /// Blocks sit in host memory; copying them back costs one transfer.
-    SwapIn {
-        /// Tokens swapped out (prices the return copy).
-        tokens: u64,
-    },
-}
-
-/// A preempted request parked for a later resume.
+/// A preempted request parked for a later resume. Its context,
+/// `prefilled + generated`, is frozen while parked, so it prices both the
+/// swap-in copy and the re-prefill.
 pub(crate) struct Parked {
     pub(crate) active: Active,
-    pub(crate) resume: ResumeKind,
+    pub(crate) resume: ResumeAction,
 }
 
 /// Cumulative memory-pressure counters across the fleet.
@@ -111,7 +101,7 @@ impl MemoryLayer {
     pub(crate) fn peak_occupancy(&self) -> f64 {
         self.pools
             .iter()
-            .map(|p| f64::from(p.stats().peak_used_blocks) / f64::from(p.total_blocks().max(1)))
+            .map(|p| f64::from(p.peak_used_blocks()) / f64::from(p.total_blocks().max(1)))
             .fold(0.0, f64::max)
     }
 
@@ -165,8 +155,9 @@ impl MemLane<'_> {
             return None;
         }
         let spec = &self.shared.spec;
-        let mut resumed: Vec<(Parked, u64)> = Vec::new();
-        while resumed.len() < slots {
+        let first = actives.len();
+        let mut priced: Vec<(u64, ResumeAction)> = Vec::new();
+        while priced.len() < slots {
             let Some(front) = self.parked.front() else {
                 break;
             };
@@ -178,24 +169,19 @@ impl MemLane<'_> {
             self.pool
                 .grow_to(p.active.req.id, ctx_tokens, spec)
                 .expect("reservation probed above");
-            if matches!(p.resume, ResumeKind::Recompute) {
+            if p.resume == ResumeAction::Recompute {
                 self.counters.recomputed_tokens += ctx_tokens;
             }
-            resumed.push((p, ctx_tokens));
+            priced.push((ctx_tokens, p.resume));
+            actives.push(p.active);
         }
-        if resumed.is_empty() {
+        if priced.is_empty() {
             return None;
         }
-        let priced: Vec<(u64, ResumeKind)> =
-            resumed.iter().map(|(p, ctx)| (*ctx, p.resume)).collect();
         let cost = price_resumes(lat, self.shared, &priced);
-        for (p, _) in resumed {
-            let action = match p.resume {
-                ResumeKind::Recompute => ResumeAction::Recompute,
-                ResumeKind::SwapIn { .. } => ResumeAction::SwapIn,
-            };
+        for (a, &(_, action)) in actives[first..].iter().zip(&priced) {
             obs.record(
-                p.active.req.id,
+                a.req.id,
                 now,
                 LifecycleKind::Resumed {
                     replica: self.replica_id,
@@ -203,7 +189,6 @@ impl MemLane<'_> {
                     cost,
                 },
             );
-            actives.push(p.active);
         }
         Some(cost)
     }
@@ -233,11 +218,8 @@ impl MemLane<'_> {
                 .iter()
                 .map(|a| {
                     needs(a).map_or(0, |target| {
-                        let held = self
-                            .pool
-                            .table(a.req.id)
-                            .map_or(0, |t| t.blocks().len() as u32);
-                        spec.blocks_for(target).saturating_sub(held)
+                        spec.blocks_for(target)
+                            .saturating_sub(self.pool.held_blocks(a.req.id))
                     })
                 })
                 .sum();
@@ -283,68 +265,57 @@ impl MemLane<'_> {
         self.counters.preemptions += 1;
         let one_way = swap_cost(&self.shared.interconnect, bytes);
         let recompute = lat.prefill(1, tokens as u32);
-        match self.shared.offload.decide(one_way + one_way, recompute) {
+        let (action, stall) = match self.shared.offload.decide(one_way + one_way, recompute) {
             EvictionAction::SwapOut => {
                 self.counters.swap_outs += 1;
                 self.counters.swapped_bytes += bytes;
-                obs.record(
-                    a.req.id,
-                    now,
-                    LifecycleKind::Preempted {
-                        replica: self.replica_id,
-                        action: ResumeAction::SwapIn,
-                        stall: one_way,
-                    },
-                );
-                self.parked.push_back(Parked {
-                    active: a,
-                    resume: ResumeKind::SwapIn { tokens },
-                });
-                one_way
+                (ResumeAction::SwapIn, one_way)
             }
-            EvictionAction::Recompute => {
-                obs.record(
-                    a.req.id,
-                    now,
-                    LifecycleKind::Preempted {
-                        replica: self.replica_id,
-                        action: ResumeAction::Recompute,
-                        stall: SimDuration::ZERO,
-                    },
-                );
-                self.parked.push_back(Parked {
-                    active: a,
-                    resume: ResumeKind::Recompute,
-                });
-                SimDuration::ZERO
-            }
-        }
+            EvictionAction::Recompute => (ResumeAction::Recompute, SimDuration::ZERO),
+        };
+        obs.record(
+            a.req.id,
+            now,
+            LifecycleKind::Preempted {
+                replica: self.replica_id,
+                action,
+                stall,
+            },
+        );
+        self.parked.push_back(Parked {
+            active: a,
+            resume: action,
+        });
+        stall
     }
 }
 
 /// Prices the resume iteration for one cohort of parked requests, given
-/// `(context_tokens, resume_kind)` per request.
+/// `(context_tokens, action)` per request.
 ///
-/// Swapped-out requests each pay their copy-back transfer. Recompute
-/// victims re-prefill **as one batch**: the engine runs them as a single
-/// batched prefill sized by the longest context, exactly like newcomer
-/// admission.
+/// Swapped-out requests each pay their context's copy-back transfer.
+/// Recompute victims re-prefill **as one batch**: the engine runs them as a
+/// single batched prefill sized by the longest context, exactly like
+/// newcomer admission.
 pub(crate) fn price_resumes(
     lat: &LatencyModel,
     shared: &MemShared,
-    resumes: &[(u64, ResumeKind)],
+    resumes: &[(u64, ResumeAction)],
 ) -> SimDuration {
     let mut cost = SimDuration::ZERO;
     let mut recompute_batch = 0u32;
     let mut recompute_ctx = 0u64;
-    for &(ctx_tokens, kind) in resumes {
-        match kind {
-            ResumeKind::Recompute => {
+    for &(ctx_tokens, action) in resumes {
+        match action {
+            ResumeAction::Recompute => {
                 recompute_batch += 1;
                 recompute_ctx = recompute_ctx.max(ctx_tokens);
             }
-            ResumeKind::SwapIn { tokens } => {
-                cost += swap_cost(&shared.interconnect, tokens * shared.spec.bytes_per_token);
+            ResumeAction::SwapIn => {
+                cost += swap_cost(
+                    &shared.interconnect,
+                    ctx_tokens * shared.spec.bytes_per_token,
+                );
             }
         }
     }
@@ -373,25 +344,22 @@ mod tests {
             offload: OffloadPolicy::Recompute,
             interconnect: platform.interconnect.clone(),
         };
-        let cohort: Vec<(u64, ResumeKind)> =
-            (0..3).map(|_| (1100, ResumeKind::Recompute)).collect();
+        let cohort = [(1100, ResumeAction::Recompute); 3];
         let batched = price_resumes(&lat, &shared, &cohort);
         let serial: SimDuration = cohort
             .iter()
-            .map(|&(ctx, kind)| price_resumes(&lat, &shared, &[(ctx, kind)]))
+            .map(|&(ctx, action)| price_resumes(&lat, &shared, &[(ctx, action)]))
             .sum();
         assert!(
             batched < serial,
             "batched {batched} must undercut serial {serial}"
         );
         // Swap-ins are per-request transfers: batching must not discount.
-        let swaps: Vec<(u64, ResumeKind)> = (0..3)
-            .map(|_| (1100, ResumeKind::SwapIn { tokens: 1100 }))
-            .collect();
+        let swaps = [(1100, ResumeAction::SwapIn); 3];
         let swap_batched = price_resumes(&lat, &shared, &swaps);
         let swap_serial: SimDuration = swaps
             .iter()
-            .map(|&(ctx, kind)| price_resumes(&lat, &shared, &[(ctx, kind)]))
+            .map(|&(ctx, action)| price_resumes(&lat, &shared, &[(ctx, action)]))
             .sum();
         assert_eq!(swap_batched, swap_serial);
     }

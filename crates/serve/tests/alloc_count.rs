@@ -189,9 +189,11 @@ const FLEET_BUDGET_PER_REQUEST: f64 = 8.0;
 /// Marginal allocations per request of chunked prefill under a KV budget.
 /// A plan `Vec` allocated afresh per iteration costs ~28 allocations per
 /// request on this config (4 chunk and 63 decode steps per request, in
-/// small batches); reusing the plan leaves ~10, the block tables'
-/// growth, the allocator's free-list nodes and the resume cohorts.
-const CHUNKED_KV_BUDGET_PER_REQUEST: f64 = 16.0;
+/// small batches), and naming every KV block (a block table per request
+/// and a free-list set) cost ~8 more. With the plan reused and the pool
+/// counting blocks, about 0.5 remain: the priced `Vec` of each resume
+/// cohort, at about one preemption per two requests on this config.
+const CHUNKED_KV_BUDGET_PER_REQUEST: f64 = 2.0;
 
 /// Marginal allocations per request of an untraced floor. Every
 /// per-request vector is sized from the request count up front, arrivals

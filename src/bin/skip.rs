@@ -141,6 +141,58 @@ const SERVE_FLEET_FLAGS: &str = "model fleet disagg autoscale fleet-router polic
 const PLAN_FLAGS: &str = "model qps peak-qps requests max-batch seq tokens slo-ttft-ms \
     slo-e2e-ms max-replicas workers";
 
+/// The command line `skip serve` runs, named by the mode flags it was
+/// given, and the flags that mode reads. Static batching never consults
+/// the KV pool, only chunked prefill reads a chunk budget, an offload
+/// policy needs a non-zero `--kv-blocks`, and each fleet arrival process
+/// reads only its own shape flags. An unknown `--policy` or `--arrivals`
+/// value filters nothing, so its own parser reports it.
+fn serve_mode(flags: &BTreeMap<String, String>) -> (String, String) {
+    let fleet = flags.contains_key("fleet");
+    let mut command = String::from(if fleet {
+        "skip serve --fleet"
+    } else {
+        "skip serve"
+    });
+    let mut name = |key: &str| {
+        if let Some(v) = flags.get(key) {
+            command.push_str(&format!(" --{key} {v}"));
+        }
+    };
+    name("policy");
+    let policy = flags.get("policy").map_or("continuous", String::as_str);
+    let mut unread = match policy {
+        "static" if !fleet => vec!["chunk-tokens", "kv-blocks", "offload"],
+        "continuous" => vec!["batch-size", "max-wait-ms", "chunk-tokens"],
+        "chunked" | "chunked-prefill" => vec!["batch-size", "max-wait-ms"],
+        _ => Vec::new(),
+    };
+    if fleet {
+        name("arrivals");
+        match flags.get("arrivals").map_or("poisson", String::as_str) {
+            "poisson" => unread.extend(["peak-qps", "period-ms", "burst-ms", "lull-ms"]),
+            "diurnal" => unread.extend(["burst-ms", "lull-ms"]),
+            "bursty" => unread.push("period-ms"),
+            _ => {}
+        }
+    } else if matches!(policy, "continuous" | "chunked" | "chunked-prefill") {
+        name("kv-blocks");
+        if flags.get("kv-blocks").is_none_or(|v| v.parse() == Ok(0u32)) {
+            unread.push("offload");
+        }
+    }
+    let all = if fleet {
+        SERVE_FLEET_FLAGS
+    } else {
+        SERVE_FLAGS
+    };
+    let reads: Vec<&str> = all
+        .split_whitespace()
+        .filter(|f| !unread.contains(f))
+        .collect();
+    (command, reads.join(" "))
+}
+
 /// Fails on the first flag `command` does not read, so a typo or a flag
 /// meant for another mode is an error instead of a silent default.
 fn reject_unread(
@@ -609,11 +661,8 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_serve(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
-    if flags.contains_key("fleet") {
-        reject_unread("skip serve --fleet", flags, SERVE_FLEET_FLAGS)?;
-    } else {
-        reject_unread("skip serve", flags, SERVE_FLAGS)?;
-    }
+    let (command, reads) = serve_mode(flags);
+    reject_unread(&command, flags, &reads)?;
     let model = find_model(flags.get("model").ok_or("--model is required")?)?;
     if let Some(spec) = flags.get("fleet") {
         return cmd_serve_fleet(flags, model, spec);

@@ -117,6 +117,46 @@ fn overlong_requests_are_errors_not_panics_in_every_serving_front() {
     }
 }
 
+/// A zero-length prompt used to pass validation and corrupt the run: the
+/// fleet's chunked prefill never stamped a first token (TTFT printed 0ns),
+/// single-node chunked prefill advanced such a request two tokens in its
+/// first iteration, and the planner printed a frontier. Every serving
+/// front now rejects it up front, naming `prompt_len`.
+#[test]
+fn zero_length_prompts_are_errors_not_panics_in_every_serving_front() {
+    for argv in [
+        &["serve", "--model", "gpt2", "--seq", "0"][..],
+        &[
+            "serve", "--model", "gpt2", "--policy", "chunked", "--seq", "0",
+        ],
+        &[
+            "serve",
+            "--model",
+            "gpt2",
+            "--fleet",
+            "gh200:1",
+            "--policy",
+            "chunked",
+            "--seq",
+            "0",
+            "--tokens",
+            "8",
+            "--requests",
+            "20",
+        ],
+        &["plan", "--model", "gpt2", "--seq", "0"],
+    ] {
+        let got = skip_err(argv);
+        assert!(
+            got.starts_with("error: ")
+                && got.contains("prompt_len must be at least 1")
+                && !got.contains("panicked"),
+            "skip {}: {got}",
+            argv.join(" ")
+        );
+    }
+}
+
 /// Planner inputs its sweep cannot build used to pass validation: a zero
 /// batch cap and an infinite peak load panicked inside a sweep worker,
 /// and a NaN peak silently planned Poisson traffic. All three are now
@@ -248,15 +288,16 @@ fn library_validators_share_the_cli_wording() {
 
 /// A flag the subcommand does not read is an error with one message
 /// shape, never a silently ignored knob: a typo'd name, single-node
-/// flags under `skip serve --fleet`, fleet flags without `--fleet`, and a
-/// stray flag on every other subcommand.
+/// flags under `skip serve --fleet`, fleet flags without `--fleet`, flags
+/// of another `skip serve` sub-mode, and a stray flag on every other
+/// subcommand.
 #[test]
 fn unread_flags_are_rejected_by_every_subcommand() {
     assert_eq!(
         skip_err(&["serve", "--model", "gpt2", "--qsp", "500"]),
         "error: `skip serve` does not read --qsp (it reads --model --platform --qps --requests \
-         --max-batch --replicas --policy --router --batch-size --max-wait-ms --chunk-tokens \
-         --seq --tokens --kv-blocks --offload --trace-out --slo-ttft-ms --slo-e2e-ms)"
+         --max-batch --replicas --policy --router --seq --tokens --kv-blocks --trace-out \
+         --slo-ttft-ms --slo-e2e-ms)"
     );
     let mut cases: Vec<(Vec<&str>, &str, &str)> = Vec::new();
     for flag in [
@@ -285,6 +326,56 @@ fn unread_flags_are_rejected_by_every_subcommand() {
         "lull-ms",
     ] {
         cases.push((vec!["serve", "--model", "gpt2"], "serve", flag));
+    }
+    // Flags a sub-mode never reads: batch sizing outside static batching,
+    // a chunk budget outside chunked prefill, the KV pool under static
+    // batching (which never consults it), an offload policy without a
+    // pool, and arrival-shape flags of another arrival process.
+    let poisson = ["peak-qps", "period-ms", "burst-ms", "lull-ms"];
+    for (mode, command, flags) in [
+        (
+            &[][..],
+            "serve",
+            &["batch-size", "max-wait-ms", "chunk-tokens", "offload"][..],
+        ),
+        (
+            &["--policy", "chunked"],
+            "serve --policy chunked",
+            &["batch-size", "max-wait-ms", "offload"],
+        ),
+        (
+            &["--policy", "static"],
+            "serve --policy static",
+            &["chunk-tokens", "kv-blocks", "offload"],
+        ),
+        (&["--kv-blocks", "0"], "serve --kv-blocks 0", &["offload"]),
+        (&["--fleet", "gh200:2"], "serve --fleet", &poisson),
+        (
+            &["--fleet", "gh200:2", "--policy", "continuous"],
+            "serve --fleet --policy continuous",
+            &["chunk-tokens"],
+        ),
+        (
+            &["--fleet", "gh200:2", "--arrivals", "poisson"],
+            "serve --fleet --arrivals poisson",
+            &poisson,
+        ),
+        (
+            &["--fleet", "gh200:2", "--arrivals", "diurnal"],
+            "serve --fleet --arrivals diurnal",
+            &["burst-ms", "lull-ms"],
+        ),
+        (
+            &["--fleet", "gh200:2", "--arrivals", "bursty"],
+            "serve --fleet --arrivals bursty",
+            &["period-ms"],
+        ),
+    ] {
+        for &flag in flags {
+            let mut argv = vec!["serve", "--model", "gpt2"];
+            argv.extend(mode);
+            cases.push((argv, command, flag));
+        }
     }
     for (command, flag) in [
         ("profile", "tokens"),
