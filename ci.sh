@@ -23,7 +23,9 @@ echo "== fresh-seed property pass (1000 new cases per property) =="
 # PROPTEST_SEED=<seed>; set PROPTEST_SEED yourself to rerun a logged one.
 # Covers the legacy oracle vs the unified floor (skip-serve --lib), the
 # DES queue and arrival merge, the KV block pool against its reference
-# model, the planner, fleet and policy/router properties, and the
+# model, the planner, fleet and policy/router properties, the Chrome
+# export/import round trip, RunSummary against the reduction of the
+# stored trace, the hardware and model-graph properties, and the
 # end-to-end pipeline properties.
 proptest_seed=${PROPTEST_SEED:-$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')}
 echo "PROPTEST_SEED=$proptest_seed"
@@ -32,6 +34,10 @@ cargo test -p skip-serve --lib -q
 cargo test -p skip-des --test proptests -q
 cargo test -p skip-mem --test proptests -q
 cargo test -p skip-serve --test plan_props --test fleet_props --test policy_router_props -q
+cargo test -p skip-trace --test golden -q
+cargo test -p skip-runtime --test summary_equivalence -q
+cargo test -p skip-hw --test proptests -q
+cargo test -p skip-llm --test proptests -q
 cargo test --test proptest_e2e -q
 unset PROPTEST_SEED PROPTEST_CASES
 

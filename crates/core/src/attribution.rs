@@ -84,16 +84,8 @@ fn aggregate(
     links: impl Iterator<Item = (usize, Option<usize>, Option<OpRef>)>,
 ) -> Vec<OpStat> {
     let ops = trace.cpu_ops();
-    // The whole sweep reads nothing but timestamps, so scan the contiguous
-    // SoA columns directly rather than materializing event structs.
-    let launch_begins = trace.launches().begins();
-    let kernel_begins = trace.kernels().begins();
-    let kernel_ends = trace.kernels().ends();
-    // Per-kernel durations, precomputed in one vectorized column pass so
-    // the gather below indexes a flat slice instead of re-deriving each
-    // duration scalar-by-scalar.
-    let mut kernel_durs = Vec::new();
-    crate::scan::deltas_into(kernel_ends, kernel_begins, &mut kernel_durs);
+    let launches = trace.launches();
+    let kernels = trace.kernels();
 
     #[derive(Clone, Copy, Default)]
     struct Acc {
@@ -128,8 +120,11 @@ fn aggregate(
         };
         let acc = &mut slots[slot];
         acc.kernels += 1;
-        acc.gpu_time += kernel_durs[kidx];
-        acc.lq_time += kernel_begins[kidx].saturating_duration_since(launch_begins[launch]);
+        let k = &kernels[kidx];
+        // An inverted kernel (end < begin, possible in a hand-built or
+        // unvalidated trace) counts zero GPU time rather than panicking.
+        acc.gpu_time += k.end.saturating_duration_since(k.begin);
+        acc.lq_time += k.begin.saturating_duration_since(launches[launch].begin);
     }
 
     let names = std::iter::once("<no operator>").chain(trace.names().iter().map(|(_, n)| n));

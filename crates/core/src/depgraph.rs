@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use skip_des::SimTime;
-use skip_trace::{CorrelationId, CpuOpEvent, ThreadId, Trace};
+use skip_trace::{CorrelationId, CpuOpEvent, RuntimeLaunchEvent, ThreadId, Trace};
 
 /// Index of an operator within [`DependencyGraph::ops`] order (the trace's
 /// CPU-op order).
@@ -186,12 +186,11 @@ fn sweep(
 ) {
     let ops = trace.cpu_ops();
     let op_order = op_sweep_order(ops);
-    let threads = trace.launches().threads();
-    let begins = trace.launches().begins();
+    let launches = trace.launches();
     let mut stack = OpenStack::default();
     let mut next_op = 0;
-    for l in launch_sweep_order(threads, begins) {
-        let at = (threads[l], begins[l]);
+    for l in launch_sweep_order(launches) {
+        let at = (launches[l].thread, launches[l].begin);
         while let Some(&i) = op_order.get(next_op) {
             if (ops[i].thread, ops[i].begin) > at {
                 break;
@@ -300,11 +299,11 @@ fn placed_order(ops: &[CpuOpEvent]) -> Option<Vec<OpRef>> {
 
 /// Launch indices in sweep order: by thread, then begin, then trace index.
 /// Engine launches are recorded in this order, which one pass confirms.
-fn launch_sweep_order(threads: &[ThreadId], begins: &[SimTime]) -> Vec<usize> {
-    let key = |l: usize| (threads[l], begins[l]);
-    let mut order: Vec<usize> = (0..begins.len()).collect();
-    if !(1..begins.len()).all(|l| key(l - 1) <= key(l)) {
-        order.sort_by_key(|&l| key(l)); // stable: ties keep trace order
+fn launch_sweep_order(launches: &[RuntimeLaunchEvent]) -> Vec<usize> {
+    let key = |l: &RuntimeLaunchEvent| (l.thread, l.begin);
+    let mut order: Vec<usize> = (0..launches.len()).collect();
+    if !launches.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
+        order.sort_by_key(|&l| key(&launches[l])); // stable: ties keep trace order
     }
     order
 }
@@ -312,28 +311,35 @@ fn launch_sweep_order(threads: &[ThreadId], begins: &[SimTime]) -> Vec<usize> {
 /// Per launch, in trace order: the index of the kernel carrying its
 /// correlation ID, if one ran.
 ///
-/// Engine traces assign correlation IDs in ascending order, which an 8-lane
-/// scan of the kernel column confirms in O(n) (see `scan`). A cursor then
-/// steps through the kernel column alongside the launches and finds each
-/// kernel where the previous one left off; a launch whose kernel is not at
-/// the cursor (a memcpy, a kernel that never ran, an out-of-order launch)
-/// falls back to a binary search. Imported traces with shuffled or
-/// duplicate IDs use a map instead, where a later kernel wins a duplicated
-/// correlation.
+/// Engine traces assign correlation IDs in strictly ascending order, which
+/// one pass over the kernels confirms. A cursor then steps through the
+/// kernels alongside the launches and finds each kernel where the previous
+/// one left off; a launch whose kernel is not at the cursor (a memcpy, a
+/// kernel that never ran, an out-of-order launch) falls back to a binary
+/// search. Imported traces with shuffled or duplicate IDs use a map
+/// instead, where a later kernel wins a duplicated correlation.
 fn launch_kernels(trace: &Trace) -> impl Iterator<Item = Option<usize>> + '_ {
-    let corrs = trace.kernels().correlations();
-    let by_corr: Option<BTreeMap<CorrelationId, usize>> =
-        (!crate::scan::is_strictly_ascending(corrs))
-            .then(|| corrs.iter().enumerate().map(|(i, &c)| (c, i)).collect());
+    let kernels = trace.kernels();
+    let ascending = kernels
+        .windows(2)
+        .all(|w| w[0].correlation < w[1].correlation);
+    let by_corr: Option<BTreeMap<CorrelationId, usize>> = (!ascending).then(|| {
+        kernels
+            .iter()
+            .enumerate()
+            .map(|(i, k)| (k.correlation, i))
+            .collect()
+    });
     let mut cursor = 0;
-    trace.launches().correlations().iter().map(move |corr| {
+    trace.launches().iter().map(move |l| {
+        let corr = l.correlation;
         if let Some(map) = &by_corr {
-            return map.get(corr).copied();
+            return map.get(&corr).copied();
         }
-        let found = if corrs.get(cursor) == Some(corr) {
+        let found = if kernels.get(cursor).is_some_and(|k| k.correlation == corr) {
             Some(cursor)
         } else {
-            corrs.binary_search(corr).ok()
+            kernels.binary_search_by_key(&corr, |k| k.correlation).ok()
         };
         if let Some(k) = found {
             cursor = k + 1;
@@ -488,13 +494,13 @@ mod tests {
     }
 
     /// Correlation pairing must not depend on which lookup path the
-    /// ascending-scan gate picks: a trace with shuffled correlation IDs
-    /// (map fallback) and its sorted twin (binary-search fast path) must
-    /// both pair every launch with the kernel carrying its ID.
+    /// ascending-correlation gate picks: a trace with shuffled correlation
+    /// IDs (map fallback) and its sorted twin (binary-search fast path)
+    /// must both pair every launch with the kernel carrying its ID.
     #[test]
     fn correlation_pairing_agrees_across_lookup_paths() {
         // 0, 7, 14, ... shuffled via a fixed permutation step so the
-        // column is NOT ascending; the sorted twin uses the same IDs in
+        // kernels are NOT ascending; the sorted twin uses the same IDs in
         // ascending order.
         let ids: Vec<u64> = (0..50u64).map(|i| (i * 37) % 101).collect();
         let mut sorted_ids = ids.clone();
@@ -521,14 +527,50 @@ mod tests {
                 });
             }
             let g = DependencyGraph::build(&t);
-            let kernel_corrs = t.kernels().correlations();
             for (li, link) in g.launches().iter().enumerate() {
-                let want = kernel_corrs
-                    .iter()
-                    .position(|c| *c == t.launches().correlations()[li]);
+                let corr = t.launches()[li].correlation;
+                let want = t.kernels().iter().position(|k| k.correlation == corr);
                 assert_eq!(link.kernel_idx, want, "launch {li}");
             }
         }
+    }
+
+    /// The cursor gate is strict: two kernels sharing a correlation send the
+    /// pairing down the map path, where the later kernel wins, while the
+    /// same launches over strictly ascending kernels pair through the cursor.
+    #[test]
+    fn duplicated_correlation_pairs_with_the_later_kernel() {
+        let pair = |kernel_corrs: &[u64]| {
+            let mut t = Trace::new(TraceMeta::default());
+            let launch = t.intern("cudaLaunchKernel");
+            let k = t.intern("k");
+            for c in 1..=3u64 {
+                t.push_launch(RuntimeLaunchEvent {
+                    name: launch,
+                    thread: ThreadId::MAIN,
+                    begin: ns(c * 10),
+                    end: ns(c * 10 + 1),
+                    correlation: CorrelationId::new(c),
+                });
+            }
+            for (i, &c) in kernel_corrs.iter().enumerate() {
+                let at = 100 + i as u64 * 10;
+                t.push_kernel(KernelEvent {
+                    name: k,
+                    stream: StreamId::DEFAULT,
+                    begin: ns(at),
+                    end: ns(at + 5),
+                    correlation: CorrelationId::new(c),
+                });
+            }
+            let g = DependencyGraph::build(&t);
+            g.launches()
+                .iter()
+                .map(|l| l.kernel_idx)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(pair(&[1, 2, 2, 3]), [Some(0), Some(2), Some(3)]);
+        assert_eq!(pair(&[1, 2, 3]), [Some(0), Some(1), Some(2)]);
     }
 
     /// A copy of `t` with operator `i`'s id replaced by `id_of(i)`.
@@ -543,10 +585,10 @@ mod tests {
                 ..*op
             });
         }
-        for l in t.launches() {
+        for &l in t.launches() {
             out.push_launch(l);
         }
-        for k in t.kernels() {
+        for &k in t.kernels() {
             out.push_kernel(k);
         }
         out
@@ -735,13 +777,17 @@ mod tests {
                 correlation: CorrelationId::new(c),
             });
         }
-        let kernel_corrs = t.kernels().correlations();
-        assert!(crate::scan::is_strictly_ascending(kernel_corrs));
+        assert!(
+            t.kernels()
+                .windows(2)
+                .all(|w| w[0].correlation < w[1].correlation),
+            "ascending correlations take the cursor"
+        );
         let g = DependencyGraph::build(&t);
         let mut unpaired = 0;
         for (li, link) in g.launches().iter().enumerate() {
-            let corr = t.launches().correlations()[li];
-            let want = kernel_corrs.iter().position(|&c| c == corr);
+            let corr = t.launches()[li].correlation;
+            let want = t.kernels().iter().position(|k| k.correlation == corr);
             assert_eq!(link.kernel_idx, want, "launch {li} ({corr})");
             unpaired += usize::from(want.is_none());
         }

@@ -47,15 +47,12 @@
 
 mod attribution;
 mod boundedness;
-mod compare;
 mod depgraph;
 mod metrics;
-pub mod scan;
 mod topk;
 
 pub use attribution::{attribute_to_operators, attribute_with_graph, OpStat};
 pub use boundedness::{classify_sweep, Boundedness, SweepClassification, SweepPoint};
-pub use compare::ReportDelta;
 pub use depgraph::{DependencyGraph, LaunchLink, OpRef};
 pub use metrics::ProfileReport;
 pub use topk::{top_kernels, KernelStat};

@@ -58,40 +58,42 @@ impl ProfileReport {
     pub fn analyze_with_graph(trace: &Trace, graph: &DependencyGraph) -> Self {
         let launches = trace.launches();
         let kernels = trace.kernels();
-        // Every equation below reads timestamps only, so scan the SoA
-        // columns directly — contiguous u64 arrays, one cache line per 8
-        // events — instead of materializing event structs.
-        let launch_begins = launches.begins();
-        let kernel_begins = kernels.begins();
-        let kernel_ends = kernels.ends();
 
         // Eq. 1–2: per-kernel launch+queue time, summed.
         let mut tklqt = SimDuration::ZERO;
         for link in graph.launches() {
             if let Some(kidx) = link.kernel_idx {
-                tklqt +=
-                    kernel_begins[kidx].saturating_duration_since(launch_begins[link.launch_idx]);
+                tklqt += kernels[kidx]
+                    .begin
+                    .saturating_duration_since(launches[link.launch_idx].begin);
             }
         }
 
-        // Eq. 3: average kernel duration — an 8-lane chunked column sum
-        // (see `scan`) over the paired begin/end columns.
-        let total_kernel_time = crate::scan::sum_deltas(kernel_ends, kernel_begins);
+        // Eq. 3: average kernel duration. A kernel that ends before it
+        // begins (possible in a hand-built or unvalidated trace) counts
+        // zero time rather than panicking. The sum runs over plain
+        // nanoseconds: a `SimDuration` sum checks for overflow at every
+        // kernel, and that read slower in the traced profile sweep.
+        let total_kernel_time = SimDuration::from_nanos(
+            kernels
+                .iter()
+                .map(|k| k.end.saturating_duration_since(k.begin).as_nanos())
+                .sum(),
+        );
         let akd = if kernels.is_empty() {
             SimDuration::ZERO
         } else {
             total_kernel_time / kernels.len() as u64
         };
 
-        // Eq. 4: inference latency. CPU ops are AoS (struct scan); the
-        // kernel-end column reduces through the vectorized max.
+        // Eq. 4: inference latency.
         let first_op_begin = trace
             .cpu_ops()
             .iter()
             .map(|o| o.begin)
             .min()
             .unwrap_or(SimTime::ZERO);
-        let last_kernel_end = crate::scan::max_time(kernel_ends);
+        let last_kernel_end = kernels.iter().map(|k| k.end).max();
         let inference_latency = match last_kernel_end {
             Some(end) => end.saturating_duration_since(first_op_begin),
             None => trace.span(),
@@ -100,15 +102,12 @@ impl ProfileReport {
         // Eq. 5: GPU idle.
         let gpu_idle = inference_latency.saturating_sub(total_kernel_time);
 
-        // CPU busy span: first op begin to last CPU-side event end. The
-        // launch-end column reduces vectorized; the AoS op ends stay scalar.
+        // CPU busy span: first op begin to last CPU-side event end.
         let last_cpu_end = trace
             .cpu_ops()
             .iter()
             .map(|o| o.end)
-            .max()
-            .into_iter()
-            .chain(crate::scan::max_time(launches.ends()))
+            .chain(launches.iter().map(|l| l.end))
             .max();
         let cpu_busy = match last_cpu_end {
             Some(end) => end.saturating_duration_since(first_op_begin),
@@ -251,6 +250,38 @@ mod tests {
         assert_eq!(r.cpu_idle, SimDuration::from_nanos(160));
         assert_eq!(r.inference_latency, SimDuration::from_nanos(200));
         assert!((r.gpu_utilization() - 0.75).abs() < 1e-12);
+    }
+
+    /// A kernel that ends before it begins (a hand-built or unvalidated
+    /// trace) counts zero time in the report and in operator attribution,
+    /// and panics neither.
+    #[test]
+    fn inverted_kernel_counts_zero_time() {
+        let mut t = two_kernel_trace();
+        let launch = t.intern("cudaLaunchKernel");
+        let k = t.intern("k");
+        t.push_launch(RuntimeLaunchEvent {
+            name: launch,
+            thread: ThreadId::MAIN,
+            begin: ns(40),
+            end: ns(45),
+            correlation: CorrelationId::new(3),
+        });
+        t.push_kernel(KernelEvent {
+            name: k,
+            stream: StreamId::DEFAULT,
+            begin: ns(95),
+            end: ns(92),
+            correlation: CorrelationId::new(3),
+        });
+        let r = ProfileReport::analyze(&t);
+        // Only the two well-formed kernels' 30 + 30 count.
+        assert_eq!(r.total_kernel_time, SimDuration::from_nanos(60));
+        assert_eq!(r.akd, SimDuration::from_nanos(20));
+        let stats = crate::attribute_to_operators(&t);
+        assert_eq!(stats.len(), 1);
+        assert_eq!(stats[0].kernels, 3);
+        assert_eq!(stats[0].gpu_time, SimDuration::from_nanos(60));
     }
 
     #[test]

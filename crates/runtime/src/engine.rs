@@ -448,7 +448,7 @@ mod tests {
         let t = engine.run(&wl(1), ExecMode::Eager);
         let overhead = platform.launch_overhead();
         // Skip the memcpy launch (no kernel); inspect the first real kernel.
-        let k = t.kernels().get(0);
+        let k = t.kernels()[0];
         let l = t
             .launches()
             .iter()

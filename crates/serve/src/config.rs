@@ -217,6 +217,10 @@ pub enum ConfigError {
     /// `prompt_len` was zero: an empty prompt never prefills, so no first
     /// token is ever stamped.
     ZeroPromptLen,
+    /// `new_tokens` was zero: every request emits at least its first token,
+    /// so a zero-output request would be served and billed as a one-token
+    /// one.
+    ZeroNewTokens,
     /// `prompt_len + new_tokens` is longer than the price grid's `2^31`
     /// tokens.
     RequestTooLong(
@@ -253,6 +257,7 @@ impl fmt::Display for ConfigError {
                 f.write_str(&check::positive_rate("arrival rate", rate))
             }
             ConfigError::ZeroPromptLen => f.write_str(&check::at_least_one("prompt_len")),
+            ConfigError::ZeroNewTokens => f.write_str(&check::at_least_one("new_tokens")),
             ConfigError::RequestTooLong(tokens) => f.write_str(&check::too_long(tokens)),
             ConfigError::ZeroStaticBatch => f.write_str(&check::at_least_one("static batch_size")),
             ConfigError::ZeroContinuousBatch => {
@@ -299,6 +304,9 @@ impl ServingConfig {
         if self.prompt_len == 0 {
             return Err(ConfigError::ZeroPromptLen);
         }
+        if self.new_tokens == 0 {
+            return Err(ConfigError::ZeroNewTokens);
+        }
         if let Some(tokens) = check::overlong(self.prompt_len, self.new_tokens) {
             return Err(ConfigError::RequestTooLong(tokens));
         }
@@ -330,8 +338,7 @@ impl ServingConfig {
                 return Err(ConfigError::ZeroBlockTokens);
             }
             let spec = KvSpec::for_model(&self.model, kv.block_tokens);
-            let needed =
-                spec.blocks_for(u64::from(self.prompt_len) + u64::from(self.new_tokens.max(1)));
+            let needed = spec.blocks_for(u64::from(self.prompt_len) + u64::from(self.new_tokens));
             if kv.blocks_per_replica < needed {
                 return Err(ConfigError::KvPoolTooSmall {
                     blocks: kv.blocks_per_replica,
@@ -384,6 +391,10 @@ mod tests {
         let mut c = valid();
         c.prompt_len = 0;
         assert_eq!(c.validate(), Err(ConfigError::ZeroPromptLen));
+
+        let mut c = valid();
+        c.new_tokens = 0;
+        assert_eq!(c.validate(), Err(ConfigError::ZeroNewTokens));
 
         // The price grid's top point is fine; one token past it is not.
         let mut c = valid();

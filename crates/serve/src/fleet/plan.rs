@@ -1174,6 +1174,12 @@ mod tests {
             Err(PlanError::Fleet(FleetError::ZeroPromptLen))
         );
         let mut bad = ok.clone();
+        bad.envelope.new_tokens = 0;
+        assert_eq!(
+            bad.validate(),
+            Err(PlanError::Fleet(FleetError::ZeroNewTokens))
+        );
+        let mut bad = ok.clone();
         bad.envelope.prompt_len = 3_000_000_000;
         bad.envelope.new_tokens = 8;
         assert_eq!(

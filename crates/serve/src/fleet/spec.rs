@@ -375,6 +375,10 @@ pub enum FleetError {
     /// `prompt_len` was zero: an empty prompt never prefills, so no first
     /// token is ever stamped.
     ZeroPromptLen,
+    /// `new_tokens` was zero: every request emits at least its first token,
+    /// so a zero-output request would be served and billed as a one-token
+    /// one.
+    ZeroNewTokens,
     /// `prompt_len + new_tokens` is longer than the price grid's `2^31`
     /// tokens.
     RequestTooLong(
@@ -413,6 +417,7 @@ impl fmt::Display for FleetError {
             }
             FleetError::ZeroRequests => f.write_str(check::ZERO_REQUESTS),
             FleetError::ZeroPromptLen => f.write_str(&check::at_least_one("prompt_len")),
+            FleetError::ZeroNewTokens => f.write_str(&check::at_least_one("new_tokens")),
             FleetError::RequestTooLong(tokens) => f.write_str(&check::too_long(*tokens)),
             FleetError::ZeroMaxBatch => f.write_str(&check::at_least_one("max_batch")),
             FleetError::ZeroChunkTokens => {
@@ -457,6 +462,9 @@ impl FleetConfig {
         }
         if self.prompt_len == 0 {
             return Err(FleetError::ZeroPromptLen);
+        }
+        if self.new_tokens == 0 {
+            return Err(FleetError::ZeroNewTokens);
         }
         if let Some(tokens) = check::overlong(self.prompt_len, self.new_tokens) {
             return Err(FleetError::RequestTooLong(tokens));
@@ -565,6 +573,10 @@ mod tests {
         let mut c = valid();
         c.prompt_len = 0;
         assert_eq!(c.validate(), Err(FleetError::ZeroPromptLen));
+
+        let mut c = valid();
+        c.new_tokens = 0;
+        assert_eq!(c.validate(), Err(FleetError::ZeroNewTokens));
 
         let mut c = valid();
         c.prompt_len = 3_000_000_000;

@@ -213,11 +213,14 @@ mod tests {
     }
 
     /// A config under enough memory pressure to force preemptions:
-    /// Llama-2-7B with ~900-token contexts and a pool that admits two
-    /// prompts but cannot hold two full lifetimes. At this context size
-    /// the PCIe gen4 swap round-trip (~34 ms) exceeds a re-prefill
-    /// (~28 ms) while NVLink-C2C swaps in ~2 ms — the coupling asymmetry
-    /// the offload policy is meant to exploit.
+    /// Llama-2-7B with 1024-token prompts and 128 output tokens, and a
+    /// pool that admits two prompts but cannot hold two full lifetimes. A
+    /// victim holds 1024–1152 tokens (512–576 MiB of KV). On this
+    /// intel_h100 its PCIe gen5 swap round trip prices at ~17–19 ms
+    /// (`swap_cost`), well under a ~55–67 ms re-prefill
+    /// (`LatencyModel::prefill` at batch 1), so `OffloadPolicy::Auto`
+    /// resolves every eviction to a swap; only `OffloadPolicy::Recompute`
+    /// exercises the recompute path.
     fn pressured_cfg(offload: OffloadPolicy) -> ServingConfig {
         let mut cfg = base_cfg(Policy::Continuous { max_batch: 4 });
         cfg.model = zoo::llama2_7b();

@@ -652,12 +652,9 @@ mod tests {
         // One preempt→resume flow pair.
         assert_eq!(t.launches().len(), 1);
         assert_eq!(t.kernels().len(), 1);
-        assert_eq!(
-            t.launches().get(0).correlation,
-            t.kernels().get(0).correlation
-        );
-        assert_eq!(t.launches().get(0).begin, ms(50));
-        assert_eq!(t.kernels().get(0).begin, ms(70));
+        assert_eq!(t.launches()[0].correlation, t.kernels()[0].correlation);
+        assert_eq!(t.launches()[0].begin, ms(50));
+        assert_eq!(t.kernels()[0].begin, ms(70));
         // Six counter tracks (kv tracked).
         assert_eq!(t.counters().len(), 6);
         assert!(t.counters().iter().any(|c| c.track == "kv_used_blocks"));
@@ -701,8 +698,8 @@ mod tests {
         );
         assert_eq!(t.launches().len(), 1);
         assert_eq!(t.kernels().len(), 1);
-        assert_eq!(t.name(t.launches().get(0).name), "kv_depart");
-        assert_eq!(t.name(t.kernels().get(0).name), "kv_land");
+        assert_eq!(t.name(t.launches()[0].name), "kv_depart");
+        assert_eq!(t.name(t.kernels()[0].name), "kv_land");
         assert_eq!(st.admitted_total(), 1);
         assert_eq!(st.completed_total(), 1);
     }

@@ -405,9 +405,9 @@ mod tests {
         assert_eq!(back.name(back.cpu_ops()[0].name), "aten::linear");
         assert_eq!(back.cpu_ops()[0].begin, SimTime::from_nanos(0));
         assert_eq!(back.cpu_ops()[0].end, SimTime::from_nanos(1_000));
-        assert_eq!(back.launches().get(0).correlation, CorrelationId::new(42));
-        assert_eq!(back.kernels().get(0).begin, SimTime::from_nanos(2_500));
-        assert_eq!(back.kernels().get(0).correlation, CorrelationId::new(42));
+        assert_eq!(back.launches()[0].correlation, CorrelationId::new(42));
+        assert_eq!(back.kernels()[0].begin, SimTime::from_nanos(2_500));
+        assert_eq!(back.kernels()[0].correlation, CorrelationId::new(42));
         back.validate().unwrap();
         // Semantic equality holds even though import interns in export
         // order, which may differ from the producer's interning order.

@@ -49,7 +49,7 @@
 //!     correlation: CorrelationId::new(1),
 //! });
 //! assert_eq!(trace.kernels().len(), 1);
-//! assert_eq!(trace.name(trace.kernels().get(0).name), "ampere_fp16_s16816gemm");
+//! assert_eq!(trace.name(trace.kernels()[0].name), "ampere_fp16_s16816gemm");
 //! trace.validate().unwrap();
 //! ```
 
@@ -67,4 +67,4 @@ pub use event::{CounterEvent, CpuOpEvent, KernelEvent, RuntimeLaunchEvent};
 pub use ids::{CorrelationId, NameId, OpId, StreamId, ThreadId};
 pub use names::NameTable;
 pub use sink::{summarize_trace, EventSink, KernelClassTag, RunSummary};
-pub use trace::{Kernels, Launches, Trace, TraceError, TraceMeta};
+pub use trace::{Trace, TraceError, TraceMeta};

@@ -242,10 +242,10 @@ pub fn summarize_trace(trace: &Trace) -> RunSummary {
         s.record_cpu_op(*ev);
     }
     for ev in trace.launches() {
-        s.record_launch(ev);
+        s.record_launch(*ev);
     }
     for ev in trace.kernels() {
-        s.record_kernel(ev, KernelClassTag::new(0));
+        s.record_kernel(*ev, KernelClassTag::new(0));
     }
     s
 }

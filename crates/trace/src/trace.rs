@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 use skip_des::{SimDuration, SimTime};
 
 use crate::event::{CounterEvent, CpuOpEvent, KernelEvent, RuntimeLaunchEvent};
-use crate::ids::{CorrelationId, NameId, StreamId, ThreadId};
+use crate::ids::{CorrelationId, NameId, StreamId};
 use crate::names::NameTable;
 
 /// Descriptive metadata attached to a trace: which workload, which platform,
@@ -93,343 +93,6 @@ impl fmt::Display for TraceError {
 
 impl Error for TraceError {}
 
-/// Column-major (struct-of-arrays) storage for the launch array: each field
-/// of [`RuntimeLaunchEvent`] lives in its own contiguous `Vec`, so analyses
-/// that scan one field — the attribution sweep reads only the timestamp
-/// columns — walk dense cache lines instead of striding over whole event
-/// structs. Serialized as the row-major event list it replaced (see the
-/// manual `Serialize`/`Deserialize` impls below), so the JSON encoding is
-/// byte-identical to the AoS layout.
-#[derive(Debug, Clone, Default)]
-struct LaunchColumns {
-    names: Vec<NameId>,
-    threads: Vec<ThreadId>,
-    begins: Vec<SimTime>,
-    ends: Vec<SimTime>,
-    correlations: Vec<CorrelationId>,
-}
-
-impl LaunchColumns {
-    fn len(&self) -> usize {
-        self.begins.len()
-    }
-
-    fn reserve(&mut self, additional: usize) {
-        self.names.reserve(additional);
-        self.threads.reserve(additional);
-        self.begins.reserve(additional);
-        self.ends.reserve(additional);
-        self.correlations.reserve(additional);
-    }
-
-    fn push(&mut self, ev: RuntimeLaunchEvent) {
-        self.names.push(ev.name);
-        self.threads.push(ev.thread);
-        self.begins.push(ev.begin);
-        self.ends.push(ev.end);
-        self.correlations.push(ev.correlation);
-    }
-
-    fn get(&self, i: usize) -> RuntimeLaunchEvent {
-        RuntimeLaunchEvent {
-            name: self.names[i],
-            thread: self.threads[i],
-            begin: self.begins[i],
-            end: self.ends[i],
-            correlation: self.correlations[i],
-        }
-    }
-}
-
-impl From<Vec<RuntimeLaunchEvent>> for LaunchColumns {
-    fn from(rows: Vec<RuntimeLaunchEvent>) -> Self {
-        let mut cols = LaunchColumns::default();
-        cols.reserve(rows.len());
-        for ev in rows {
-            cols.push(ev);
-        }
-        cols
-    }
-}
-
-impl From<LaunchColumns> for Vec<RuntimeLaunchEvent> {
-    fn from(cols: LaunchColumns) -> Self {
-        (0..cols.len()).map(|i| cols.get(i)).collect()
-    }
-}
-
-// Columns encode as the row-major event list they replaced, keeping the
-// serialized trace format identical to the AoS layout.
-impl Serialize for LaunchColumns {
-    fn to_value(&self) -> serde::Value {
-        let rows: Vec<RuntimeLaunchEvent> = (0..self.len()).map(|i| self.get(i)).collect();
-        rows.to_value()
-    }
-}
-
-impl<'de> Deserialize<'de> for LaunchColumns {
-    fn from_value(value: &'de serde::Value) -> Result<Self, serde::DeError> {
-        Ok(Vec::<RuntimeLaunchEvent>::from_value(value)?.into())
-    }
-}
-
-/// Column-major (struct-of-arrays) storage for the kernel array; see
-/// [`LaunchColumns`] for the layout rationale and serialization contract.
-#[derive(Debug, Clone, Default)]
-struct KernelColumns {
-    names: Vec<NameId>,
-    streams: Vec<StreamId>,
-    begins: Vec<SimTime>,
-    ends: Vec<SimTime>,
-    correlations: Vec<CorrelationId>,
-}
-
-impl KernelColumns {
-    fn len(&self) -> usize {
-        self.begins.len()
-    }
-
-    fn reserve(&mut self, additional: usize) {
-        self.names.reserve(additional);
-        self.streams.reserve(additional);
-        self.begins.reserve(additional);
-        self.ends.reserve(additional);
-        self.correlations.reserve(additional);
-    }
-
-    fn push(&mut self, ev: KernelEvent) {
-        self.names.push(ev.name);
-        self.streams.push(ev.stream);
-        self.begins.push(ev.begin);
-        self.ends.push(ev.end);
-        self.correlations.push(ev.correlation);
-    }
-
-    fn get(&self, i: usize) -> KernelEvent {
-        KernelEvent {
-            name: self.names[i],
-            stream: self.streams[i],
-            begin: self.begins[i],
-            end: self.ends[i],
-            correlation: self.correlations[i],
-        }
-    }
-}
-
-impl From<Vec<KernelEvent>> for KernelColumns {
-    fn from(rows: Vec<KernelEvent>) -> Self {
-        let mut cols = KernelColumns::default();
-        cols.reserve(rows.len());
-        for ev in rows {
-            cols.push(ev);
-        }
-        cols
-    }
-}
-
-impl From<KernelColumns> for Vec<KernelEvent> {
-    fn from(cols: KernelColumns) -> Self {
-        (0..cols.len()).map(|i| cols.get(i)).collect()
-    }
-}
-
-impl Serialize for KernelColumns {
-    fn to_value(&self) -> serde::Value {
-        let rows: Vec<KernelEvent> = (0..self.len()).map(|i| self.get(i)).collect();
-        rows.to_value()
-    }
-}
-
-impl<'de> Deserialize<'de> for KernelColumns {
-    fn from_value(value: &'de serde::Value) -> Result<Self, serde::DeError> {
-        Ok(Vec::<KernelEvent>::from_value(value)?.into())
-    }
-}
-
-/// Borrowed view over the trace's launch columns.
-///
-/// Iterating (`for l in trace.launches()`) yields *owned*
-/// [`RuntimeLaunchEvent`]s materialized from the columns — events are
-/// `Copy`, so this costs the same loads the AoS layout did. Sweeps that
-/// only need one field should read the column accessors
-/// ([`Launches::begins`], [`Launches::ends`], …) directly: those are the
-/// contiguous arrays the struct-of-arrays layout exists for.
-#[derive(Clone, Copy)]
-pub struct Launches<'a> {
-    cols: &'a LaunchColumns,
-}
-
-impl<'a> Launches<'a> {
-    /// Number of launch events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// `true` if there are no launch events.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cols.len() == 0
-    }
-
-    /// The `i`-th launch event, materialized from the columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range (like slice indexing).
-    #[must_use]
-    pub fn get(&self, i: usize) -> RuntimeLaunchEvent {
-        self.cols.get(i)
-    }
-
-    /// The first launch event, if any.
-    #[must_use]
-    pub fn first(&self) -> Option<RuntimeLaunchEvent> {
-        (!self.is_empty()).then(|| self.get(0))
-    }
-
-    /// The last launch event, if any.
-    #[must_use]
-    pub fn last(&self) -> Option<RuntimeLaunchEvent> {
-        self.len().checked_sub(1).map(|i| self.get(i))
-    }
-
-    /// Iterates over launch events in insertion order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = RuntimeLaunchEvent> + 'a {
-        let cols = self.cols;
-        (0..cols.len()).map(move |i| cols.get(i))
-    }
-
-    /// The interned-name column.
-    #[must_use]
-    pub fn names(&self) -> &'a [NameId] {
-        &self.cols.names
-    }
-
-    /// The thread column.
-    #[must_use]
-    pub fn threads(&self) -> &'a [ThreadId] {
-        &self.cols.threads
-    }
-
-    /// The begin-timestamp column.
-    #[must_use]
-    pub fn begins(&self) -> &'a [SimTime] {
-        &self.cols.begins
-    }
-
-    /// The end-timestamp column.
-    #[must_use]
-    pub fn ends(&self) -> &'a [SimTime] {
-        &self.cols.ends
-    }
-
-    /// The correlation-id column.
-    #[must_use]
-    pub fn correlations(&self) -> &'a [CorrelationId] {
-        &self.cols.correlations
-    }
-}
-
-impl<'a> IntoIterator for Launches<'a> {
-    type Item = RuntimeLaunchEvent;
-    type IntoIter = Box<dyn ExactSizeIterator<Item = RuntimeLaunchEvent> + 'a>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        let cols = self.cols;
-        Box::new((0..cols.len()).map(move |i| cols.get(i)))
-    }
-}
-
-/// Borrowed view over the trace's kernel columns; see [`Launches`] for the
-/// iteration/column-access contract.
-#[derive(Clone, Copy)]
-pub struct Kernels<'a> {
-    cols: &'a KernelColumns,
-}
-
-impl<'a> Kernels<'a> {
-    /// Number of kernel events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// `true` if there are no kernel events.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cols.len() == 0
-    }
-
-    /// The `i`-th kernel event, materialized from the columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range (like slice indexing).
-    #[must_use]
-    pub fn get(&self, i: usize) -> KernelEvent {
-        self.cols.get(i)
-    }
-
-    /// The first kernel event, if any.
-    #[must_use]
-    pub fn first(&self) -> Option<KernelEvent> {
-        (!self.is_empty()).then(|| self.get(0))
-    }
-
-    /// The last kernel event, if any.
-    #[must_use]
-    pub fn last(&self) -> Option<KernelEvent> {
-        self.len().checked_sub(1).map(|i| self.get(i))
-    }
-
-    /// Iterates over kernel events in insertion order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = KernelEvent> + 'a {
-        let cols = self.cols;
-        (0..cols.len()).map(move |i| cols.get(i))
-    }
-
-    /// The interned-name column.
-    #[must_use]
-    pub fn names(&self) -> &'a [NameId] {
-        &self.cols.names
-    }
-
-    /// The stream column.
-    #[must_use]
-    pub fn streams(&self) -> &'a [StreamId] {
-        &self.cols.streams
-    }
-
-    /// The begin-timestamp column.
-    #[must_use]
-    pub fn begins(&self) -> &'a [SimTime] {
-        &self.cols.begins
-    }
-
-    /// The end-timestamp column.
-    #[must_use]
-    pub fn ends(&self) -> &'a [SimTime] {
-        &self.cols.ends
-    }
-
-    /// The correlation-id column.
-    #[must_use]
-    pub fn correlations(&self) -> &'a [CorrelationId] {
-        &self.cols.correlations
-    }
-}
-
-impl<'a> IntoIterator for Kernels<'a> {
-    type Item = KernelEvent;
-    type IntoIter = Box<dyn ExactSizeIterator<Item = KernelEvent> + 'a>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        let cols = self.cols;
-        Box::new((0..cols.len()).map(move |i| cols.get(i)))
-    }
-}
-
 /// A complete profiled-inference trace: CPU operator events, runtime launch
 /// calls and GPU kernel executions, plus metadata.
 ///
@@ -437,14 +100,9 @@ impl<'a> IntoIterator for Kernels<'a> {
 /// per thread/stream (as a real profiler does), and consumers that need
 /// global orderings sort themselves.
 ///
-/// The launch and kernel arrays — the hot arrays every analysis sweeps —
-/// are stored column-major (struct-of-arrays): one contiguous `Vec` per
-/// field. [`Trace::launches`]/[`Trace::kernels`] return lightweight views
-/// that iterate owned events for row-style consumers and expose the raw
-/// timestamp/name/correlation columns for sweeps. CPU operator events stay
-/// row-major: they are consumed whole (hierarchy recovery needs every
-/// field). The serialized form is unchanged — columns encode as the
-/// row-major event lists they replaced.
+/// Each event kind is one `Vec` of its event type, read back as a slice
+/// ([`Trace::cpu_ops`], [`Trace::launches`], [`Trace::kernels`],
+/// [`Trace::counters`]) and serialized as a list of event objects.
 ///
 /// Event names are interned in the trace's [`NameTable`]: producers call
 /// [`Trace::intern`] before pushing an event, consumers resolve with
@@ -460,8 +118,8 @@ pub struct Trace {
     #[serde(default)]
     names: NameTable,
     cpu_ops: Vec<CpuOpEvent>,
-    launches: LaunchColumns,
-    kernels: KernelColumns,
+    launches: Vec<RuntimeLaunchEvent>,
+    kernels: Vec<KernelEvent>,
     /// Absent from traces serialized before counter support existed.
     #[serde(default)]
     counters: Vec<CounterEvent>,
@@ -510,25 +168,21 @@ impl Trace {
         &self.cpu_ops
     }
 
-    /// Runtime launch events in insertion order, as a column view.
+    /// Runtime launch events in insertion order.
     #[must_use]
-    pub fn launches(&self) -> Launches<'_> {
-        Launches {
-            cols: &self.launches,
-        }
+    pub fn launches(&self) -> &[RuntimeLaunchEvent] {
+        &self.launches
     }
 
-    /// Kernel events in insertion order, as a column view.
+    /// Kernel events in insertion order.
     #[must_use]
-    pub fn kernels(&self) -> Kernels<'_> {
-        Kernels {
-            cols: &self.kernels,
-        }
+    pub fn kernels(&self) -> &[KernelEvent] {
+        &self.kernels
     }
 
     /// Reserves room for at least this many more CPU operator, launch and
     /// kernel events, so a producer that knows its event counts up front
-    /// fills each column without regrowing it.
+    /// fills each array without regrowing it.
     pub(crate) fn reserve(&mut self, cpu_ops: usize, launches: usize, kernels: usize) {
         self.cpu_ops.reserve(cpu_ops);
         self.launches.reserve(launches);
@@ -565,8 +219,8 @@ impl Trace {
     #[must_use]
     pub fn first_timestamp(&self) -> Option<SimTime> {
         let ops = self.cpu_ops.iter().map(|e| e.begin);
-        let ls = self.launches.begins.iter().copied();
-        let ks = self.kernels.begins.iter().copied();
+        let ls = self.launches.iter().map(|e| e.begin);
+        let ks = self.kernels.iter().map(|e| e.begin);
         let cs = self.counters.iter().map(|e| e.at);
         ops.chain(ls).chain(ks).chain(cs).min()
     }
@@ -575,8 +229,8 @@ impl Trace {
     #[must_use]
     pub fn last_timestamp(&self) -> Option<SimTime> {
         let ops = self.cpu_ops.iter().map(|e| e.end);
-        let ls = self.launches.ends.iter().copied();
-        let ks = self.kernels.ends.iter().copied();
+        let ls = self.launches.iter().map(|e| e.end);
+        let ks = self.kernels.iter().map(|e| e.end);
         let cs = self.counters.iter().map(|e| e.at);
         ops.chain(ls).chain(ks).chain(cs).max()
     }
@@ -605,16 +259,18 @@ impl Trace {
     /// The set of streams that executed at least one kernel, ascending.
     #[must_use]
     pub fn streams(&self) -> Vec<StreamId> {
-        let set: BTreeSet<StreamId> = self.kernels.streams.iter().copied().collect();
+        let set: BTreeSet<StreamId> = self.kernels.iter().map(|k| k.stream).collect();
         set.into_iter().collect()
     }
 
     /// Kernels of one stream, sorted by begin time.
     #[must_use]
     pub fn kernels_on(&self, stream: StreamId) -> Vec<KernelEvent> {
-        let mut ks: Vec<KernelEvent> = (0..self.kernels.len())
-            .filter(|&i| self.kernels.streams[i] == stream)
-            .map(|i| self.kernels.get(i))
+        let mut ks: Vec<KernelEvent> = self
+            .kernels
+            .iter()
+            .filter(|k| k.stream == stream)
+            .copied()
             .collect();
         ks.sort_by_key(|k| (k.begin, k.correlation));
         ks
@@ -641,26 +297,22 @@ impl Trace {
         // Correlation id → launch begin, for the kernel-after-launch check
         // below (a map lookup per kernel, not a scan per kernel).
         let mut launch_begins = std::collections::BTreeMap::new();
-        for i in 0..self.launches.len() {
-            let corr = self.launches.correlations[i];
-            resolve(self.launches.names[i])?;
-            if self.launches.ends[i] < self.launches.begins[i] {
+        for l in &self.launches {
+            resolve(l.name)?;
+            if l.end < l.begin {
                 return Err(TraceError::NegativeDuration {
-                    what: format!("launch {corr}"),
+                    what: format!("launch {}", l.correlation),
                 });
             }
-            if launch_begins
-                .insert(corr, self.launches.begins[i])
-                .is_some()
-            {
-                return Err(TraceError::DuplicateLaunchCorrelation(corr));
+            if launch_begins.insert(l.correlation, l.begin).is_some() {
+                return Err(TraceError::DuplicateLaunchCorrelation(l.correlation));
             }
         }
         let mut kernel_ids = BTreeSet::new();
-        for i in 0..self.kernels.len() {
-            let corr = self.kernels.correlations[i];
-            let name = resolve(self.kernels.names[i])?;
-            if self.kernels.ends[i] < self.kernels.begins[i] {
+        for k in &self.kernels {
+            let corr = k.correlation;
+            let name = resolve(k.name)?;
+            if k.end < k.begin {
                 return Err(TraceError::NegativeDuration {
                     what: format!("kernel {corr} ({name})"),
                 });
@@ -671,7 +323,7 @@ impl Trace {
             // Kernel must begin at or after the begin of its launch call.
             match launch_begins.get(&corr) {
                 None => return Err(TraceError::OrphanKernel(corr)),
-                Some(&launch_begin) if self.kernels.begins[i] < launch_begin => {
+                Some(&launch_begin) if k.begin < launch_begin => {
                     return Err(TraceError::KernelBeforeLaunch(corr));
                 }
                 Some(_) => {}
@@ -718,26 +370,20 @@ impl PartialEq for Trace {
                     && a.end == b.end
                     && self.names.get(a.name) == other.names.get(b.name)
             })
-            && self.launches.threads == other.launches.threads
-            && self.launches.begins == other.launches.begins
-            && self.launches.ends == other.launches.ends
-            && self.launches.correlations == other.launches.correlations
-            && self
-                .launches
-                .names
-                .iter()
-                .zip(&other.launches.names)
-                .all(|(&a, &b)| self.names.get(a) == other.names.get(b))
-            && self.kernels.streams == other.kernels.streams
-            && self.kernels.begins == other.kernels.begins
-            && self.kernels.ends == other.kernels.ends
-            && self.kernels.correlations == other.kernels.correlations
-            && self
-                .kernels
-                .names
-                .iter()
-                .zip(&other.kernels.names)
-                .all(|(&a, &b)| self.names.get(a) == other.names.get(b))
+            && self.launches.iter().zip(&other.launches).all(|(a, b)| {
+                a.thread == b.thread
+                    && a.begin == b.begin
+                    && a.end == b.end
+                    && a.correlation == b.correlation
+                    && self.names.get(a.name) == other.names.get(b.name)
+            })
+            && self.kernels.iter().zip(&other.kernels).all(|(a, b)| {
+                a.stream == b.stream
+                    && a.begin == b.begin
+                    && a.end == b.end
+                    && a.correlation == b.correlation
+                    && self.names.get(a.name) == other.names.get(b.name)
+            })
     }
 }
 
@@ -802,8 +448,8 @@ mod tests {
     fn names_resolve_through_the_trace() {
         let t = sample_trace();
         assert_eq!(t.name(t.cpu_ops()[0].name), "aten::linear");
-        assert_eq!(t.name(t.launches().get(0).name), "cudaLaunchKernel");
-        assert_eq!(t.name(t.kernels().get(0).name), "gemm");
+        assert_eq!(t.name(t.launches()[0].name), "cudaLaunchKernel");
+        assert_eq!(t.name(t.kernels()[0].name), "gemm");
         assert_eq!(t.names().len(), 3);
     }
 
@@ -1000,7 +646,7 @@ mod tests {
         assert_eq!(t, back);
         // The id assignment itself round-trips too.
         assert_eq!(t.names(), back.names());
-        assert_eq!(t.kernels().get(0).name, back.kernels().get(0).name);
+        assert_eq!(t.kernels()[0].name, back.kernels()[0].name);
     }
 
     #[test]

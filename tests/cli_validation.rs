@@ -120,36 +120,74 @@ fn overlong_requests_are_errors_not_panics_in_every_serving_front() {
 /// A zero-length prompt used to pass validation and corrupt the run: the
 /// fleet's chunked prefill never stamped a first token (TTFT printed 0ns),
 /// single-node chunked prefill advanced such a request two tokens in its
-/// first iteration, and the planner printed a frontier. Every serving
-/// front now rejects it up front, naming `prompt_len`.
+/// first iteration, and the planner printed a frontier. A zero-output
+/// request was likewise served and billed as a one-token request, and the
+/// planner planned it. Every serving front now rejects both up front,
+/// naming the field.
 #[test]
 fn zero_length_prompts_are_errors_not_panics_in_every_serving_front() {
-    for argv in [
-        &["serve", "--model", "gpt2", "--seq", "0"][..],
-        &[
-            "serve", "--model", "gpt2", "--policy", "chunked", "--seq", "0",
-        ],
-        &[
-            "serve",
-            "--model",
-            "gpt2",
-            "--fleet",
-            "gh200:1",
-            "--policy",
-            "chunked",
-            "--seq",
-            "0",
-            "--tokens",
-            "8",
-            "--requests",
-            "20",
-        ],
-        &["plan", "--model", "gpt2", "--seq", "0"],
+    for (argv, field) in [
+        (
+            &["serve", "--model", "gpt2", "--seq", "0"][..],
+            "prompt_len",
+        ),
+        (
+            &[
+                "serve", "--model", "gpt2", "--policy", "chunked", "--seq", "0",
+            ],
+            "prompt_len",
+        ),
+        (
+            &[
+                "serve",
+                "--model",
+                "gpt2",
+                "--fleet",
+                "gh200:1",
+                "--policy",
+                "chunked",
+                "--seq",
+                "0",
+                "--tokens",
+                "8",
+                "--requests",
+                "20",
+            ],
+            "prompt_len",
+        ),
+        (&["plan", "--model", "gpt2", "--seq", "0"], "prompt_len"),
+        (
+            &[
+                "serve",
+                "--model",
+                "gpt2",
+                "--tokens",
+                "0",
+                "--requests",
+                "20",
+            ],
+            "new_tokens",
+        ),
+        (
+            &[
+                "serve",
+                "--model",
+                "gpt2",
+                "--fleet",
+                "gh200:1",
+                "--tokens",
+                "0",
+                "--requests",
+                "20",
+            ],
+            "new_tokens",
+        ),
+        (&["plan", "--model", "gpt2", "--tokens", "0"], "new_tokens"),
     ] {
         let got = skip_err(argv);
         assert!(
             got.starts_with("error: ")
-                && got.contains("prompt_len must be at least 1")
+                && got.contains(&format!("{field} must be at least 1"))
                 && !got.contains("panicked"),
             "skip {}: {got}",
             argv.join(" ")
