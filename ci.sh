@@ -15,6 +15,9 @@ cargo clippy --workspace --all-targets -- -D warnings -D dead_code
 echo "== cargo build --release =="
 cargo build --release --workspace
 
+echo "== cargo doc (deny warnings: broken and redundant intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo test (unit, integration and doctests) =="
 cargo test --workspace -q
 
@@ -51,6 +54,14 @@ serve_out=$(cargo run --release -p skip-suite --bin skip -- serve --model gpt2 \
   --platform gh200 --policy chunked --chunk-tokens 64 --router jsq --replicas 4 \
   --requests 40 --qps 100 --seq 256 --tokens 8 --slo-ttft-ms 200)
 grep -q "completed    : 40 requests" <<<"$serve_out"
+
+echo "== skip serve CLI (memory-aware chunked prefill under recompute pressure) =="
+kv_chunked_out=$(cargo run --release -p skip-suite --bin skip -- serve --model llama-2-7b \
+  --platform intel_h100 --policy chunked --chunk-tokens 256 --router jsq --replicas 2 \
+  --requests 16 --qps 50 --seq 1024 --tokens 128 --kv-blocks 142 --offload recompute)
+grep -q "completed    : 16 requests" <<<"$kv_chunked_out"
+grep -qF "KV pressure  : 26 preemptions (0 swapped, 0.0 MB moved; 29144 tokens recomputed) | peak occupancy 100%" \
+  <<<"$kv_chunked_out"
 
 echo "== skip serve CLI (disaggregated heterogeneous fleet with autoscaling) =="
 fleet_out=$(cargo run --release -p skip-suite --bin skip -- serve --model gpt2 \

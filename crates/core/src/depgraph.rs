@@ -29,8 +29,8 @@ use serde::{Deserialize, Serialize};
 use skip_des::SimTime;
 use skip_trace::{CorrelationId, CpuOpEvent, RuntimeLaunchEvent, ThreadId, Trace};
 
-/// Index of an operator within [`DependencyGraph::ops`] order (the trace's
-/// CPU-op order).
+/// Index of an operator in the trace's CPU-op order
+/// ([`Trace::cpu_ops`]).
 pub type OpRef = usize;
 
 /// A launch call resolved against the graph: which operator issued it and

@@ -15,8 +15,7 @@
 //! * [`Simulator`] — an event loop driving handlers that may schedule
 //!   further events.
 //! * [`FifoResource`] — a serial resource (a GPU stream, a CPU dispatch
-//!   thread) that admits work in first-come-first-served order and tracks
-//!   busy time for utilization accounting.
+//!   thread) that admits work in first-come-first-served order.
 //!
 //! # Example
 //!
@@ -49,5 +48,5 @@ pub use event::{EventQueue, Scheduled};
 pub use ids::IdAllocator;
 pub use resource::{Busy, FifoResource};
 pub use sim::{SimContext, Simulator};
-pub use stats::{mean, percentile, Summary};
+pub use stats::{mean, percentile};
 pub use time::{SimDuration, SimTime};

@@ -3,8 +3,8 @@
 //! A CUDA stream executes kernels strictly in submission order; a kernel
 //! starts at the later of (a) the instant it becomes available to the stream
 //! and (b) the instant the previous kernel finishes. [`FifoResource`]
-//! captures exactly that admission rule and additionally tracks busy
-//! intervals so utilization and idle time can be computed afterwards.
+//! captures exactly that admission rule and nothing more: it remembers only
+//! when it next falls free.
 
 use serde::{Deserialize, Serialize};
 
@@ -17,14 +17,6 @@ pub struct Busy {
     pub start: SimTime,
     /// End of the interval (exclusive).
     pub end: SimTime,
-}
-
-impl Busy {
-    /// Length of the interval.
-    #[must_use]
-    pub fn duration(&self) -> SimDuration {
-        self.end.duration_since(self.start)
-    }
 }
 
 /// A serial first-come-first-served resource.
@@ -41,13 +33,10 @@ impl Busy {
 /// // Second arrives at t=20 but must queue behind the first.
 /// let b = stream.admit(SimTime::from_nanos(20), SimDuration::from_nanos(50));
 /// assert_eq!(b.start, SimTime::from_nanos(110));
-/// assert_eq!(stream.busy_total(), SimDuration::from_nanos(150));
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FifoResource {
     free_at: SimTime,
-    intervals: Vec<Busy>,
-    busy_total: SimDuration,
 }
 
 impl FifoResource {
@@ -67,62 +56,7 @@ impl FifoResource {
         let start = available.max(self.free_at);
         let end = start + duration;
         self.free_at = end;
-        let busy = Busy { start, end };
-        if !duration.is_zero() {
-            self.intervals.push(busy);
-            self.busy_total += duration;
-        }
-        busy
-    }
-
-    /// The instant at which the resource next becomes free.
-    #[must_use]
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
-
-    /// Total busy time accumulated so far.
-    #[must_use]
-    pub fn busy_total(&self) -> SimDuration {
-        self.busy_total
-    }
-
-    /// The recorded busy intervals, in admission order.
-    #[must_use]
-    pub fn intervals(&self) -> &[Busy] {
-        &self.intervals
-    }
-
-    /// Idle time between the epoch and `horizon`, i.e. `horizon − busy`.
-    ///
-    /// Busy intervals on a FIFO resource never overlap, so the subtraction
-    /// is exact. Busy time beyond `horizon` is not counted.
-    #[must_use]
-    pub fn idle_until(&self, horizon: SimTime) -> SimDuration {
-        let mut busy_before = SimDuration::ZERO;
-        for iv in &self.intervals {
-            if iv.start >= horizon {
-                break;
-            }
-            let end = iv.end.min(horizon);
-            busy_before += end.duration_since(iv.start);
-        }
-        horizon
-            .duration_since(SimTime::ZERO)
-            .saturating_sub(busy_before)
-    }
-
-    /// Fraction of `[0, horizon)` the resource was busy, in `[0, 1]`.
-    ///
-    /// Returns 0 for a zero horizon.
-    #[must_use]
-    pub fn utilization_until(&self, horizon: SimTime) -> f64 {
-        let total = horizon.as_nanos();
-        if total == 0 {
-            return 0.0;
-        }
-        let idle = self.idle_until(horizon).as_nanos();
-        (total - idle) as f64 / total as f64
+        Busy { start, end }
     }
 }
 
@@ -153,44 +87,13 @@ mod tests {
         r.admit(ns(0), d(10));
         let b = r.admit(ns(50), d(5));
         assert_eq!(b.start, ns(50));
-        assert_eq!(r.busy_total(), d(15));
-        assert_eq!(r.idle_until(ns(55)), d(40));
-    }
-
-    #[test]
-    fn zero_duration_work_does_not_record_interval() {
-        let mut r = FifoResource::new();
-        let a = r.admit(ns(5), SimDuration::ZERO);
-        assert_eq!(a.start, a.end);
-        assert!(r.intervals().is_empty());
-        assert_eq!(r.busy_total(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn utilization_fraction() {
-        let mut r = FifoResource::new();
-        r.admit(ns(0), d(25));
-        r.admit(ns(75), d(25));
-        let u = r.utilization_until(ns(100));
-        assert!((u - 0.5).abs() < 1e-12, "u = {u}");
-        assert_eq!(r.utilization_until(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn idle_until_clips_at_horizon() {
-        let mut r = FifoResource::new();
-        r.admit(ns(0), d(100));
-        // Horizon in the middle of the busy interval: idle is zero.
-        assert_eq!(r.idle_until(ns(50)), SimDuration::ZERO);
+        assert_eq!(b.end, ns(55));
     }
 
     #[test]
     fn intervals_are_in_order_and_disjoint() {
         let mut r = FifoResource::new();
-        for i in 0..10 {
-            r.admit(ns(i * 3), d(5));
-        }
-        let iv = r.intervals();
+        let iv: Vec<Busy> = (0..10).map(|i| r.admit(ns(i * 3), d(5))).collect();
         for w in iv.windows(2) {
             assert!(w[0].end <= w[1].start);
         }

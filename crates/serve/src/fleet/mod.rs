@@ -4,9 +4,9 @@
 //! module answers the capacity-planning questions the paper's coupling
 //! taxonomy raises at fleet scale:
 //!
-//! * **Heterogeneous fleets** ([`spec`]) — a [`FleetSpec`](spec::FleetSpec)
-//!   mixes platforms (amd_a100 / intel_h100 / gh200 / mi300a) in one
-//!   fleet; each replica prices its iterations through its own platform's
+//! * **Heterogeneous fleets** ([`spec`]) — a [`FleetSpec`] mixes
+//!   platforms (amd_a100 / intel_h100 / gh200 / mi300a) in one fleet;
+//!   each replica prices its iterations through its own platform's
 //!   latency model, and routers either ignore that (round-robin, plain
 //!   JSQ) or weigh queue depth by the platform's per-request cost
 //!   (cost-model JSQ).

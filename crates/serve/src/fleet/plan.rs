@@ -109,7 +109,7 @@ impl TrafficEnvelope {
 
 /// Why a [`PlannerConfig`] cannot be planned — the planner twin of
 /// [`ConfigError`](crate::ConfigError) and
-/// [`FleetError`](crate::FleetError), surfaced by
+/// [`FleetError`], surfaced by
 /// [`PlannerConfig::validate`] before any candidate is built.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {

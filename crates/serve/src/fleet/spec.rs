@@ -238,7 +238,8 @@ pub enum FleetRouterPolicy {
     /// work weighted by the platform's per-request service estimate from
     /// its [`LatencyModel`](crate::LatencyModel), so a gh200 queue of 3
     /// and an amd_a100 queue of 3 are not the same thing. Degenerates to
-    /// [`JoinShortestQueue`] on a homogeneous fleet.
+    /// [`JoinShortestQueue`](Self::JoinShortestQueue) on a homogeneous
+    /// fleet.
     CostModelJsq,
 }
 

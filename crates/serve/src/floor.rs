@@ -219,8 +219,8 @@ mod tests {
     /// intel_h100 its PCIe gen5 swap round trip prices at ~17–19 ms
     /// (`swap_cost`), well under a ~55–67 ms re-prefill
     /// (`LatencyModel::prefill` at batch 1), so `OffloadPolicy::Auto`
-    /// resolves every eviction to a swap; only `OffloadPolicy::Recompute`
-    /// exercises the recompute path.
+    /// resolves every eviction to a swap until the link is slowed
+    /// (`auto_recomputes_when_the_link_is_slow`).
     fn pressured_cfg(offload: OffloadPolicy) -> ServingConfig {
         let mut cfg = base_cfg(Policy::Continuous { max_batch: 4 });
         cfg.model = zoo::llama2_7b();
@@ -388,6 +388,23 @@ mod tests {
         let rec = simulate(&pressured_cfg(OffloadPolicy::Recompute));
         assert_eq!(rec.swap_outs, 0);
         assert!(rec.recomputed_tokens > 0);
+    }
+
+    /// `Auto` prices both resolutions of each eviction and takes the
+    /// cheaper: over a 1 GB/s link a swap round trip costs more than the
+    /// re-prefill, so every eviction recomputes, exactly as `Recompute`.
+    #[test]
+    fn auto_recomputes_when_the_link_is_slow() {
+        let slow_link = |offload| {
+            let mut cfg = pressured_cfg(offload);
+            cfg.platform.interconnect.bandwidth_gbps = 1.0;
+            simulate(&cfg)
+        };
+        let auto = slow_link(OffloadPolicy::Auto);
+        assert!(auto.preemptions > 0, "overcommitted pool must preempt");
+        assert_eq!(auto.swap_outs, 0);
+        assert!(auto.recomputed_tokens > 0);
+        assert_eq!(auto, slow_link(OffloadPolicy::Recompute));
     }
 
     #[test]

@@ -18,12 +18,40 @@ use crate::floor::ServingReport;
 use crate::latency::LatencyModel;
 use crate::memctx::{MemLane, MemoryLayer};
 use crate::observe::{CounterSample, LifecycleKind, ServingTrace, SloReport};
-use crate::policy::{Active, Finished, PlanStep, ReplicaState};
+use crate::policy::{Active, Finished};
 use crate::request::{Request, RequestStream};
+
+/// One unit of work inside a chunked-prefill iteration plan, frozen.
+#[derive(Debug, Clone, Copy)]
+enum PlanStep {
+    /// Prefill `tokens` more prompt tokens of request `id`.
+    Chunk { id: u64, tokens: u32 },
+    /// One decode step for request `id`.
+    Decode { id: u64 },
+}
 
 fn plan_step_id(step: PlanStep) -> u64 {
     match step {
         PlanStep::Chunk { id, .. } | PlanStep::Decode { id } => id,
+    }
+}
+
+/// One replica's scheduling state, frozen.
+#[derive(Default)]
+struct ReplicaState {
+    /// Running batch (iteration-level policies).
+    actives: Vec<Active>,
+    /// In-flight static job: each request with its first-token instant.
+    static_job: Vec<(Request, SimTime)>,
+    /// The in-flight iteration's plan (chunked prefill).
+    plan: Vec<PlanStep>,
+    busy: bool,
+}
+
+impl ReplicaState {
+    /// Requests this replica is responsible for right now.
+    fn running(&self) -> usize {
+        self.actives.len() + self.static_job.len()
     }
 }
 
@@ -425,6 +453,9 @@ impl BatchPolicy for ChunkedPrefillBatch {
 
         let mut swap_stall = SimDuration::ZERO;
         if let Some(mem) = mem.as_mut() {
+            // The memory layer reports each victim's batch position; this
+            // id list moves in lockstep with the batch to recover its id.
+            let mut ids: Vec<u64> = state.actives.iter().map(|a| a.req.id).collect();
             swap_stall = mem.fit_and_grow(
                 &mut state.actives,
                 |a| {
@@ -434,7 +465,10 @@ impl BatchPolicy for ChunkedPrefillBatch {
                 lat,
                 now,
                 obs,
-                |victim| plan.retain(|s| plan_step_id(*s) != victim),
+                |victim| {
+                    let victim = ids.remove(victim);
+                    plan.retain(|s| plan_step_id(*s) != victim);
+                },
             );
         }
         for a in state.actives.iter() {

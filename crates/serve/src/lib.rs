@@ -111,6 +111,5 @@ pub use observe::{
     SloReport, SloTargets,
 };
 pub use request::{Request, RequestStream};
-pub use router::{ReplicaLoad, Router};
 pub use skip_mem::OffloadPolicy;
 pub use stop::{allowed_misses, StopCondition};

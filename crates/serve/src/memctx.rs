@@ -201,7 +201,8 @@ impl MemLane<'_> {
     ///
     /// `needs` maps an active to the token count its table must cover
     /// after this iteration (`None` = not growing). `on_evict` tells the
-    /// policy which request ids were removed from the running batch.
+    /// policy the position each victim held in `actives` when it was
+    /// removed, so state kept parallel to the batch can drop its entry.
     pub(crate) fn fit_and_grow(
         &mut self,
         actives: &mut Vec<Active>,
@@ -209,7 +210,7 @@ impl MemLane<'_> {
         lat: &LatencyModel,
         now: SimTime,
         obs: &mut impl RecordSink,
-        mut on_evict: impl FnMut(u64),
+        mut on_evict: impl FnMut(usize),
     ) -> SimDuration {
         let spec = &self.shared.spec;
         let mut swap_stall = SimDuration::ZERO;
@@ -232,9 +233,8 @@ impl MemLane<'_> {
                 .max_by_key(|(_, a)| a.req.id)
                 .map(|(i, _)| i)
                 .expect("active batch is non-empty");
-            let victim_id = actives[victim].req.id;
             swap_stall += self.preempt(victim, lat, now, actives, obs);
-            on_evict(victim_id);
+            on_evict(victim);
         }
         for a in actives.iter() {
             if let Some(target) = needs(a) {

@@ -48,28 +48,18 @@ pub(crate) struct Finished {
     pub(crate) e2e: SimDuration,
 }
 
-/// One unit of work inside a chunked-prefill iteration plan.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum PlanStep {
-    /// Prefill `tokens` more prompt tokens of request `id`.
-    Chunk { id: u64, tokens: u32 },
-    /// One decode step for request `id`.
-    Decode { id: u64 },
-}
-
 /// One replica's scheduling state.
 #[derive(Default)]
 pub(crate) struct ReplicaState {
     /// Running batch (iteration-level policies).
     pub(crate) actives: Vec<Active>,
+    /// Chunked prefill's grants for the in-flight iteration, parallel to
+    /// `actives`: `grants[i]` is the prompt tokens `actives[i]` prefills
+    /// (0 = none). Empty during a resume iteration, so its retire advances
+    /// nobody. Reused across iterations.
+    pub(crate) grants: Vec<u32>,
     /// In-flight static job: each request with its first-token instant.
     pub(crate) static_job: Vec<(Request, SimTime)>,
-    /// The in-flight iteration's plan (single-node chunked prefill).
-    pub(crate) plan: Vec<PlanStep>,
-    /// Fleet chunked-prefill plan for the running iteration:
-    /// `chunk_plan[i]` is the prompt-token budget granted to `actives[i]`
-    /// (0 = no chunk). Reused across iterations; empty otherwise.
-    pub(crate) chunk_plan: Vec<u32>,
     pub(crate) busy: bool,
 }
 
@@ -214,7 +204,7 @@ impl BatchPolicy for StaticBatch {
         let b = batch.len() as u32;
         let prefill = lane.lat.prefill(b, lane.prompt_len);
         let mut total = prefill;
-        for step in 1..lane.new_tokens.max(1) {
+        for step in 1..lane.new_tokens {
             total += lane.lat.decode_step(b, lane.prompt_len + step);
         }
         let first_token_at = lane.now + prefill;
@@ -350,7 +340,7 @@ impl BatchPolicy for ContinuousBatch {
                 lane.first_token_out(id, now);
             }
             let a = &lane.state.actives[i];
-            if a.generated >= a.req.new_tokens.max(1) {
+            if a.generated >= a.req.new_tokens {
                 let a = lane.state.actives.swap_remove(i);
                 lane.complete(a.req);
             } else {
@@ -391,45 +381,24 @@ impl BatchPolicy for ChunkedPrefillBatch {
         // iteration of its own, like memory-aware continuous batching.
         if let Some(mem) = mem.as_mut() {
             if let Some(cost) = mem.resume_cohort(slots, lat, now, &mut state.actives, obs) {
+                state.grants.clear();
                 return Some(cost);
             }
         }
 
-        // The plan buffer is reused across iterations: retire drains it.
-        let mut plan = std::mem::take(&mut state.plan);
-        plan.clear();
-        let mut budget = self.chunk_tokens;
-
-        // 1. Continue in-flight prefills, oldest first, within the token
-        //    budget. KV growth is reserved chunk by chunk; a reservation
-        //    failure stops the scan (FCFS — younger prompts must not
-        //    overtake on memory).
-        for a in state.actives.iter() {
-            if budget == 0 {
-                break;
-            }
-            if a.prefilled >= a.req.prompt_len {
-                continue;
-            }
-            let tokens = (a.req.prompt_len - a.prefilled).min(budget);
-            if let Some(mem) = mem.as_mut() {
-                if !mem.try_reserve(a.req.id, u64::from(a.prefilled) + u64::from(tokens)) {
-                    break;
-                }
-            }
-            plan.push(PlanStep::Chunk {
-                id: a.req.id,
-                tokens,
-            });
-            budget -= tokens;
-        }
+        // 1. Continue in-flight prefills, oldest first, within the budget.
+        let mut budget = grant_chunks(
+            &state.actives,
+            &mut state.grants,
+            self.chunk_tokens,
+            mem.as_mut(),
+        );
 
         // 2. Admit newcomers into the leftover budget (blocked while
         //    anything is parked — preempted requests are older than the
         //    whole queue).
         let parked_clear = mem.as_ref().is_none_or(MemLane::parked_is_empty);
-        let mut admitted = state.actives.len();
-        while parked_clear && budget > 0 && admitted < self.max_batch as usize {
+        while parked_clear && budget > 0 && state.actives.len() < self.max_batch as usize {
             let Some(req) = queue.front() else { break };
             let tokens = req.prompt_len.min(budget);
             if let Some(mem) = mem.as_mut() {
@@ -445,19 +414,18 @@ impl BatchPolicy for ChunkedPrefillBatch {
                     replica: replica_id,
                 },
             );
-            plan.push(PlanStep::Chunk { id: req.id, tokens });
             state.actives.push(Active {
                 req,
                 generated: 0,
                 prefilled: 0,
             });
+            state.grants.push(tokens);
             budget -= tokens;
-            admitted += 1;
         }
 
         // 3. Co-schedule one decode step for every request already in its
         //    decode phase, preempting (newest first) until the growth fits.
-        //    Evicted requests lose their plan steps.
+        //    Evicted requests lose their grants.
         let mut swap_stall = SimDuration::ZERO;
         if let Some(mem) = mem.as_mut() {
             swap_stall = mem.fit_and_grow(
@@ -469,82 +437,43 @@ impl BatchPolicy for ChunkedPrefillBatch {
                 lat,
                 now,
                 obs,
-                |victim| plan.retain(|s| s.id() != victim),
+                |victim| {
+                    state.grants.remove(victim);
+                },
             );
         }
-        for a in state.actives.iter() {
-            if a.prefilled >= a.req.prompt_len {
-                plan.push(PlanStep::Decode { id: a.req.id });
-            }
-        }
 
-        if plan.is_empty() {
-            // Every planned step was evicted: the iteration degenerates to
-            // the swap stall (if any); otherwise the replica idles.
-            state.plan = plan;
-            return (swap_stall > SimDuration::ZERO).then_some(swap_stall);
+        // No row left to run (every one evicted or refused memory): the
+        // iteration degenerates to the swap stall, if any; otherwise the
+        // replica idles.
+        match price_chunked(lat, &state.actives, &state.grants) {
+            Some(cost) => Some(cost + swap_stall),
+            None => (swap_stall > SimDuration::ZERO).then_some(swap_stall),
         }
-
-        // Price: one batched prefill over the chunk rows (sized by the
-        // largest chunk) plus one decode step over the decode rows (sized
-        // by the longest context), plus any eviction stall.
-        let mut chunk_rows = 0u32;
-        let mut max_chunk = 0u32;
-        let mut decode_rows = 0u32;
-        for step in &plan {
-            match *step {
-                PlanStep::Chunk { tokens, .. } => {
-                    chunk_rows += 1;
-                    max_chunk = max_chunk.max(tokens);
-                }
-                PlanStep::Decode { .. } => decode_rows += 1,
-            }
-        }
-        let mut cost = swap_stall;
-        if chunk_rows > 0 {
-            cost += lat.prefill(chunk_rows, max_chunk);
-        }
-        if decode_rows > 0 {
-            let ctx = state
-                .actives
-                .iter()
-                .filter(|a| a.prefilled >= a.req.prompt_len)
-                .map(|a| a.prefilled + a.generated)
-                .max()
-                .expect("decode rows counted above");
-            cost += lat.decode_step(decode_rows, ctx);
-        }
-        state.plan = plan;
-        Some(cost)
     }
 
     fn retire(&self, lane: &mut Lane<'_>) {
         let now = lane.now;
-        let mut plan = std::mem::take(&mut lane.state.plan);
-        for step in plan.drain(..) {
-            let a = lane
-                .state
-                .actives
-                .iter_mut()
-                .find(|a| a.req.id == step.id())
-                .expect("planned request still active");
-            match step {
-                PlanStep::Chunk { id, tokens } => {
-                    a.prefilled += tokens;
-                    if a.prefilled >= a.req.prompt_len {
-                        // Final chunk: first token out with it.
-                        a.generated = 1;
-                        lane.first_token_out(id, now);
-                    }
+        for i in 0..lane.state.grants.len() {
+            let grant = lane.state.grants[i];
+            let a = &mut lane.state.actives[i];
+            if grant > 0 {
+                a.prefilled += grant;
+                if a.prefilled >= a.req.prompt_len {
+                    // Final chunk: first token out with it.
+                    a.generated = 1;
+                    let id = a.req.id;
+                    lane.first_token_out(id, now);
                 }
-                PlanStep::Decode { .. } => a.generated += 1,
+            } else if a.prefilled >= a.req.prompt_len {
+                a.generated += 1;
             }
         }
-        lane.state.plan = plan;
+        lane.state.grants.clear();
         let mut i = 0;
         while i < lane.state.actives.len() {
             let a = &lane.state.actives[i];
-            if a.prefilled >= a.req.prompt_len && a.generated >= a.req.new_tokens.max(1) {
+            if a.prefilled >= a.req.prompt_len && a.generated >= a.req.new_tokens {
                 let a = lane.state.actives.swap_remove(i);
                 lane.complete(a.req);
             } else {
@@ -552,6 +481,68 @@ impl BatchPolicy for ChunkedPrefillBatch {
             }
         }
     }
+}
+
+/// Grants this iteration's prompt chunks: walks the in-flight prompts in
+/// batch order and grants each `min(prompt tokens left, budget)`. With a
+/// memory lane each grant first reserves `prefilled + grant` tokens, and
+/// the first refusal stops the walk (FCFS — a younger prompt must not
+/// overtake on memory). Leaves `grants` parallel to `actives` and returns
+/// the budget left.
+fn grant_chunks(
+    actives: &[Active],
+    grants: &mut Vec<u32>,
+    mut budget: u32,
+    mut mem: Option<&mut MemLane<'_>>,
+) -> u32 {
+    grants.clear();
+    grants.resize(actives.len(), 0);
+    for (a, grant) in actives.iter().zip(grants.iter_mut()) {
+        if budget == 0 {
+            break;
+        }
+        if a.prefilled >= a.req.prompt_len {
+            continue;
+        }
+        let tokens = (a.req.prompt_len - a.prefilled).min(budget);
+        if let Some(mem) = mem.as_deref_mut() {
+            if !mem.try_reserve(a.req.id, u64::from(a.prefilled) + u64::from(tokens)) {
+                break;
+            }
+        }
+        *grant = tokens;
+        budget -= tokens;
+    }
+    budget
+}
+
+/// Prices one chunked-prefill iteration: one batched prefill over the
+/// granted rows (sized by the largest grant) plus one decode step over the
+/// rows past their prompt (sized by the longest context). `None` when the
+/// iteration has neither.
+fn price_chunked(lat: &LatencyModel, actives: &[Active], grants: &[u32]) -> Option<SimDuration> {
+    debug_assert_eq!(actives.len(), grants.len());
+    let mut chunk_rows = 0u32;
+    let mut max_chunk = 0u32;
+    let mut decode_rows = 0u32;
+    let mut decode_ctx = 0u32;
+    for (a, &grant) in actives.iter().zip(grants) {
+        if grant > 0 {
+            chunk_rows += 1;
+            max_chunk = max_chunk.max(grant);
+        } else if a.prefilled >= a.req.prompt_len {
+            decode_rows += 1;
+            decode_ctx = decode_ctx.max(a.prefilled + a.generated);
+        }
+    }
+    let mut cost = SimDuration::ZERO;
+    if chunk_rows > 0 {
+        cost += lat.prefill(chunk_rows, max_chunk);
+    }
+    if decode_rows > 0 {
+        cost += lat.decode_step(decode_rows, decode_ctx);
+    }
+    (chunk_rows + decode_rows > 0).then_some(cost)
 }
 
 /// Admits newcomers at the iteration boundary, fleet style: up to
@@ -630,7 +621,7 @@ impl BatchPolicy for FleetContinuous {
 
     fn retire(&self, lane: &mut Lane<'_>) {
         let was_prefill = lane.state.actives.iter().any(|a| a.generated == 0);
-        let target = lane.new_tokens.max(1);
+        let target = lane.new_tokens;
         let now = lane.now;
         // Drain through the reusable scratch buffer: swap the running set
         // out, push survivors straight back, and keep both capacities for
@@ -657,10 +648,9 @@ impl BatchPolicy for FleetContinuous {
     }
 }
 
-/// Fleet chunked prefill: a token-budgeted chunk plan (oldest first) with
-/// co-scheduled decode steps, mirroring [`ChunkedPrefillBatch`] without
-/// the memory seams. The plan lives in [`ReplicaState::chunk_plan`]
-/// (reused across iterations) and is applied at retire.
+/// Fleet chunked prefill: [`ChunkedPrefillBatch`]'s grant walk and price
+/// without the memory seams. The grants live in [`ReplicaState::grants`]
+/// (reused across iterations) and are applied at retire.
 pub(crate) struct FleetChunked {
     max_batch: u32,
     chunk_tokens: u32,
@@ -670,60 +660,21 @@ impl BatchPolicy for FleetChunked {
     fn next_iteration(&self, lane: &mut Lane<'_>, _flush: bool) -> Option<SimDuration> {
         fleet_admit(lane, self.max_batch);
         let state = &mut *lane.state;
-        if state.actives.is_empty() {
-            return None;
-        }
-        state.chunk_plan.clear();
-        state.chunk_plan.resize(state.actives.len(), 0);
-        let mut budget = self.chunk_tokens;
-        for (i, a) in state.actives.iter().enumerate() {
-            if budget == 0 {
-                break;
-            }
-            if a.prefilled >= a.req.prompt_len {
-                continue;
-            }
-            let tokens = (a.req.prompt_len - a.prefilled).min(budget);
-            state.chunk_plan[i] = tokens;
-            budget -= tokens;
-        }
-        // Price: one batched prefill over the chunk rows (sized by the
-        // largest chunk) plus one decode step over the decode rows (sized
-        // by the longest context).
-        let mut chunk_rows = 0u32;
-        let mut max_chunk = 0u32;
-        let mut decode_rows = 0u32;
-        let mut decode_ctx = 0u32;
-        for (i, a) in state.actives.iter().enumerate() {
-            if state.chunk_plan[i] > 0 {
-                chunk_rows += 1;
-                max_chunk = max_chunk.max(state.chunk_plan[i]);
-            } else if a.prefilled >= a.req.prompt_len {
-                decode_rows += 1;
-                decode_ctx = decode_ctx.max(a.prefilled + a.generated);
-            }
-        }
-        let mut cost = SimDuration::ZERO;
-        if chunk_rows > 0 {
-            cost += lane.lat.prefill(chunk_rows, max_chunk);
-        }
-        if decode_rows > 0 {
-            cost += lane.lat.decode_step(decode_rows, decode_ctx);
-        }
-        (chunk_rows + decode_rows > 0).then_some(cost)
+        grant_chunks(&state.actives, &mut state.grants, self.chunk_tokens, None);
+        price_chunked(lane.lat, &state.actives, &state.grants)
     }
 
     fn retire(&self, lane: &mut Lane<'_>) {
-        let target = lane.new_tokens.max(1);
+        let target = lane.new_tokens;
         let now = lane.now;
-        let plan = std::mem::take(&mut lane.state.chunk_plan);
         let mut work = std::mem::replace(&mut lane.state.actives, std::mem::take(lane.scratch));
         for (i, mut a) in work.drain(..).enumerate() {
+            let grant = lane.state.grants[i];
             if a.prefilled >= a.req.prompt_len {
                 // Spent the iteration in its decode phase.
                 a.generated += 1;
-            } else if plan[i] > 0 {
-                a.prefilled += plan[i];
+            } else if grant > 0 {
+                a.prefilled += grant;
                 if a.prefilled >= a.req.prompt_len {
                     // Final chunk: first token out with it.
                     a.generated = 1;
@@ -740,14 +691,6 @@ impl BatchPolicy for FleetChunked {
             fleet_finish_or_keep(lane, a, target);
         }
         *lane.scratch = work;
-        lane.state.chunk_plan = plan;
-    }
-}
-
-impl PlanStep {
-    fn id(self) -> u64 {
-        match self {
-            PlanStep::Chunk { id, .. } | PlanStep::Decode { id } => id,
-        }
+        lane.state.grants.clear();
     }
 }

@@ -20,24 +20,24 @@ use crate::request::Request;
 
 /// Load snapshot of one replica, consulted by routing policies.
 #[derive(Debug, Clone, Copy)]
-pub struct ReplicaLoad {
+pub(crate) struct ReplicaLoad {
     /// Requests waiting in the queue this replica pulls from.
-    pub queued: u32,
+    pub(crate) queued: u32,
     /// Requests in the replica's running batch or static job.
-    pub running: u32,
+    pub(crate) running: u32,
     /// Preempted requests parked on the replica awaiting resume.
-    pub parked: u32,
+    pub(crate) parked: u32,
     /// KV handoffs queued or in flight on the replica's inbound link
     /// (0 outside a disaggregated fleet).
-    pub link: u32,
+    pub(crate) link: u32,
     /// Whether this replica may receive the request being routed: up (or
     /// the fallback set when nothing is up) and in a pool serving the
     /// routed direction. Single-node floors mark every replica eligible.
-    pub eligible: bool,
+    pub(crate) eligible: bool,
     /// Estimated serving cost per request on this replica, in
     /// nanoseconds — the per-platform unit price cost-model routing
     /// weighs backlog by. Zero when the floor prices uniformly.
-    pub unit_cost_ns: f64,
+    pub(crate) unit_cost_ns: f64,
 }
 
 impl Default for ReplicaLoad {
@@ -56,13 +56,13 @@ impl Default for ReplicaLoad {
 impl ReplicaLoad {
     /// Total outstanding work on the replica.
     #[must_use]
-    pub fn total(self) -> u32 {
+    pub(crate) fn total(self) -> u32 {
         self.queued + self.running + self.parked + self.link
     }
 }
 
 /// Dispatches arrivals across replica queues.
-pub trait Router {
+pub(crate) trait Router {
     /// Number of pending queues the floor maintains: 1 for a shared queue,
     /// `replicas` for partitioned dispatch.
     fn queue_count(&self, replicas: usize) -> usize;

@@ -211,7 +211,8 @@ impl ReplicaSet {
 /// Per-request service estimate on one platform, in nanoseconds — the
 /// cost-model JSQ's exchange rate between queue depths on different
 /// platforms. Memoized in the [`LatencyModel`]'s price table, so this is
-/// two table hits after the first call.
+/// two table hits after the first call. Priced only for a validated fleet,
+/// so every count is at least 1.
 fn unit_cost_ns(
     lat: &LatencyModel,
     pool: PoolRole,
@@ -219,9 +220,9 @@ fn unit_cost_ns(
     prompt_len: u32,
     new_tokens: u32,
 ) -> f64 {
-    let b = max_batch.max(1);
-    let prefill = lat.prefill(b, prompt_len.max(1)).as_nanos_f64() / f64::from(b);
-    let steps = new_tokens.max(1) - 1;
+    let b = max_batch;
+    let prefill = lat.prefill(b, prompt_len).as_nanos_f64() / f64::from(b);
+    let steps = new_tokens - 1;
     let decode = lat.decode_step(b, prompt_len + new_tokens).as_nanos_f64() / f64::from(b);
     match pool {
         PoolRole::Prefill => prefill,
@@ -429,7 +430,7 @@ impl LatencySummary {
         let makespan =
             last_completion.saturating_duration_since(first_arrival.unwrap_or(SimTime::ZERO));
         let completed = finished.len() as u32;
-        let total_tokens = u64::from(completed) * u64::from(new_tokens.max(1));
+        let total_tokens = u64::from(completed) * u64::from(new_tokens);
         let throughput_tok_s = if completed == 0 {
             0.0
         } else {
@@ -445,7 +446,7 @@ impl LatencySummary {
             e2e_p95: d(percentile(&e2es, 95.0)),
             throughput_tok_s,
             makespan,
-            slo: SloReport::evaluate(slo, &latencies, new_tokens.max(1), makespan),
+            slo: SloReport::evaluate(slo, &latencies, new_tokens, makespan),
         }
     }
 }

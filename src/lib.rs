@@ -15,7 +15,7 @@
 //! * [`profiler`] — the SKIP profiler (the paper's contribution)
 //! * [`fusion`] — proximity-score kernel-fusion recommendation
 //! * [`serve`] — online serving simulation (arrivals, batching policies)
-//! * [`bench`] — experiment harness regenerating the paper's tables/figures
+//! * [`bench`](mod@bench) — experiment harness regenerating the paper's tables/figures
 
 pub use skip_bench as bench;
 pub use skip_core as profiler;
