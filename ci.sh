@@ -47,6 +47,11 @@ unset PROPTEST_SEED PROPTEST_CASES
 echo "== serving_trace example (lifecycle/counter export end-to-end) =="
 cargo run --release -p skip-suite --example serving_trace
 
+echo "== what_if_grace example (a preset platform with its CPU swapped) =="
+# Batch 1: gh200, gh200 with the Xeon 8468V CPU, intel_h100 TTFT in ms.
+grace_out=$(cargo run --release -p skip-suite --example what_if_grace)
+grep -qF "     1        21.21             7.86         7.86" <<<"$grace_out"
+
 echo "== skip serve CLI (chunked-prefill policy behind the JSQ router) =="
 # capture, then grep: piping straight into grep -q races the CLI against
 # grep's early exit (broken pipe) under pipefail

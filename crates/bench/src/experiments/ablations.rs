@@ -17,7 +17,7 @@
 //!   the paper names as future work) at small/medium/large batch.
 
 use skip_core::{classify_sweep, ProfileReport, SweepPoint};
-use skip_hw::{Coupling, Platform, PlatformBuilder};
+use skip_hw::{Coupling, Platform};
 use skip_llm::{zoo, Phase, Workload};
 use skip_runtime::{Engine, ExecMode};
 
@@ -39,10 +39,11 @@ pub fn single_thread_sweep() -> Vec<AblationRow> {
     crate::harness::map(vec![0.36, 0.5, 0.7, 1.0, 1.2], |st| {
         let mut cpu = Platform::gh200().cpu;
         cpu.single_thread = st;
-        let p = PlatformBuilder::from(Platform::gh200())
-            .name(format!("gh200_st{st}"))
-            .cpu(cpu)
-            .build();
+        let p = Platform {
+            name: format!("gh200_st{st}"),
+            cpu,
+            ..Platform::gh200()
+        };
         let wl = Workload::new(zoo::bert_base_uncased(), Phase::Prefill, 1, SEQ_LEN);
         AblationRow {
             factor: st,
@@ -58,10 +59,11 @@ pub fn bandwidth_sweep() -> Vec<AblationRow> {
     crate::harness::map(vec![2_000.0, 3_000.0, 4_000.0, 5_300.0], |bw| {
         let mut gpu = Platform::gh200().gpu;
         gpu.hbm_gbps = bw;
-        let p = PlatformBuilder::from(Platform::gh200())
-            .name(format!("gh200_bw{bw}"))
-            .gpu(gpu)
-            .build();
+        let p = Platform {
+            name: format!("gh200_bw{bw}"),
+            gpu,
+            ..Platform::gh200()
+        };
         let engine = Engine::new(p);
         let points: Vec<SweepPoint> = BATCH_SWEEP
             .iter()
@@ -93,11 +95,12 @@ pub fn launch_overhead_sweep() -> Vec<AblationRow> {
         cpu.launch_call_ns *= scale;
         let mut ic = base.interconnect.clone();
         ic.launch_latency_ns *= scale;
-        let p = PlatformBuilder::from(base)
-            .name(format!("intel_h100_launch{scale}"))
-            .cpu(cpu)
-            .interconnect(ic)
-            .build();
+        let p = Platform {
+            name: format!("intel_h100_launch{scale}"),
+            cpu,
+            interconnect: ic,
+            ..base
+        };
         let wl = Workload::new(zoo::gpt2(), Phase::Prefill, 1, SEQ_LEN);
         AblationRow {
             factor: scale,

@@ -34,7 +34,7 @@
 //!   disaggregation win shrinks accordingly.
 
 use skip_des::SimDuration;
-use skip_hw::{Coupling, Interconnect, Platform, PlatformBuilder};
+use skip_hw::{Coupling, Interconnect, Platform};
 use skip_llm::zoo;
 use skip_serve::{
     simulate_fleet_traced, ArrivalProcess, FleetBatchPolicy, FleetConfig, FleetReport,
@@ -203,13 +203,11 @@ pub fn run_coupling() -> Vec<CouplingCell> {
         ("CC", Some(Interconnect::nvlink_c2c()), Coupling::Close),
         ("LC", Some(Interconnect::pcie_gen4()), Coupling::Loose),
     ];
-    let rebuild = |base: Platform, suffix: &str, ic: &Option<Interconnect>, c: Coupling| {
-        let name = format!("{}_{}", base.name, suffix.to_lowercase());
-        let mut b = PlatformBuilder::from(base).name(name).coupling(c);
-        if let Some(ic) = ic {
-            b = b.interconnect(ic.clone());
-        }
-        b.build()
+    let rebuild = |base: Platform, suffix: &str, ic: &Option<Interconnect>, c: Coupling| Platform {
+        name: format!("{}_{}", base.name, suffix.to_lowercase()),
+        interconnect: ic.as_ref().unwrap_or(&base.interconnect).clone(),
+        coupling: c,
+        ..base
     };
     let cells: Vec<(String, FleetSpec)> = variants
         .into_iter()

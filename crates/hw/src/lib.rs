@@ -59,5 +59,5 @@ pub use cpu::{CpuModel, OpComplexity};
 pub use gpu::GpuModel;
 pub use interconnect::{Interconnect, InterconnectKind};
 pub use kernel::{KernelClass, KernelWork};
-pub use platform::{Platform, PlatformBuilder};
+pub use platform::Platform;
 pub use power::PowerModel;

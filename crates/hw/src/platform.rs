@@ -10,15 +10,26 @@ use crate::interconnect::Interconnect;
 
 /// A complete CPU-GPU system: the unit the paper benchmarks.
 ///
+/// Every field is public, so a custom or ablation platform is a preset
+/// with parts swapped by struct-update syntax ("what if Grace had a
+/// Xeon-class CPU?").
+///
 /// # Example
 ///
 /// ```
-/// use skip_hw::Platform;
+/// use skip_hw::{CpuModel, Platform};
 ///
 /// // Launch overheads reproduce Table V exactly.
 /// assert!((Platform::amd_a100().launch_overhead().as_nanos_f64() - 2260.5).abs() < 1.0);
 /// assert!((Platform::intel_h100().launch_overhead().as_nanos_f64() - 2374.6).abs() < 1.0);
 /// assert!((Platform::gh200().launch_overhead().as_nanos_f64() - 2771.6).abs() < 1.0);
+///
+/// let hypothetical = Platform {
+///     name: "gh200_xeon_cpu".into(),
+///     cpu: CpuModel::xeon_8468v(),
+///     ..Platform::gh200()
+/// };
+/// assert_eq!(hypothetical.gpu, Platform::gh200().gpu);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Platform {
@@ -151,79 +162,6 @@ impl Platform {
     }
 }
 
-/// Builder for custom/ablation platforms ([C-BUILDER]).
-///
-/// Starts from an existing preset and swaps parts — used by the ablation
-/// benches ("what if Grace had Xeon-class single-thread performance?").
-///
-/// [C-BUILDER]: https://rust-lang.github.io/api-guidelines/type-safety.html#c-builder
-///
-/// # Example
-///
-/// ```
-/// use skip_hw::{CpuModel, Platform, PlatformBuilder};
-///
-/// let hypothetical = PlatformBuilder::from(Platform::gh200())
-///     .name("gh200_xeon_cpu")
-///     .cpu(CpuModel::xeon_8468v())
-///     .build();
-/// assert_eq!(hypothetical.gpu, Platform::gh200().gpu);
-/// assert_eq!(hypothetical.cpu, CpuModel::xeon_8468v());
-/// ```
-#[derive(Debug, Clone)]
-pub struct PlatformBuilder {
-    inner: Platform,
-}
-
-impl From<Platform> for PlatformBuilder {
-    fn from(base: Platform) -> Self {
-        PlatformBuilder { inner: base }
-    }
-}
-
-impl PlatformBuilder {
-    /// Sets the platform name.
-    #[must_use]
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.inner.name = name.into();
-        self
-    }
-
-    /// Swaps the CPU model.
-    #[must_use]
-    pub fn cpu(mut self, cpu: CpuModel) -> Self {
-        self.inner.cpu = cpu;
-        self
-    }
-
-    /// Swaps the GPU model.
-    #[must_use]
-    pub fn gpu(mut self, gpu: GpuModel) -> Self {
-        self.inner.gpu = gpu;
-        self
-    }
-
-    /// Swaps the interconnect.
-    #[must_use]
-    pub fn interconnect(mut self, ic: Interconnect) -> Self {
-        self.inner.interconnect = ic;
-        self
-    }
-
-    /// Sets the coupling paradigm.
-    #[must_use]
-    pub fn coupling(mut self, coupling: Coupling) -> Self {
-        self.inner.coupling = coupling;
-        self
-    }
-
-    /// Finishes the build.
-    #[must_use]
-    pub fn build(self) -> Platform {
-        self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,20 +237,6 @@ mod tests {
             "tight coupling on both ends makes the handoff free"
         );
         assert_eq!(mi.kv_handoff_time(&gh, bytes), gh.h2d_transfer(bytes));
-    }
-
-    #[test]
-    fn builder_swaps_parts() {
-        let p = PlatformBuilder::from(Platform::intel_h100())
-            .name("frankenstein")
-            .gpu(GpuModel::a100_sxm4())
-            .coupling(Coupling::Close)
-            .interconnect(Interconnect::nvlink_c2c())
-            .build();
-        assert_eq!(p.name, "frankenstein");
-        assert_eq!(p.gpu, GpuModel::a100_sxm4());
-        assert_eq!(p.cpu, CpuModel::xeon_8468v());
-        assert_eq!(p.coupling, Coupling::Close);
     }
 
     #[test]

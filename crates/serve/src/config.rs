@@ -10,45 +10,9 @@ use skip_hw::Platform;
 use skip_llm::ModelConfig;
 use skip_mem::{KvSpec, OffloadPolicy};
 
+use crate::fleet::PoolRole;
+use crate::latency::MAX_PRICED_LEN;
 use crate::observe::SloTargets;
-
-/// Canonical wording for the checks every validator shares.
-///
-/// [`ConfigError`], [`FleetError`](crate::FleetError), and
-/// [`PlanError`](crate::fleet::plan::PlanError) all reject the same
-/// classes of mistake — zero requests, non-positive rates, zero batch and
-/// replica counts, requests longer than the price grid — and historically
-/// each spelled the message its own way. Routing every Display impl
-/// through these helpers keeps the three validators (and the CLIs built
-/// on them) word-for-word identical for identical mistakes.
-pub(crate) mod check {
-    use crate::latency::MAX_PRICED_LEN;
-
-    /// A zero-request configuration: nothing to simulate.
-    pub(crate) const ZERO_REQUESTS: &str = "simulate at least one request";
-
-    /// A rate-like knob that must be positive and finite.
-    pub(crate) fn positive_rate(label: &str, v: f64) -> String {
-        format!("{label} must be positive and finite, got {v}")
-    }
-
-    /// A count-like knob that must be at least one.
-    pub(crate) fn at_least_one(label: &str) -> String {
-        format!("{label} must be at least 1")
-    }
-
-    /// A request's prompt plus output tokens, if longer than the price
-    /// grid covers (the context a decode step prices reaches their sum).
-    pub(crate) fn overlong(prompt_len: u32, new_tokens: u32) -> Option<u64> {
-        let tokens = u64::from(prompt_len) + u64::from(new_tokens);
-        (tokens > MAX_PRICED_LEN).then_some(tokens)
-    }
-
-    /// A request longer than the price grid covers.
-    pub(crate) fn too_long(tokens: u64) -> String {
-        format!("prompt plus output tokens must be at most {MAX_PRICED_LEN}, got {tokens}")
-    }
-}
 
 /// Batching policy of the serving endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -199,46 +163,41 @@ pub struct ServingConfig {
     pub router: RouterPolicy,
 }
 
-/// Why a [`ServingConfig`] cannot be simulated.
+/// Why a serving configuration cannot be simulated or planned.
 ///
-/// Returned by [`ServingConfig::validate`]; the `simulate*` entry points
+/// The one error of all three serving fronts: [`ServingConfig::validate`],
+/// [`FleetConfig::validate`](crate::FleetConfig::validate) and
+/// [`PlannerConfig::validate`](crate::PlannerConfig::validate) return it,
+/// with one variant per rule, so the same mistake reads the same words on
+/// every front and in the CLIs built on them. The `simulate*` entry points
 /// treat an invalid config as a caller bug and panic with the same
 /// message, so front ends that want a graceful error path (the CLI does)
 /// validate first.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// `requests` was zero.
     ZeroRequests,
-    /// `arrival_rate_per_s` was not positive and finite.
-    BadArrivalRate(
-        /// The offending rate.
+    /// A count-like knob was zero: a request's prompt or output length, a
+    /// batch cap, a chunk budget, a KV pool or block size, or the
+    /// planner's replica ceiling.
+    AtLeastOne(
+        /// The knob, as the message names it.
+        &'static str,
+    ),
+    /// A rate-like knob was not positive and finite: the arrival rate or
+    /// the planner's (peak) offered load.
+    NotPositive(
+        /// The knob, as the message names it.
+        &'static str,
+        /// The offending value.
         f64,
     ),
-    /// `prompt_len` was zero: an empty prompt never prefills, so no first
-    /// token is ever stamped.
-    ZeroPromptLen,
-    /// `new_tokens` was zero: every request emits at least its first token,
-    /// so a zero-output request would be served and billed as a one-token
-    /// one.
-    ZeroNewTokens,
     /// `prompt_len + new_tokens` is longer than the price grid's `2^31`
     /// tokens.
     RequestTooLong(
         /// The offending prompt plus output tokens.
         u64,
     ),
-    /// A static policy with `batch_size` zero.
-    ZeroStaticBatch,
-    /// A continuous policy with `max_batch` zero.
-    ZeroContinuousBatch,
-    /// A chunked-prefill policy with `max_batch` zero.
-    ZeroChunkedBatch,
-    /// A chunked-prefill policy with `chunk_tokens` zero.
-    ZeroChunkTokens,
-    /// A KV budget with zero blocks.
-    ZeroKvBlocks,
-    /// A KV budget with zero tokens per block.
-    ZeroBlockTokens,
     /// The KV pool cannot hold even one full request lifetime, so no
     /// schedule could ever complete it.
     KvPoolTooSmall {
@@ -247,40 +206,105 @@ pub enum ConfigError {
         /// Blocks one full request (prompt + all generated tokens) needs.
         needed: u32,
     },
+    /// The fleet spec has no groups.
+    EmptyFleet,
+    /// A fleet group with zero replicas.
+    ZeroCountGroup(
+        /// The offending group's platform name.
+        String,
+    ),
+    /// Prefill and Unified (or Decode and Unified) groups in one spec.
+    MixedUnifiedAndPools,
+    /// A disaggregated spec missing one of the two pools.
+    MissingPool(
+        /// The absent pool.
+        PoolRole,
+    ),
+    /// The fleet's arrival process has a non-positive or non-finite rate.
+    BadArrivals(
+        /// What is wrong with it.
+        String,
+    ),
+    /// The fleet's autoscaler config is self-contradictory.
+    BadAutoscale(
+        /// What is wrong with it.
+        String,
+    ),
+    /// The planner's attainment floor was outside `(0, 1]` (a zero floor
+    /// makes every candidate vacuously feasible; above 1 none can ever be).
+    BadAttainmentFloor(
+        /// The offending floor.
+        f64,
+    ),
+    /// The planner's platform menu is empty, so no candidate can be
+    /// enumerated.
+    NoPlatforms,
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            ConfigError::ZeroRequests => f.write_str(check::ZERO_REQUESTS),
-            ConfigError::BadArrivalRate(rate) => {
-                f.write_str(&check::positive_rate("arrival rate", rate))
+        match self {
+            ConfigError::ZeroRequests => f.write_str("simulate at least one request"),
+            ConfigError::AtLeastOne(knob) => write!(f, "{knob} must be at least 1"),
+            ConfigError::NotPositive(knob, v) => {
+                write!(f, "{knob} must be positive and finite, got {v}")
             }
-            ConfigError::ZeroPromptLen => f.write_str(&check::at_least_one("prompt_len")),
-            ConfigError::ZeroNewTokens => f.write_str(&check::at_least_one("new_tokens")),
-            ConfigError::RequestTooLong(tokens) => f.write_str(&check::too_long(tokens)),
-            ConfigError::ZeroStaticBatch => f.write_str(&check::at_least_one("static batch_size")),
-            ConfigError::ZeroContinuousBatch => {
-                f.write_str(&check::at_least_one("continuous max_batch"))
-            }
-            ConfigError::ZeroChunkedBatch => {
-                f.write_str(&check::at_least_one("chunked-prefill max_batch"))
-            }
-            ConfigError::ZeroChunkTokens => {
-                f.write_str(&check::at_least_one("chunked-prefill chunk_tokens"))
-            }
-            ConfigError::ZeroKvBlocks => f.write_str(&check::at_least_one("KV pool blocks")),
-            ConfigError::ZeroBlockTokens => f.write_str(&check::at_least_one("KV block_tokens")),
+            ConfigError::RequestTooLong(tokens) => write!(
+                f,
+                "prompt plus output tokens must be at most {MAX_PRICED_LEN}, got {tokens}"
+            ),
             ConfigError::KvPoolTooSmall { blocks, needed } => write!(
                 f,
                 "KV pool of {blocks} blocks cannot hold one full request ({needed} blocks); \
                  no schedule can complete it — raise the budget to at least {needed} blocks"
             ),
+            ConfigError::EmptyFleet => f.write_str("fleet spec must declare at least one group"),
+            ConfigError::ZeroCountGroup(p) => write!(f, "group '{p}' has zero replicas"),
+            ConfigError::MixedUnifiedAndPools => {
+                f.write_str("cannot mix unified groups with prefill=/decode= pools in one fleet")
+            }
+            ConfigError::MissingPool(role) => {
+                write!(f, "disaggregated fleet needs a {} pool", role.label())
+            }
+            ConfigError::BadArrivals(msg) => write!(f, "bad arrival process: {msg}"),
+            ConfigError::BadAutoscale(msg) => write!(f, "bad autoscale config: {msg}"),
+            ConfigError::BadAttainmentFloor(v) => {
+                write!(f, "attainment floor must be in (0, 1], got {v}")
+            }
+            ConfigError::NoPlatforms => f.write_str("the platform menu is empty"),
         }
     }
 }
 
 impl Error for ConfigError {}
+
+/// Rejects a rate-like knob that is not positive and finite.
+pub(crate) fn check_positive(knob: &'static str, v: f64) -> Result<(), ConfigError> {
+    if v.is_finite() && v > 0.0 {
+        Ok(())
+    } else {
+        Err(ConfigError::NotPositive(knob, v))
+    }
+}
+
+/// The request-shape rules both config validators share. An empty prompt
+/// never prefills, so no first token is ever stamped; a zero-output
+/// request would still emit its first token and be billed as a one-token
+/// one; and a decode step prices the context `prompt_len + new_tokens`,
+/// which the price grid must cover.
+pub(crate) fn check_request_shape(prompt_len: u32, new_tokens: u32) -> Result<(), ConfigError> {
+    if prompt_len == 0 {
+        return Err(ConfigError::AtLeastOne("prompt_len"));
+    }
+    if new_tokens == 0 {
+        return Err(ConfigError::AtLeastOne("new_tokens"));
+    }
+    let tokens = u64::from(prompt_len) + u64::from(new_tokens);
+    if tokens > MAX_PRICED_LEN {
+        return Err(ConfigError::RequestTooLong(tokens));
+    }
+    Ok(())
+}
 
 impl ServingConfig {
     /// Checks every knob the simulator depends on, returning the first
@@ -298,44 +322,26 @@ impl ServingConfig {
         if self.requests == 0 {
             return Err(ConfigError::ZeroRequests);
         }
-        if !(self.arrival_rate_per_s.is_finite() && self.arrival_rate_per_s > 0.0) {
-            return Err(ConfigError::BadArrivalRate(self.arrival_rate_per_s));
-        }
-        if self.prompt_len == 0 {
-            return Err(ConfigError::ZeroPromptLen);
-        }
-        if self.new_tokens == 0 {
-            return Err(ConfigError::ZeroNewTokens);
-        }
-        if let Some(tokens) = check::overlong(self.prompt_len, self.new_tokens) {
-            return Err(ConfigError::RequestTooLong(tokens));
-        }
-        match self.policy {
-            Policy::Static { batch_size: 0, .. } => {
-                return Err(ConfigError::ZeroStaticBatch);
-            }
-            Policy::Continuous { max_batch: 0 } => {
-                return Err(ConfigError::ZeroContinuousBatch);
-            }
+        check_positive("arrival rate", self.arrival_rate_per_s)?;
+        check_request_shape(self.prompt_len, self.new_tokens)?;
+        let zero_knob = match self.policy {
+            Policy::Static { batch_size: 0, .. } => Some("static batch_size"),
+            Policy::Continuous { max_batch: 0 } => Some("continuous max_batch"),
+            Policy::ChunkedPrefill { max_batch: 0, .. } => Some("chunked-prefill max_batch"),
             Policy::ChunkedPrefill {
-                max_batch,
-                chunk_tokens,
-            } => {
-                if max_batch == 0 {
-                    return Err(ConfigError::ZeroChunkedBatch);
-                }
-                if chunk_tokens == 0 {
-                    return Err(ConfigError::ZeroChunkTokens);
-                }
-            }
-            _ => {}
+                chunk_tokens: 0, ..
+            } => Some("chunked-prefill chunk_tokens"),
+            _ => None,
+        };
+        if let Some(knob) = zero_knob {
+            return Err(ConfigError::AtLeastOne(knob));
         }
         if let Some(kv) = self.kv {
             if kv.blocks_per_replica == 0 {
-                return Err(ConfigError::ZeroKvBlocks);
+                return Err(ConfigError::AtLeastOne("KV pool blocks"));
             }
             if kv.block_tokens == 0 {
-                return Err(ConfigError::ZeroBlockTokens);
+                return Err(ConfigError::AtLeastOne("KV block_tokens"));
             }
             let spec = KvSpec::for_model(&self.model, kv.block_tokens);
             let needed = spec.blocks_for(u64::from(self.prompt_len) + u64::from(self.new_tokens));
@@ -384,17 +390,23 @@ mod tests {
 
         let mut c = valid();
         c.arrival_rate_per_s = 0.0;
-        assert_eq!(c.validate(), Err(ConfigError::BadArrivalRate(0.0)));
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::NotPositive("arrival rate", 0.0))
+        );
         c.arrival_rate_per_s = f64::INFINITY;
-        assert!(matches!(c.validate(), Err(ConfigError::BadArrivalRate(_))));
+        assert!(matches!(
+            c.validate(),
+            Err(ConfigError::NotPositive("arrival rate", _))
+        ));
 
         let mut c = valid();
         c.prompt_len = 0;
-        assert_eq!(c.validate(), Err(ConfigError::ZeroPromptLen));
+        assert_eq!(c.validate(), Err(ConfigError::AtLeastOne("prompt_len")));
 
         let mut c = valid();
         c.new_tokens = 0;
-        assert_eq!(c.validate(), Err(ConfigError::ZeroNewTokens));
+        assert_eq!(c.validate(), Err(ConfigError::AtLeastOne("new_tokens")));
 
         // The price grid's top point is fine; one token past it is not.
         let mut c = valid();
@@ -417,27 +429,39 @@ mod tests {
             batch_size: 0,
             max_wait: SimDuration::from_millis(10),
         };
-        assert_eq!(c.validate(), Err(ConfigError::ZeroStaticBatch));
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::AtLeastOne("static batch_size"))
+        );
 
         let mut c = valid();
         c.policy = Policy::Continuous { max_batch: 0 };
-        assert_eq!(c.validate(), Err(ConfigError::ZeroContinuousBatch));
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::AtLeastOne("continuous max_batch"))
+        );
 
         let mut c = valid();
         c.policy = Policy::ChunkedPrefill {
             max_batch: 0,
             chunk_tokens: 64,
         };
-        assert_eq!(c.validate(), Err(ConfigError::ZeroChunkedBatch));
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::AtLeastOne("chunked-prefill max_batch"))
+        );
         c.policy = Policy::ChunkedPrefill {
             max_batch: 4,
             chunk_tokens: 0,
         };
-        assert_eq!(c.validate(), Err(ConfigError::ZeroChunkTokens));
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::AtLeastOne("chunked-prefill chunk_tokens"))
+        );
 
         let mut c = valid();
         c.kv = Some(KvCacheConfig::with_blocks(0, OffloadPolicy::Auto));
-        assert_eq!(c.validate(), Err(ConfigError::ZeroKvBlocks));
+        assert_eq!(c.validate(), Err(ConfigError::AtLeastOne("KV pool blocks")));
 
         let mut c = valid();
         c.kv = Some(KvCacheConfig {
@@ -445,7 +469,10 @@ mod tests {
             block_tokens: 0,
             offload: OffloadPolicy::Auto,
         });
-        assert_eq!(c.validate(), Err(ConfigError::ZeroBlockTokens));
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::AtLeastOne("KV block_tokens"))
+        );
 
         let mut c = valid();
         c.kv = Some(KvCacheConfig::with_blocks(1, OffloadPolicy::Auto));
@@ -467,6 +494,45 @@ mod tests {
         assert!(ConfigError::ZeroRequests
             .to_string()
             .contains("at least one request"));
+    }
+
+    /// Every message the three serving fronts render, word for word: one
+    /// row per template (the missing pool once per role). The strings
+    /// were captured from the per-front error enums this one merged, so
+    /// front ends and the CLI print what they printed before.
+    #[test]
+    fn every_rule_keeps_its_wording() {
+        let rows: Vec<(ConfigError, &str)> = vec![
+            (ConfigError::ZeroRequests, "simulate at least one request"),
+            (ConfigError::NotPositive("arrival rate", 0.0), "arrival rate must be positive and finite, got 0"),
+            (ConfigError::AtLeastOne("prompt_len"), "prompt_len must be at least 1"),
+            (ConfigError::AtLeastOne("new_tokens"), "new_tokens must be at least 1"),
+            (ConfigError::RequestTooLong(4_294_967_299), "prompt plus output tokens must be at most 2147483648, got 4294967299"),
+            (ConfigError::AtLeastOne("static batch_size"), "static batch_size must be at least 1"),
+            (ConfigError::AtLeastOne("continuous max_batch"), "continuous max_batch must be at least 1"),
+            (ConfigError::AtLeastOne("chunked-prefill max_batch"), "chunked-prefill max_batch must be at least 1"),
+            (ConfigError::AtLeastOne("chunked-prefill chunk_tokens"), "chunked-prefill chunk_tokens must be at least 1"),
+            (ConfigError::AtLeastOne("KV pool blocks"), "KV pool blocks must be at least 1"),
+            (ConfigError::AtLeastOne("KV block_tokens"), "KV block_tokens must be at least 1"),
+            (ConfigError::KvPoolTooSmall { blocks: 3, needed: 9 }, "KV pool of 3 blocks cannot hold one full request (9 blocks); no schedule can complete it — raise the budget to at least 9 blocks"),
+            (ConfigError::EmptyFleet, "fleet spec must declare at least one group"),
+            (ConfigError::ZeroCountGroup("gh200".into()), "group 'gh200' has zero replicas"),
+            (ConfigError::MixedUnifiedAndPools, "cannot mix unified groups with prefill=/decode= pools in one fleet"),
+            (ConfigError::MissingPool(PoolRole::Prefill), "disaggregated fleet needs a prefill pool"),
+            (ConfigError::MissingPool(PoolRole::Decode), "disaggregated fleet needs a decode pool"),
+            (ConfigError::AtLeastOne("max_batch"), "max_batch must be at least 1"),
+            (ConfigError::BadArrivals("rate must be positive and finite, got 0".into()), "bad arrival process: rate must be positive and finite, got 0"),
+            (ConfigError::BadAutoscale("interval must be positive".into()), "bad autoscale config: interval must be positive"),
+            (ConfigError::AtLeastOne("max replicas"), "max replicas must be at least 1"),
+            (ConfigError::BadAttainmentFloor(1.5), "attainment floor must be in (0, 1], got 1.5"),
+            (ConfigError::NotPositive("offered load", f64::NAN), "offered load must be positive and finite, got NaN"),
+            (ConfigError::NotPositive("peak offered load", f64::INFINITY), "peak offered load must be positive and finite, got inf"),
+            (ConfigError::NoPlatforms, "the platform menu is empty"),
+        ];
+        assert_eq!(rows.len(), 25);
+        for (err, want) in rows {
+            assert_eq!(err.to_string(), want, "{err:?}");
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use skip_des::{SimDuration, SimTime};
 
+use crate::config::check_positive;
 use crate::request::Request;
 
 /// A seeded request arrival process.
@@ -115,13 +116,7 @@ impl ArrivalProcess {
     ///
     /// Returns a message describing the first bad knob.
     pub fn validate(&self) -> Result<(), String> {
-        let pos = |label: &str, v: f64| {
-            if v.is_finite() && v > 0.0 {
-                Ok(())
-            } else {
-                Err(crate::config::check::positive_rate(label, v))
-            }
-        };
+        let pos = |label, v| check_positive(label, v).map_err(|e| e.to_string());
         let non_neg = |label: &str, v: f64| {
             if v.is_finite() && v >= 0.0 {
                 Ok(())

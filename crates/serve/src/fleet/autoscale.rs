@@ -11,6 +11,7 @@
 use serde::{Deserialize, Serialize};
 use skip_des::{SimDuration, SimTime};
 
+use crate::config::ConfigError;
 use crate::fleet::spec::PoolRole;
 
 /// Autoscaler knobs.
@@ -74,7 +75,7 @@ impl AutoscaleConfig {
             ));
         }
         if self.min_per_pool == 0 {
-            return Err(crate::config::check::at_least_one("min_per_pool"));
+            return Err(ConfigError::AtLeastOne("min_per_pool").to_string());
         }
         if self.max_per_pool < self.min_per_pool {
             return Err(format!(

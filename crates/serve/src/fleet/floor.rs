@@ -150,7 +150,7 @@ mod tests {
     use crate::fleet::autoscale::{AutoscaleConfig, ScaleAction};
     use crate::fleet::spec::{FleetBatchPolicy, FleetRouterPolicy, FleetSpec, PoolRole};
     use crate::observe::{LifecycleKind, SloTargets};
-    use skip_hw::{Coupling, Interconnect, Platform, PlatformBuilder};
+    use skip_hw::{Coupling, Interconnect, Platform};
     use skip_llm::zoo;
     use skip_mem::KvSpec;
 
@@ -245,11 +245,12 @@ mod tests {
             1,
         ));
         let mut lc = cc.clone();
-        lc.spec.groups[0].platform = PlatformBuilder::from(Platform::gh200())
-            .name("gh200_pcie")
-            .interconnect(Interconnect::pcie_gen4())
-            .coupling(Coupling::Loose)
-            .build();
+        lc.spec.groups[0].platform = Platform {
+            name: "gh200_pcie".into(),
+            interconnect: Interconnect::pcie_gen4(),
+            coupling: Coupling::Loose,
+            ..Platform::gh200()
+        };
         let r_cc = simulate_fleet(&cc);
         let r_lc = simulate_fleet(&lc);
         assert_eq!(r_cc.handoff_bytes, r_lc.handoff_bytes, "same bytes moved");

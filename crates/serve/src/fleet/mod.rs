@@ -40,9 +40,9 @@ pub use autoscale::{AutoscaleConfig, ScaleAction, ScalingEvent};
 pub use floor::{simulate_fleet, simulate_fleet_bounded, simulate_fleet_traced};
 pub use observe::{FleetReport, FleetSample, FleetTrace};
 pub use plan::{
-    PlanCandidate, PlanError, PlanOutcome, PlanSweep, PlannerConfig, Resolution, SweepBounds,
-    SweepStats, TrafficEnvelope,
+    PlanCandidate, PlanOutcome, PlanSweep, PlannerConfig, Resolution, SweepBounds, SweepStats,
+    TrafficEnvelope,
 };
 pub use spec::{
-    FleetBatchPolicy, FleetConfig, FleetError, FleetRouterPolicy, FleetSpec, PoolRole, ReplicaGroup,
+    FleetBatchPolicy, FleetConfig, FleetRouterPolicy, FleetSpec, PoolRole, ReplicaGroup,
 };

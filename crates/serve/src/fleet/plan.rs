@@ -32,23 +32,18 @@
 //! fully-simulated incumbent, so the pruned sweep's frontier is
 //! byte-identical to the exhaustive one (see DESIGN.md §2.4).
 
-use std::error::Error;
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
 use skip_des::SimDuration;
 use skip_hw::Platform;
 use skip_llm::ModelConfig;
 use skip_mem::KvSpec;
 
-use crate::config::check;
+use crate::config::{check_positive, ConfigError};
 use crate::fleet::arrivals::ArrivalProcess;
 use crate::fleet::autoscale::AutoscaleConfig;
 use crate::fleet::floor::{simulate_fleet, simulate_fleet_bounded};
 use crate::fleet::observe::FleetReport;
-use crate::fleet::spec::{
-    FleetBatchPolicy, FleetConfig, FleetError, FleetRouterPolicy, FleetSpec, PoolRole,
-};
+use crate::fleet::spec::{FleetBatchPolicy, FleetConfig, FleetRouterPolicy, FleetSpec, PoolRole};
 use crate::latency::LatencyModel;
 use crate::observe::{SloReport, SloTargets};
 use crate::request::Request;
@@ -107,59 +102,6 @@ impl TrafficEnvelope {
     }
 }
 
-/// Why a [`PlannerConfig`] cannot be planned — the planner twin of
-/// [`ConfigError`](crate::ConfigError) and
-/// [`FleetError`], surfaced by
-/// [`PlannerConfig::validate`] before any candidate is built.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanError {
-    /// `max_replicas` was zero — the search space is empty.
-    ZeroMaxReplicas,
-    /// `attainment_floor` outside `(0, 1]` (a zero floor makes every
-    /// candidate vacuously feasible; above 1 none can ever be).
-    BadAttainmentFloor(
-        /// The offending floor.
-        f64,
-    ),
-    /// The envelope's offered load was not positive and finite.
-    BadLoad(
-        /// The offending req/s rate.
-        f64,
-    ),
-    /// The envelope's peak offered load was not positive and finite.
-    BadPeakLoad(
-        /// The offending req/s rate.
-        f64,
-    ),
-    /// The platform menu is empty — no candidate can be enumerated.
-    NoPlatforms,
-    /// A knob every candidate's fleet shares (request count and length,
-    /// batch cap, batch policy) fails [`FleetConfig::validate`].
-    Fleet(
-        /// The fleet validator's verdict.
-        FleetError,
-    ),
-}
-
-impl fmt::Display for PlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlanError::ZeroMaxReplicas => f.write_str(&check::at_least_one("max replicas")),
-            PlanError::BadAttainmentFloor(v) => {
-                write!(f, "attainment floor must be in (0, 1], got {v}")
-            }
-            PlanError::BadLoad(v) => f.write_str(&check::positive_rate("offered load", *v)),
-            PlanError::BadPeakLoad(v) => {
-                f.write_str(&check::positive_rate("peak offered load", *v))
-            }
-            PlanError::NoPlatforms => write!(f, "the platform menu is empty"),
-            PlanError::Fleet(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl Error for PlanError {}
-
 /// The planner's search space and scoring knobs.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
@@ -205,24 +147,22 @@ impl PlannerConfig {
     ///
     /// # Errors
     ///
-    /// The first [`PlanError`] found, in declaration order.
-    pub fn validate(&self) -> Result<(), PlanError> {
+    /// The first [`ConfigError`] found: the planner's own knobs in
+    /// declaration order, then the first candidate's fleet error as
+    /// [`FleetConfig::validate`] reports it.
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if self.max_replicas == 0 {
-            return Err(PlanError::ZeroMaxReplicas);
+            return Err(ConfigError::AtLeastOne("max replicas"));
         }
         if !(self.attainment_floor > 0.0 && self.attainment_floor <= 1.0) {
-            return Err(PlanError::BadAttainmentFloor(self.attainment_floor));
+            return Err(ConfigError::BadAttainmentFloor(self.attainment_floor));
         }
-        if !(self.envelope.qps.is_finite() && self.envelope.qps > 0.0) {
-            return Err(PlanError::BadLoad(self.envelope.qps));
-        }
+        check_positive("offered load", self.envelope.qps)?;
         if let Some(peak) = self.envelope.peak_qps {
-            if !(peak.is_finite() && peak > 0.0) {
-                return Err(PlanError::BadPeakLoad(peak));
-            }
+            check_positive("peak offered load", peak)?;
         }
         if self.platforms.is_empty() {
-            return Err(PlanError::NoPlatforms);
+            return Err(ConfigError::NoPlatforms);
         }
         // Candidates differ only in topology and autoscaling, which
         // `enumerate` builds valid, so checking its first candidate checks
@@ -231,9 +171,7 @@ impl PlannerConfig {
             spec: FleetSpec::homogeneous(self.platforms[0].clone(), 1),
             autoscaled: false,
         };
-        fleet_config(self, &first)
-            .validate()
-            .map_err(PlanError::Fleet)
+        fleet_config(self, &first).validate()
     }
 }
 
@@ -552,6 +490,18 @@ struct PlatformPrice {
     decode_iter_min_ns: f64,
 }
 
+/// One pool's capacity and cheapest unit prices, in nanoseconds: each
+/// price is the minimum over the pool's members on its own axis, so it
+/// lower-bounds every member even when no member is cheapest on both.
+struct PoolPrices {
+    /// Replicas the pool can bring to bear.
+    replicas: f64,
+    /// Cheapest member `prefill_unit_ns`.
+    prefill_unit_ns: f64,
+    /// Cheapest member `decode_unit_ns`.
+    decode_unit_ns: f64,
+}
+
 /// Analytic lower bounds plus the feasible incumbents of completed waves
 /// — everything [`evaluate_bounded`] consults before (and while)
 /// simulating a candidate.
@@ -690,36 +640,24 @@ impl SweepBounds {
         Decision::Simulate(stop)
     }
 
-    /// Effective pool sizes for capacity (autoscale can grow a pool to
-    /// `max_per_pool`) and the cheapest relevant unit prices. Returns
-    /// `None` when any pool platform is missing from the price table —
-    /// hand-built candidates off the menu are simply not pruned.
-    fn pool_prices(&self, cand: &PlanCandidate, role: PoolRole) -> Option<(f64, &PlatformPrice)> {
-        let groups: Vec<_> = cand.spec.groups.iter().filter(|g| g.role == role).collect();
-        if groups.is_empty() {
-            return None;
-        }
-        let base: u32 = groups.iter().map(|g| g.count).sum();
+    /// The pool serving `role`: its effective size for capacity (autoscale
+    /// can grow a pool to `max_per_pool`) and its cheapest unit price on
+    /// each axis, each minimised over the members on its own. Returns
+    /// `None` when the pool is empty or any member is missing from the
+    /// price table — hand-built candidates off the menu are simply not
+    /// pruned.
+    fn pool_prices(&self, cand: &PlanCandidate, role: PoolRole) -> Option<PoolPrices> {
+        let base = cand.spec.replicas_in(role);
         let capacity = if cand.autoscaled {
             base.max(self.max_per_pool)
         } else {
             base
         };
-        // Cheapest platform in the pool lower-bounds every member.
-        let mut best: Option<&PlatformPrice> = None;
-        for g in &groups {
-            let p = self.prices.iter().find(|p| p.name == g.platform.name)?;
-            best = Some(match best {
-                Some(b)
-                    if b.prefill_unit_ns + b.decode_unit_ns
-                        <= p.prefill_unit_ns + p.decode_unit_ns =>
-                {
-                    b
-                }
-                _ => p,
-            });
-        }
-        best.map(|b| (f64::from(capacity), b))
+        Some(PoolPrices {
+            replicas: f64::from(capacity),
+            prefill_unit_ns: self.cheapest(cand, role, |p| p.prefill_unit_ns)?,
+            decode_unit_ns: self.cheapest(cand, role, |p| p.decode_unit_ns)?,
+        })
     }
 
     /// The analytic service-demand bound: if the work the SLO-met share
@@ -741,7 +679,7 @@ impl SweepBounds {
         };
         if let (Some(ttft), Some(pf_iter)) = (
             self.slo_ttft_ns,
-            self.cheapest_iter(cand, first_token_role, |p| p.prefill_iter_min_ns),
+            self.cheapest(cand, first_token_role, |p| p.prefill_iter_min_ns),
         ) {
             if pf_iter * (1.0 - BOUND_SLACK) > ttft {
                 return true;
@@ -758,45 +696,46 @@ impl SweepBounds {
             work_ns > replicas * (self.span_ns + slo_ns) * (1.0 + BOUND_SLACK)
         };
         if cand.spec.is_disaggregated() {
-            let Some((r_pf, pf)) = self.pool_prices(cand, PoolRole::Prefill) else {
+            let Some(pf) = self.pool_prices(cand, PoolRole::Prefill) else {
                 return false;
             };
-            let Some((r_dec, dec)) = self.pool_prices(cand, PoolRole::Decode) else {
+            let Some(dec) = self.pool_prices(cand, PoolRole::Decode) else {
                 return false;
             };
             if let Some(ttft) = self.slo_ttft_ns {
-                if exceeds(met * pf.prefill_unit_ns, r_pf, ttft) {
+                if exceeds(met * pf.prefill_unit_ns, pf.replicas, ttft) {
                     return true;
                 }
             }
             if let Some(e2e) = self.slo_e2e_ns {
-                if exceeds(met * pf.prefill_unit_ns, r_pf, e2e) {
+                if exceeds(met * pf.prefill_unit_ns, pf.replicas, e2e) {
                     return true;
                 }
                 if self.steps > 0 {
-                    if exceeds(met * steps * dec.decode_unit_ns, r_dec, e2e) {
+                    if exceeds(met * steps * dec.decode_unit_ns, dec.replicas, e2e) {
                         return true;
                     }
                     // Each handoff serializes on its destination link;
-                    // the decode pool owns `r_dec` links.
+                    // the decode pool owns one link per replica.
                     if let Some(transfer) = self.min_transfer_ns(cand) {
-                        if exceeds(met * transfer, r_dec, e2e) {
+                        if exceeds(met * transfer, dec.replicas, e2e) {
                             return true;
                         }
                     }
                 }
             }
         } else {
-            let Some((r, p)) = self.pool_prices(cand, PoolRole::Unified) else {
+            let Some(p) = self.pool_prices(cand, PoolRole::Unified) else {
                 return false;
             };
             if let Some(ttft) = self.slo_ttft_ns {
-                if exceeds(met * p.prefill_unit_ns, r, ttft) {
+                if exceeds(met * p.prefill_unit_ns, p.replicas, ttft) {
                     return true;
                 }
             }
             if let Some(e2e) = self.slo_e2e_ns {
-                if exceeds(met * (p.prefill_unit_ns + steps * p.decode_unit_ns), r, e2e) {
+                let work = p.prefill_unit_ns + steps * p.decode_unit_ns;
+                if exceeds(met * work, p.replicas, e2e) {
                     return true;
                 }
             }
@@ -855,42 +794,37 @@ impl SweepBounds {
         }
         let steps = f64::from(self.steps);
         let lb = if cand.spec.is_disaggregated() {
-            let pf = self.cheapest_iter(cand, PoolRole::Prefill, |p| p.prefill_iter_min_ns)?;
+            let pf = self.cheapest(cand, PoolRole::Prefill, |p| p.prefill_iter_min_ns)?;
             let mut lb = pf;
             if self.steps > 0 {
-                let dec = self.cheapest_iter(cand, PoolRole::Decode, |p| p.decode_iter_min_ns)?;
+                let dec = self.cheapest(cand, PoolRole::Decode, |p| p.decode_iter_min_ns)?;
                 lb += steps * dec + self.min_transfer_ns(cand).unwrap_or(0.0);
             }
             lb
         } else {
-            let pf = self.cheapest_iter(cand, PoolRole::Unified, |p| p.prefill_iter_min_ns)?;
-            let dec = self.cheapest_iter(cand, PoolRole::Unified, |p| p.decode_iter_min_ns)?;
+            let pf = self.cheapest(cand, PoolRole::Unified, |p| p.prefill_iter_min_ns)?;
+            let dec = self.cheapest(cand, PoolRole::Unified, |p| p.decode_iter_min_ns)?;
             pf + steps * dec
         };
         Some(lb * (1.0 - BOUND_SLACK))
     }
 
-    /// Minimum of `pick` over the priced platforms serving `role`;
-    /// `None` when the pool is empty or holds an off-menu platform.
-    fn cheapest_iter(
+    /// Minimum of `pick` over the priced platforms serving `role`: the
+    /// cheapest member on that one axis, which lower-bounds every member
+    /// there. `None` when the pool is empty or holds an off-menu platform.
+    fn cheapest(
         &self,
         cand: &PlanCandidate,
         role: PoolRole,
         pick: impl Fn(&PlatformPrice) -> f64,
     ) -> Option<f64> {
         let mut best: Option<f64> = None;
-        let mut saw = false;
         for g in cand.spec.groups.iter().filter(|g| g.role == role) {
-            saw = true;
             let p = self.prices.iter().find(|p| p.name == g.platform.name)?;
             let v = pick(p);
             best = Some(best.map_or(v, |b: f64| b.min(v)));
         }
-        if saw {
-            best
-        } else {
-            None
-        }
+        best
     }
 }
 
@@ -1154,47 +1088,41 @@ mod tests {
         assert_eq!(ok.validate(), Ok(()));
         let mut bad = ok.clone();
         bad.max_replicas = 0;
-        assert_eq!(bad.validate(), Err(PlanError::ZeroMaxReplicas));
+        assert_eq!(bad.validate(), Err(ConfigError::AtLeastOne("max replicas")));
         let mut bad = ok.clone();
         bad.attainment_floor = 0.0;
-        assert_eq!(bad.validate(), Err(PlanError::BadAttainmentFloor(0.0)));
+        assert_eq!(bad.validate(), Err(ConfigError::BadAttainmentFloor(0.0)));
         let mut bad = ok.clone();
         bad.attainment_floor = 1.5;
-        assert_eq!(bad.validate(), Err(PlanError::BadAttainmentFloor(1.5)));
+        assert_eq!(bad.validate(), Err(ConfigError::BadAttainmentFloor(1.5)));
         let mut bad = ok.clone();
         bad.envelope.requests = 0;
-        assert_eq!(
-            bad.validate(),
-            Err(PlanError::Fleet(FleetError::ZeroRequests))
-        );
+        assert_eq!(bad.validate(), Err(ConfigError::ZeroRequests));
         let mut bad = ok.clone();
         bad.envelope.prompt_len = 0;
-        assert_eq!(
-            bad.validate(),
-            Err(PlanError::Fleet(FleetError::ZeroPromptLen))
-        );
+        assert_eq!(bad.validate(), Err(ConfigError::AtLeastOne("prompt_len")));
         let mut bad = ok.clone();
         bad.envelope.new_tokens = 0;
-        assert_eq!(
-            bad.validate(),
-            Err(PlanError::Fleet(FleetError::ZeroNewTokens))
-        );
+        assert_eq!(bad.validate(), Err(ConfigError::AtLeastOne("new_tokens")));
         let mut bad = ok.clone();
         bad.envelope.prompt_len = 3_000_000_000;
         bad.envelope.new_tokens = 8;
         assert_eq!(
             bad.validate(),
-            Err(PlanError::Fleet(FleetError::RequestTooLong(3_000_000_008)))
+            Err(ConfigError::RequestTooLong(3_000_000_008))
         );
         let mut bad = ok.clone();
         bad.envelope.qps = 0.0;
-        assert_eq!(bad.validate(), Err(PlanError::BadLoad(0.0)));
+        assert_eq!(
+            bad.validate(),
+            Err(ConfigError::NotPositive("offered load", 0.0))
+        );
         for peak in [f64::INFINITY, f64::NAN, -5.0, 0.0] {
             let mut bad = ok.clone();
             bad.envelope.peak_qps = Some(peak);
             let got = bad.validate();
             assert!(
-                matches!(got, Err(PlanError::BadPeakLoad(v)) if v.total_cmp(&peak).is_eq()),
+                matches!(got, Err(ConfigError::NotPositive("peak offered load", v)) if v.total_cmp(&peak).is_eq()),
                 "{got:?}"
             );
         }
@@ -1204,21 +1132,18 @@ mod tests {
         assert_eq!(flat.validate(), Ok(()));
         let mut bad = ok.clone();
         bad.max_batch = 0;
-        assert_eq!(
-            bad.validate(),
-            Err(PlanError::Fleet(FleetError::ZeroMaxBatch))
-        );
+        assert_eq!(bad.validate(), Err(ConfigError::AtLeastOne("max_batch")));
         let mut bad = ok.clone();
         bad.policy = FleetBatchPolicy::ChunkedPrefill { chunk_tokens: 0 };
         assert_eq!(
             bad.validate(),
-            Err(PlanError::Fleet(FleetError::ZeroChunkTokens))
+            Err(ConfigError::AtLeastOne("chunked-prefill chunk_tokens"))
         );
         let mut bad = ok;
         bad.platforms.clear();
-        assert_eq!(bad.validate(), Err(PlanError::NoPlatforms));
+        assert_eq!(bad.validate(), Err(ConfigError::NoPlatforms));
         // Errors render actionable messages.
-        assert!(PlanError::ZeroMaxReplicas
+        assert!(ConfigError::AtLeastOne("max replicas")
             .to_string()
             .contains("at least 1"));
     }
@@ -1412,5 +1337,47 @@ mod tests {
             o.resolution
         );
         assert!(o.report.aborted);
+    }
+
+    /// A mixed pool is charged its cheapest member on each axis, not one
+    /// member on both: llama-3.2-1b at a 512-token prompt prefills
+    /// cheapest on gh200 but decodes cheapest on intel_h100, so a bound
+    /// that charged either member on both axes would over-estimate the
+    /// pool's work.
+    #[test]
+    fn pool_bound_charges_each_axis_its_cheapest_member() {
+        let mut cfg = PlannerConfig::new(TrafficEnvelope {
+            model: zoo::llama32_1b(),
+            qps: 10.0,
+            peak_qps: None,
+            requests: 24,
+            prompt_len: 512,
+            new_tokens: 8,
+            seed: 7,
+            slo: SloTargets::default(),
+        });
+        cfg.platforms = vec![Platform::intel_h100(), Platform::gh200()];
+        let bounds = SweepBounds::new(&cfg);
+        let price = |name: &str| {
+            let p = bounds.prices.iter().find(|p| p.name == name);
+            p.expect("priced").clone()
+        };
+        let (gh, h100) = (price("gh200"), price("intel_h100"));
+        assert!(gh.prefill_unit_ns < h100.prefill_unit_ns, "{gh:?} {h100:?}");
+        assert!(h100.decode_unit_ns < gh.decode_unit_ns, "{gh:?} {h100:?}");
+        let cand = PlanCandidate {
+            spec: FleetSpec::parse("gh200:1,intel_h100:1").unwrap(),
+            autoscaled: false,
+        };
+        let pool = bounds.pool_prices(&cand, PoolRole::Unified).unwrap();
+        assert_eq!(
+            pool.prefill_unit_ns,
+            gh.prefill_unit_ns.min(h100.prefill_unit_ns)
+        );
+        assert_eq!(
+            pool.decode_unit_ns,
+            gh.decode_unit_ns.min(h100.decode_unit_ns)
+        );
+        assert_eq!(pool.replicas, 2.0);
     }
 }

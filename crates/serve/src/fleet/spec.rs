@@ -1,13 +1,12 @@
 //! Fleet topology: which platforms, how many replicas, which pool.
 
-use std::error::Error;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 use skip_hw::Platform;
 use skip_llm::ModelConfig;
 
-use crate::config::check;
+use crate::config::{check_request_shape, ConfigError};
 use crate::fleet::arrivals::ArrivalProcess;
 use crate::fleet::autoscale::AutoscaleConfig;
 use crate::observe::SloTargets;
@@ -354,84 +353,6 @@ pub struct FleetConfig {
     pub autoscale: Option<AutoscaleConfig>,
 }
 
-/// Why a [`FleetConfig`] cannot be simulated.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FleetError {
-    /// The spec has no groups.
-    EmptyFleet,
-    /// A group with zero replicas.
-    ZeroCountGroup(
-        /// The offending group's platform name.
-        String,
-    ),
-    /// Prefill and Unified (or Decode and Unified) groups in one spec.
-    MixedUnifiedAndPools,
-    /// A disaggregated spec missing one of the two pools.
-    MissingPool(
-        /// The absent pool.
-        PoolRole,
-    ),
-    /// `requests` was zero.
-    ZeroRequests,
-    /// `prompt_len` was zero: an empty prompt never prefills, so no first
-    /// token is ever stamped.
-    ZeroPromptLen,
-    /// `new_tokens` was zero: every request emits at least its first token,
-    /// so a zero-output request would be served and billed as a one-token
-    /// one.
-    ZeroNewTokens,
-    /// `prompt_len + new_tokens` is longer than the price grid's `2^31`
-    /// tokens.
-    RequestTooLong(
-        /// The offending prompt plus output tokens.
-        u64,
-    ),
-    /// `max_batch` was zero.
-    ZeroMaxBatch,
-    /// Chunked prefill with a zero token budget.
-    ZeroChunkTokens,
-    /// The arrival process has a non-positive or non-finite rate.
-    BadArrivals(
-        /// What is wrong with it.
-        String,
-    ),
-    /// The autoscaler config is self-contradictory.
-    BadAutoscale(
-        /// What is wrong with it.
-        String,
-    ),
-}
-
-impl fmt::Display for FleetError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FleetError::EmptyFleet => write!(f, "fleet spec must declare at least one group"),
-            FleetError::ZeroCountGroup(p) => {
-                write!(f, "group '{p}' has zero replicas")
-            }
-            FleetError::MixedUnifiedAndPools => write!(
-                f,
-                "cannot mix unified groups with prefill=/decode= pools in one fleet"
-            ),
-            FleetError::MissingPool(role) => {
-                write!(f, "disaggregated fleet needs a {} pool", role.label())
-            }
-            FleetError::ZeroRequests => f.write_str(check::ZERO_REQUESTS),
-            FleetError::ZeroPromptLen => f.write_str(&check::at_least_one("prompt_len")),
-            FleetError::ZeroNewTokens => f.write_str(&check::at_least_one("new_tokens")),
-            FleetError::RequestTooLong(tokens) => f.write_str(&check::too_long(*tokens)),
-            FleetError::ZeroMaxBatch => f.write_str(&check::at_least_one("max_batch")),
-            FleetError::ZeroChunkTokens => {
-                f.write_str(&check::at_least_one("chunked-prefill chunk_tokens"))
-            }
-            FleetError::BadArrivals(msg) => write!(f, "bad arrival process: {msg}"),
-            FleetError::BadAutoscale(msg) => write!(f, "bad autoscale config: {msg}"),
-        }
-    }
-}
-
-impl Error for FleetError {}
-
 impl FleetConfig {
     /// Checks every knob the fleet simulator depends on, returning the
     /// first violation. The `simulate_fleet*` entry points panic on an
@@ -440,45 +361,37 @@ impl FleetConfig {
     ///
     /// # Errors
     ///
-    /// Returns the first [`FleetError`] the configuration violates.
-    pub fn validate(&self) -> Result<(), FleetError> {
+    /// Returns the first [`ConfigError`] the configuration violates.
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if self.spec.groups.is_empty() {
-            return Err(FleetError::EmptyFleet);
+            return Err(ConfigError::EmptyFleet);
         }
         if let Some(g) = self.spec.groups.iter().find(|g| g.count == 0) {
-            return Err(FleetError::ZeroCountGroup(g.platform.name.clone()));
+            return Err(ConfigError::ZeroCountGroup(g.platform.name.clone()));
         }
         if self.spec.is_disaggregated() {
             if self.spec.groups.iter().any(|g| g.role == PoolRole::Unified) {
-                return Err(FleetError::MixedUnifiedAndPools);
+                return Err(ConfigError::MixedUnifiedAndPools);
             }
             for role in [PoolRole::Prefill, PoolRole::Decode] {
                 if self.spec.replicas_in(role) == 0 {
-                    return Err(FleetError::MissingPool(role));
+                    return Err(ConfigError::MissingPool(role));
                 }
             }
         }
         if self.requests == 0 {
-            return Err(FleetError::ZeroRequests);
+            return Err(ConfigError::ZeroRequests);
         }
-        if self.prompt_len == 0 {
-            return Err(FleetError::ZeroPromptLen);
-        }
-        if self.new_tokens == 0 {
-            return Err(FleetError::ZeroNewTokens);
-        }
-        if let Some(tokens) = check::overlong(self.prompt_len, self.new_tokens) {
-            return Err(FleetError::RequestTooLong(tokens));
-        }
+        check_request_shape(self.prompt_len, self.new_tokens)?;
         if self.max_batch == 0 {
-            return Err(FleetError::ZeroMaxBatch);
+            return Err(ConfigError::AtLeastOne("max_batch"));
         }
         if self.policy == (FleetBatchPolicy::ChunkedPrefill { chunk_tokens: 0 }) {
-            return Err(FleetError::ZeroChunkTokens);
+            return Err(ConfigError::AtLeastOne("chunked-prefill chunk_tokens"));
         }
-        self.arrivals.validate().map_err(FleetError::BadArrivals)?;
+        self.arrivals.validate().map_err(ConfigError::BadArrivals)?;
         if let Some(a) = &self.autoscale {
-            a.validate().map_err(FleetError::BadAutoscale)?;
+            a.validate().map_err(ConfigError::BadAutoscale)?;
         }
         Ok(())
     }
@@ -553,52 +466,58 @@ mod tests {
     fn each_violation_maps_to_its_error() {
         let mut c = valid();
         c.spec.groups.clear();
-        assert_eq!(c.validate(), Err(FleetError::EmptyFleet));
+        assert_eq!(c.validate(), Err(ConfigError::EmptyFleet));
 
         let mut c = valid();
         c.spec.groups[0].count = 0;
-        assert!(matches!(c.validate(), Err(FleetError::ZeroCountGroup(_))));
+        assert!(matches!(c.validate(), Err(ConfigError::ZeroCountGroup(_))));
 
         let mut c = valid();
         c.spec.groups[0].role = PoolRole::Unified;
-        assert_eq!(c.validate(), Err(FleetError::MixedUnifiedAndPools));
+        assert_eq!(c.validate(), Err(ConfigError::MixedUnifiedAndPools));
 
         let mut c = valid();
         c.spec.groups[1].role = PoolRole::Prefill;
-        assert_eq!(c.validate(), Err(FleetError::MissingPool(PoolRole::Decode)));
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::MissingPool(PoolRole::Decode))
+        );
 
         let mut c = valid();
         c.requests = 0;
-        assert_eq!(c.validate(), Err(FleetError::ZeroRequests));
+        assert_eq!(c.validate(), Err(ConfigError::ZeroRequests));
 
         let mut c = valid();
         c.prompt_len = 0;
-        assert_eq!(c.validate(), Err(FleetError::ZeroPromptLen));
+        assert_eq!(c.validate(), Err(ConfigError::AtLeastOne("prompt_len")));
 
         let mut c = valid();
         c.new_tokens = 0;
-        assert_eq!(c.validate(), Err(FleetError::ZeroNewTokens));
+        assert_eq!(c.validate(), Err(ConfigError::AtLeastOne("new_tokens")));
 
         let mut c = valid();
         c.prompt_len = 3_000_000_000;
         assert_eq!(
             c.validate(),
-            Err(FleetError::RequestTooLong(
+            Err(ConfigError::RequestTooLong(
                 3_000_000_000 + u64::from(c.new_tokens)
             ))
         );
 
         let mut c = valid();
         c.max_batch = 0;
-        assert_eq!(c.validate(), Err(FleetError::ZeroMaxBatch));
+        assert_eq!(c.validate(), Err(ConfigError::AtLeastOne("max_batch")));
 
         let mut c = valid();
         c.policy = FleetBatchPolicy::ChunkedPrefill { chunk_tokens: 0 };
-        assert_eq!(c.validate(), Err(FleetError::ZeroChunkTokens));
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::AtLeastOne("chunked-prefill chunk_tokens"))
+        );
 
         let mut c = valid();
         c.arrivals = ArrivalProcess::Poisson { rate_per_s: 0.0 };
-        assert!(matches!(c.validate(), Err(FleetError::BadArrivals(_))));
+        assert!(matches!(c.validate(), Err(ConfigError::BadArrivals(_))));
 
         let mut c = valid();
         c.autoscale = Some(AutoscaleConfig {
@@ -606,7 +525,7 @@ mod tests {
             max_per_pool: 2,
             ..AutoscaleConfig::default()
         });
-        assert!(matches!(c.validate(), Err(FleetError::BadAutoscale(_))));
+        assert!(matches!(c.validate(), Err(ConfigError::BadAutoscale(_))));
     }
 
     #[test]
@@ -623,10 +542,10 @@ mod tests {
 
     #[test]
     fn errors_render_actionable_messages() {
-        assert!(FleetError::MixedUnifiedAndPools
+        assert!(ConfigError::MixedUnifiedAndPools
             .to_string()
             .contains("cannot mix"));
-        assert!(FleetError::MissingPool(PoolRole::Decode)
+        assert!(ConfigError::MissingPool(PoolRole::Decode)
             .to_string()
             .contains("decode pool"));
     }

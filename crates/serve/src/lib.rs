@@ -35,8 +35,9 @@
 //!   the newest request, resolving each victim by recompute or
 //!   coupling-priced swap-to-host.
 //! * [`ServingConfig::validate`] — up-front configuration checking with
-//!   actionable [`ConfigError`]s; the `simulate*` entry points panic on
-//!   invalid configs, so graceful front ends validate first.
+//!   actionable [`ConfigError`]s, the one error the fleet and planner
+//!   validators return too; the `simulate*` entry points panic on invalid
+//!   configs, so graceful front ends validate first.
 //! * [`simulate`] — the discrete-event serving loop, returning a
 //!   [`ServingReport`] of latency percentiles, throughput, memory-pressure
 //!   counters, and SLO attainment.
@@ -99,10 +100,9 @@ mod unified;
 pub use config::{ConfigError, KvCacheConfig, Policy, RouterPolicy, ServingConfig};
 pub use fleet::{
     simulate_fleet, simulate_fleet_bounded, simulate_fleet_traced, ArrivalProcess, AutoscaleConfig,
-    FleetBatchPolicy, FleetConfig, FleetError, FleetReport, FleetRouterPolicy, FleetSample,
-    FleetSpec, FleetTrace, PlanCandidate, PlanError, PlanOutcome, PlanSweep, PlannerConfig,
-    PoolRole, ReplicaGroup, Resolution, ScaleAction, ScalingEvent, SweepBounds, SweepStats,
-    TrafficEnvelope,
+    FleetBatchPolicy, FleetConfig, FleetReport, FleetRouterPolicy, FleetSample, FleetSpec,
+    FleetTrace, PlanCandidate, PlanOutcome, PlanSweep, PlannerConfig, PoolRole, ReplicaGroup,
+    Resolution, ScaleAction, ScalingEvent, SweepBounds, SweepStats, TrafficEnvelope,
 };
 pub use floor::{simulate, simulate_replicas, simulate_traced, ServingReport};
 pub use latency::LatencyModel;

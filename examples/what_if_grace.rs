@@ -3,23 +3,25 @@
 //!
 //! The paper's conclusion says addressing the CC bottleneck "requires
 //! enhancing CPU performance or employing intelligent scheduling". The
-//! [`PlatformBuilder`] lets us test that counterfactual directly: swap the
-//! Grace CPU for the Xeon 8468V (keeping the Hopper GPU, NVLink-C2C and
-//! coupling), and re-run the BERT batch sweep.
+//! public fields of [`Platform`] let us test that counterfactual directly:
+//! swap the Grace CPU for the Xeon 8468V with struct-update syntax
+//! (keeping the Hopper GPU, NVLink-C2C and coupling), and re-run the BERT
+//! batch sweep.
 //!
 //! Run with: `cargo run --example what_if_grace`
 
 use skip_core::ProfileReport;
-use skip_hw::{CpuModel, Platform, PlatformBuilder};
+use skip_hw::{CpuModel, Platform};
 use skip_llm::{zoo, Phase, Workload};
 use skip_runtime::{Engine, ExecMode};
 
 fn main() {
     let gh200 = Platform::gh200();
-    let hypothetical = PlatformBuilder::from(gh200.clone())
-        .name("gh200_xeon_cpu")
-        .cpu(CpuModel::xeon_8468v())
-        .build();
+    let hypothetical = Platform {
+        name: "gh200_xeon_cpu".into(),
+        cpu: CpuModel::xeon_8468v(),
+        ..gh200.clone()
+    };
     let intel = Platform::intel_h100();
 
     println!("BERT-base prefill TTFT (ms), seq=512:\n");

@@ -234,8 +234,8 @@ fn zero_replica_counts_print_the_canonical_wording_in_both_clis() {
 #[test]
 fn library_validators_share_the_cli_wording() {
     use skip_serve::{
-        ArrivalProcess, FleetBatchPolicy, FleetConfig, FleetRouterPolicy, FleetSpec, PlannerConfig,
-        Policy, RouterPolicy, ServingConfig, SloTargets, TrafficEnvelope,
+        ArrivalProcess, ConfigError, FleetBatchPolicy, FleetConfig, FleetRouterPolicy, FleetSpec,
+        PlannerConfig, Policy, RouterPolicy, ServingConfig, SloTargets, TrafficEnvelope,
     };
 
     let serve = ServingConfig {
@@ -276,13 +276,12 @@ fn library_validators_share_the_cli_wording() {
         slo: SloTargets::default(),
     });
 
-    // Zero requests: one message, three validators.
-    let serve_msg = serve.validate().unwrap_err().to_string();
-    let fleet_msg = fleet.validate().unwrap_err().to_string();
-    let plan_msg = planner.validate().unwrap_err().to_string();
-    assert_eq!(serve_msg, "simulate at least one request");
-    assert_eq!(serve_msg, fleet_msg);
-    assert_eq!(serve_msg, plan_msg);
+    // Zero requests: one error value, hence one message, three validators.
+    let serve_err = serve.validate().unwrap_err();
+    assert_eq!(serve_err, ConfigError::ZeroRequests);
+    assert_eq!(fleet.validate(), Err(serve_err.clone()));
+    assert_eq!(planner.validate(), Err(serve_err.clone()));
+    assert_eq!(serve_err.to_string(), "simulate at least one request");
 
     // Non-positive rates: same sentence shape, differing only in the
     // knob's name.
@@ -315,13 +314,14 @@ fn library_validators_share_the_cli_wording() {
     serve.prompt_len = u32::MAX;
     fleet.prompt_len = u32::MAX;
     planner.envelope.prompt_len = u32::MAX;
-    let serve_msg = serve.validate().unwrap_err().to_string();
+    let serve_err = serve.validate().unwrap_err();
+    assert_eq!(serve_err, ConfigError::RequestTooLong(4_294_967_299));
+    assert_eq!(fleet.validate(), Err(serve_err.clone()));
+    assert_eq!(planner.validate(), Err(serve_err.clone()));
     assert_eq!(
-        serve_msg,
+        serve_err.to_string(),
         "prompt plus output tokens must be at most 2147483648, got 4294967299"
     );
-    assert_eq!(serve_msg, fleet.validate().unwrap_err().to_string());
-    assert_eq!(serve_msg, planner.validate().unwrap_err().to_string());
 }
 
 /// A flag the subcommand does not read is an error with one message
