@@ -24,9 +24,11 @@ cargo test --workspace -q
 echo "== fresh-seed property pass (1000 new cases per property) =="
 # A new seed every run, printed so a failure replays with
 # PROPTEST_SEED=<seed>; set PROPTEST_SEED yourself to rerun a logged one.
-# Covers the legacy oracle vs the unified floor (skip-serve --lib), the
-# DES queue and arrival merge, the KV block pool against its reference
-# model, the planner, fleet and policy/router properties, the Chrome
+# Covers the legacy oracle vs the unified floor and the price table's
+# interpolation-error bound (skip-serve --lib), the DES queue and arrival
+# merge, the KV block pool against its reference model, the planner, fleet
+# and policy/router properties (among them the lean floor, with its decode
+# windows, reporting what the traced floor reports), the Chrome
 # export/import round trip, RunSummary against the reduction of the
 # stored trace, the hardware and model-graph properties, and the
 # end-to-end pipeline properties.
@@ -59,6 +61,24 @@ serve_out=$(cargo run --release -p skip-suite --bin skip -- serve --model gpt2 \
   --platform gh200 --policy chunked --chunk-tokens 64 --router jsq --replicas 4 \
   --requests 40 --qps 100 --seq 256 --tokens 8 --slo-ttft-ms 200)
 grep -q "completed    : 40 requests" <<<"$serve_out"
+# Without --trace-out this is the lean floor's report.
+grep -qF "TTFT p50/p95/p99 : 654.830ms / 1.310s / 1.318s" <<<"$serve_out"
+
+echo "== skip serve CLI (long decodes: the lean floor's decode windows, both fronts) =="
+# The low-batch GH200 decode regime, where the lean floor runs an unchanged
+# decode batch up to the next arrival in one event. The same shape on the
+# single-node front and as a fleet; the traced floor reports the same
+# lines.
+long_out=$(cargo run --release -p skip-suite --bin skip -- serve --model llama-3.2-1b \
+  --platform gh200 --policy continuous --max-batch 16 --router jsq --replicas 4 \
+  --requests 400 --qps 6 --seq 128 --tokens 256 --slo-ttft-ms 200)
+grep -qF "TTFT p50/p95/p99 : 38.749ms / 51.011ms / 52.037ms" <<<"$long_out"
+grep -qF "e2e  p50/p95     : 6.738s / 6.750s" <<<"$long_out"
+long_fleet_out=$(cargo run --release -p skip-suite --bin skip -- serve --model llama-3.2-1b \
+  --fleet gh200:4 --fleet-router jsq --max-batch 16 \
+  --requests 400 --qps 6 --seq 128 --tokens 256 --slo-ttft-ms 200)
+grep -qF "TTFT p50/p95/p99 : 39.469ms / 51.330ms / 52.280ms" <<<"$long_fleet_out"
+grep -qF "e2e  p50/p95     : 6.990s / 7.051s" <<<"$long_fleet_out"
 
 echo "== skip serve CLI (memory-aware chunked prefill under recompute pressure) =="
 kv_chunked_out=$(cargo run --release -p skip-suite --bin skip -- serve --model llama-2-7b \

@@ -44,6 +44,7 @@ pub struct Simulator<E> {
 #[derive(Debug)]
 pub struct SimContext<'a, E> {
     now: SimTime,
+    source_next: Option<SimTime>,
     queue: &'a mut EventQueue<E>,
 }
 
@@ -53,6 +54,17 @@ impl<E> SimContext<'_, E> {
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// When the merged source's next event fires: set by
+    /// [`Simulator::step_merged`], which draws the source one event ahead
+    /// of the handler. `None` once the source is exhausted, and always
+    /// under [`Simulator::step`], [`Simulator::run`] and
+    /// [`Simulator::run_until`]. A handler cannot peek the source itself:
+    /// `step_merged` holds it while the handler runs.
+    #[must_use]
+    pub fn source_next(&self) -> Option<SimTime> {
+        self.source_next
     }
 
     /// Schedules `event` at instant `at`.
@@ -120,11 +132,20 @@ impl<E> Simulator<E> {
     where
         F: FnMut(&mut SimContext<'_, E>, E),
     {
+        self.step_queue(None, handler)
+    }
+
+    /// [`step`](Self::step), telling the handler when the merged source
+    /// fires next.
+    fn step_queue<F>(&mut self, source_next: Option<SimTime>, handler: F) -> bool
+    where
+        F: FnMut(&mut SimContext<'_, E>, E),
+    {
         let Some(Scheduled { at, event, .. }) = self.queue.pop() else {
             return false;
         };
         debug_assert!(at >= self.now, "event queue yielded a past event");
-        self.fire(at, event, handler);
+        self.fire(at, event, source_next, handler);
         true
     }
 
@@ -135,7 +156,9 @@ impl<E> Simulator<E> {
     /// `source` is a time-ordered stream of events that were never
     /// pushed — a workload's arrivals, say. Merging it in front of the
     /// queue keeps the queue as deep as what handlers schedule, not as deep
-    /// as the whole stream, and draws the stream one event at a time. On a
+    /// as the whole stream. The stream is drawn one event ahead: before the
+    /// handler runs, the source is peeked past the event being fired, and
+    /// [`SimContext::source_next`] reports when its next event comes. On a
     /// time tie the source's event fires first, so the order is exactly
     /// the one pushing the whole source before anything else would give:
     /// its events would hold the lowest sequence numbers.
@@ -149,13 +172,14 @@ impl<E> Simulator<E> {
         I: Iterator<Item = (SimTime, E)>,
         F: FnMut(&mut SimContext<'_, E>, E),
     {
-        let source_first = match (source.peek(), self.queue.peek_time()) {
-            (Some(&(at, _)), Some(head)) => at <= head,
+        let source_at = source.peek().map(|&(at, _)| at);
+        let source_first = match (source_at, self.queue.peek_time()) {
+            (Some(at), Some(head)) => at <= head,
             (Some(_), None) => true,
             (None, _) => false,
         };
         if !source_first {
-            return self.step(handler);
+            return self.step_queue(source_at, handler);
         }
         let (at, event) = source.next().expect("peeked a source event");
         assert!(
@@ -163,12 +187,13 @@ impl<E> Simulator<E> {
             "merged source is not time-ordered: {at} < {now}",
             now = self.now
         );
-        self.fire(at, event, handler);
+        let next = source.peek().map(|&(at, _)| at);
+        self.fire(at, event, next, handler);
         true
     }
 
     /// Advances the clock to `at` and hands `event` to `handler`.
-    fn fire<F>(&mut self, at: SimTime, event: E, mut handler: F)
+    fn fire<F>(&mut self, at: SimTime, event: E, source_next: Option<SimTime>, mut handler: F)
     where
         F: FnMut(&mut SimContext<'_, E>, E),
     {
@@ -176,6 +201,7 @@ impl<E> Simulator<E> {
         self.processed += 1;
         let mut ctx = SimContext {
             now: at,
+            source_next,
             queue: &mut self.queue,
         };
         handler(&mut ctx, event);
@@ -299,6 +325,62 @@ mod tests {
             .map(|(t, e)| (SimTime::from_nanos(t), e))
             .peekable();
         while sim.step_merged(&mut source, |_, _| {}) {}
+    }
+
+    /// `source_next` is the instant of the source's next event after the
+    /// one being fired, whether the fired event came from the source or the
+    /// queue; a source event tied with the one firing reports that instant.
+    #[test]
+    fn source_next_reports_the_next_source_event_on_a_tie() {
+        let mut sim = Simulator::new();
+        sim.schedule(SimTime::from_nanos(10), "queued@10");
+        sim.schedule(SimTime::from_nanos(15), "queued@15");
+        let mut source = [(10, "source@10"), (10, "source@10b"), (20, "source@20")]
+            .into_iter()
+            .map(|(t, e)| (SimTime::from_nanos(t), e))
+            .peekable();
+        let mut seen = Vec::new();
+        while sim.step_merged(&mut source, |ctx, ev| {
+            seen.push((ev, ctx.source_next().map(SimTime::as_nanos)));
+        }) {}
+        assert_eq!(
+            seen,
+            [
+                ("source@10", Some(10)),
+                ("source@10b", Some(20)),
+                ("queued@10", Some(20)),
+                ("queued@15", Some(20)),
+                ("source@20", None),
+            ]
+        );
+    }
+
+    /// Once the source is exhausted, queue events see `None`.
+    #[test]
+    fn source_next_is_none_after_the_source_is_exhausted() {
+        let mut sim = Simulator::new();
+        sim.schedule(SimTime::from_nanos(30), 1u32);
+        let mut source = std::iter::once((SimTime::from_nanos(5), 0u32)).peekable();
+        let mut seen = Vec::new();
+        while sim.step_merged(&mut source, |ctx, ev| {
+            seen.push((ev, ctx.source_next()));
+            if ev == 0 {
+                ctx.schedule(SimTime::from_nanos(7), 2);
+            }
+        }) {}
+        assert_eq!(seen, [(0, None), (2, None), (1, None)]);
+    }
+
+    /// Plain `step` (and so `run` and `run_until`) has no source.
+    #[test]
+    fn source_next_is_none_under_plain_step() {
+        let mut sim = Simulator::new();
+        sim.schedule(SimTime::from_nanos(5), ());
+        sim.schedule(SimTime::from_nanos(9), ());
+        let mut seen = Vec::new();
+        assert!(sim.step(|ctx, ()| seen.push(ctx.source_next())));
+        sim.run(|ctx, ()| seen.push(ctx.source_next()));
+        assert_eq!(seen, [None, None]);
     }
 
     #[test]

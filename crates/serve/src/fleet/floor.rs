@@ -59,7 +59,7 @@ pub fn simulate_fleet_bounded(cfg: &FleetConfig, stop: StopCondition) -> FleetRe
 /// Panics if the configuration fails [`FleetConfig::validate`].
 #[must_use]
 pub fn simulate_fleet_traced(cfg: &FleetConfig) -> (FleetReport, FleetTrace) {
-    let (report, obs) = run_fleet(cfg, StopCondition::UNBOUNDED, true);
+    let (report, obs, _) = run_fleet(cfg, StopCondition::UNBOUNDED, true);
     let FloorObs::Fleet(trace) = obs else {
         unreachable!("a traced fleet run records a FleetTrace")
     };
@@ -67,12 +67,13 @@ pub fn simulate_fleet_traced(cfg: &FleetConfig) -> (FleetReport, FleetTrace) {
 }
 
 /// Runs the fleet floor under `stop`, recording a [`FleetTrace`] when
-/// `traced` and nothing otherwise; the report is the same either way.
+/// `traced` and nothing otherwise; the report is the same either way. Also
+/// returns how many events the floor handled.
 pub(crate) fn run_fleet(
     cfg: &FleetConfig,
     stop: StopCondition,
     traced: bool,
-) -> (FleetReport, FloorObs) {
+) -> (FleetReport, FloorObs, u64) {
     if let Err(e) = cfg.validate() {
         panic!("{e}");
     }
@@ -91,11 +92,7 @@ pub(crate) fn run_fleet(
     } else {
         FloorObs::Lean
     };
-    let FloorRun {
-        floor,
-        latency: l,
-        aborted,
-    } = FloorSpec {
+    let run = FloorSpec {
         groups: &cfg.spec.groups,
         model: &cfg.model,
         arrivals: Box::new(
@@ -117,9 +114,16 @@ pub(crate) fn run_fleet(
         stop,
     }
     .run();
-    let set = &floor.set;
+    let report = fleet_report(&run);
+    (report, run.floor.obs, run.events)
+}
+
+/// A finished floor's fleet report: the shared latency summary plus the
+/// handoff, scaling and billing telemetry of its replica set.
+pub(crate) fn fleet_report(run: &FloorRun) -> FleetReport {
+    let (l, set) = (&run.latency, &run.floor.set);
     let d = |v: f64| SimDuration::from_nanos_f64(v);
-    let report = FleetReport {
+    FleetReport {
         completed: l.completed,
         ttft_p50: l.ttft_p50,
         ttft_p95: l.ttft_p95,
@@ -138,9 +142,8 @@ pub(crate) fn run_fleet(
         scale_downs: set.scale_downs,
         peak_replicas: set.peak_live,
         replica_seconds: set.replica_ns / 1e9,
-        aborted,
-    };
-    (report, floor.obs)
+        aborted: run.aborted,
+    }
 }
 
 #[cfg(test)]

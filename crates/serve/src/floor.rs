@@ -100,7 +100,7 @@ pub fn simulate_replicas(cfg: &ServingConfig, replicas: u32) -> ServingReport {
 /// validate first for a graceful error path).
 #[must_use]
 pub fn simulate_traced(cfg: &ServingConfig, replicas: u32) -> (ServingReport, ServingTrace) {
-    let (report, obs) = run_floor(cfg, replicas, true);
+    let (report, obs, _) = run_floor(cfg, replicas, true);
     let FloorObs::Serve(trace) = obs else {
         unreachable!("a traced single-node run records a ServingTrace")
     };
@@ -108,12 +108,13 @@ pub fn simulate_traced(cfg: &ServingConfig, replicas: u32) -> (ServingReport, Se
 }
 
 /// Runs the single-node floor, recording a [`ServingTrace`] when `traced`
-/// and nothing otherwise; the report is the same either way.
+/// and nothing otherwise; the report is the same either way. Also returns
+/// how many events the floor handled.
 pub(crate) fn run_floor(
     cfg: &ServingConfig,
     replicas: u32,
     traced: bool,
-) -> (ServingReport, FloorObs) {
+) -> (ServingReport, FloorObs, u64) {
     assert!(replicas > 0, "need at least one replica");
     if let Err(e) = cfg.validate() {
         panic!("{e}");
@@ -161,7 +162,7 @@ pub(crate) fn run_floor(
     }
     .run();
     let report = serving_report(run.latency, run.floor.mem.as_ref());
-    (report, run.floor.obs)
+    (report, run.floor.obs, run.events)
 }
 
 /// The shared latency summary plus the memory layer's pressure counters

@@ -277,7 +277,30 @@ impl LatencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use skip_llm::zoo;
+
+    /// The exact pricer the table is checked against: one engine run at
+    /// the true length, where the table interpolates between grid points.
+    fn exact(
+        engine: &Engine,
+        model: &ModelConfig,
+        decode: bool,
+        batch: u32,
+        len: u32,
+    ) -> SimDuration {
+        let phase = if decode {
+            Phase::DecodeStep { past_len: len }
+        } else {
+            Phase::Prefill
+        };
+        engine
+            .run_summary(
+                &Workload::new(model.clone(), phase, batch, len),
+                ExecMode::Eager,
+            )
+            .latency()
+    }
 
     #[test]
     fn memoization_hits_after_first_run() {
@@ -363,19 +386,7 @@ mod tests {
         let platform = Platform::gh200();
         let engine = Engine::new(platform.clone());
         let m = LatencyModel::new(platform, cfg.clone());
-        let run = |decode: bool, batch: u32, len: u32| {
-            let phase = if decode {
-                Phase::DecodeStep { past_len: len }
-            } else {
-                Phase::Prefill
-            };
-            engine
-                .run_summary(
-                    &Workload::new(cfg.clone(), phase, batch, len),
-                    ExecMode::Eager,
-                )
-                .latency()
-        };
+        let run = |decode, batch, len| exact(&engine, &cfg, decode, batch, len);
         for batch in [63u32, 64, 65, 200] {
             for decode in [false, true] {
                 let price = |len| {
@@ -399,6 +410,42 @@ mod tests {
             "two grid points x two phases x four batches"
         );
         assert_eq!(m.cache_entries(), 16);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The interpolation error is bounded: against the engine run at
+        /// the true length, over the paper's three platforms, three model
+        /// sizes, both phases, batches 1..=64 and lengths 2..=4096, the
+        /// table overcharges prefill by at most 35% and decode by at most
+        /// 20%, and undercharges by at most 1 µs. A chord above a convex
+        /// cost only overcharges; the undercharge allowance covers
+        /// nanosecond rounding and the engine's small non-convex steps.
+        #[test]
+        fn interpolation_error_stays_within_its_bound(
+            platform in prop::sample::select(vec![
+                Platform::amd_a100(),
+                Platform::intel_h100(),
+                Platform::gh200(),
+            ]),
+            model in prop::sample::select(vec![zoo::gpt2(), zoo::llama32_1b(), zoo::llama2_7b()]),
+            decode in prop::sample::select(vec![false, true]),
+            batch in 1u32..65,
+            len in 2u32..4097,
+        ) {
+            let want = exact(&Engine::new(platform.clone()), &model, decode, batch, len);
+            let m = LatencyModel::new(platform, model);
+            let got = if decode { m.decode_step(batch, len) } else { m.prefill(batch, len) };
+            let (got_ns, want_ns) = (got.as_nanos_f64(), want.as_nanos_f64());
+            let over = if decode { 0.20 } else { 0.35 };
+            prop_assert!(
+                got_ns <= want_ns * (1.0 + over),
+                "overcharged {:+.1}%: {got} for {want}",
+                (got_ns / want_ns - 1.0) * 100.0
+            );
+            prop_assert!(want_ns - got_ns <= 1e3, "undercharged: {got} for {want}");
+        }
     }
 
     /// Single-flight: 8 workers hammering the same handful of keys must

@@ -141,6 +141,14 @@ pub(crate) trait BatchPolicy {
     /// Credits the iteration/job that just completed.
     fn retire(&self, lane: &mut Lane<'_>);
 
+    /// The generated-token count at which [`retire`](Self::retire)
+    /// completes `a`, given the floor's per-request `new_tokens`: what
+    /// bounds a [`decode_window`]. `None` for a policy that never grows an
+    /// iteration into one (static batching runs a whole job per event).
+    fn completes_at(&self, _a: &Active, _new_tokens: u32) -> Option<u32> {
+        None
+    }
+
     /// `Some(max_wait)` when the floor must arm a flush timer for the
     /// oldest pending arrival (static batching); `None` for policies that
     /// admit at every iteration boundary.
@@ -348,6 +356,10 @@ impl BatchPolicy for ContinuousBatch {
             }
         }
     }
+
+    fn completes_at(&self, a: &Active, _new_tokens: u32) -> Option<u32> {
+        Some(a.req.new_tokens)
+    }
 }
 
 /// Chunked prefill (Sarathi/vLLM style): each iteration spends at most
@@ -481,6 +493,10 @@ impl BatchPolicy for ChunkedPrefillBatch {
             }
         }
     }
+
+    fn completes_at(&self, a: &Active, _new_tokens: u32) -> Option<u32> {
+        Some(a.req.new_tokens)
+    }
 }
 
 /// Grants this iteration's prompt chunks: walks the in-flight prompts in
@@ -543,6 +559,55 @@ fn price_chunked(lat: &LatencyModel, actives: &[Active], grants: &[u32]) -> Opti
         cost += lat.decode_step(decode_rows, decode_ctx);
     }
     (chunk_rows + decode_rows > 0).then_some(cost)
+}
+
+/// Grows the iteration `policy` just priced as `step` into a **decode
+/// window**: the run of decode steps the replica would take, one
+/// `IterationDone` each, while nothing but token counts changes. Step
+/// `k + 1` costs `decode_step(n, ctx + k)`, one table index. The window
+/// ends at the step that completes its first request, as
+/// [`BatchPolicy::completes_at`] counts it, and at the first boundary that
+/// is not strictly before `until`: the next arrival wins a tie, so that
+/// boundary must stay a real event. Every active is credited all but the
+/// last step; the ordinary retire at the window's end credits that one.
+/// An iteration with a queue waiting, or with a row still in its prompt or
+/// awaiting its first token, stays one step. Returns the window's length.
+pub(crate) fn decode_window(
+    policy: &dyn BatchPolicy,
+    lane: &mut Lane<'_>,
+    step: SimDuration,
+    until: Option<SimTime>,
+) -> SimDuration {
+    let actives = &mut lane.state.actives;
+    if !lane.queue.is_empty()
+        || actives.is_empty()
+        || actives
+            .iter()
+            .any(|a| a.generated == 0 || a.prefilled < a.req.prompt_len)
+    {
+        return step;
+    }
+    let mut left = u32::MAX;
+    let mut ctx = 0;
+    for a in actives.iter() {
+        let Some(target) = policy.completes_at(a, lane.new_tokens) else {
+            return step;
+        };
+        left = left.min(target.saturating_sub(a.generated));
+        ctx = ctx.max(a.prefilled + a.generated);
+    }
+    let n = actives.len() as u32;
+    debug_assert_eq!(step, lane.lat.decode_step(n, ctx), "not a pure decode step");
+    let mut len = step;
+    let mut k = 1;
+    while k < left && until.is_none_or(|at| lane.now + len < at) {
+        len += lane.lat.decode_step(n, ctx + k);
+        k += 1;
+    }
+    for a in actives.iter_mut() {
+        a.generated += k - 1;
+    }
+    len
 }
 
 /// Admits newcomers at the iteration boundary, fleet style: up to
@@ -646,6 +711,10 @@ impl BatchPolicy for FleetContinuous {
         }
         *lane.scratch = work;
     }
+
+    fn completes_at(&self, _a: &Active, new_tokens: u32) -> Option<u32> {
+        Some(new_tokens)
+    }
 }
 
 /// Fleet chunked prefill: [`ChunkedPrefillBatch`]'s grant walk and price
@@ -692,5 +761,9 @@ impl BatchPolicy for FleetChunked {
         }
         *lane.scratch = work;
         lane.state.grants.clear();
+    }
+
+    fn completes_at(&self, _a: &Active, new_tokens: u32) -> Option<u32> {
+        Some(new_tokens)
     }
 }

@@ -14,7 +14,10 @@
 //! How a wake-up restarts idle replicas follows from the description, not
 //! from which front built it: when replicas share one queue, or the policy
 //! arms flush timers (static batching), a wake-up sweeps every replica;
-//! otherwise it kicks only the replica that was touched.
+//! otherwise it kicks only the replica that was touched. So does whether an
+//! unchanged decode batch runs up to the next arrival in one event (a
+//! decode window): only on a lean, unbounded, targeted-wake floor with one
+//! unified pool, no autoscaler and no memory layer.
 //!
 //! Scheduling itself still lives behind the three seams: the
 //! [`Router`] picks a queue for each arrival (and a destination for each
@@ -39,7 +42,7 @@ use crate::memctx::MemoryLayer;
 use crate::observe::{
     CounterSample, LifecycleKind, RecordSink, ServingTrace, SloReport, SloTargets,
 };
-use crate::policy::{Active, BatchPolicy, Finished, Lane, ReplicaState};
+use crate::policy::{decode_window, Active, BatchPolicy, Finished, Lane, ReplicaState};
 use crate::request::Request;
 use crate::router::{ReplicaLoad, Router};
 use crate::stop::{StopCondition, StopGuard};
@@ -264,11 +267,13 @@ pub(crate) struct FloorSpec<'a> {
 }
 
 /// A finished floor: its final state, the latency summary of what it
-/// completed, and whether a [`StopCondition`] cut it short.
+/// completed, whether a [`StopCondition`] cut it short, and how many
+/// events its loop handled.
 pub(crate) struct FloorRun {
     pub(crate) floor: UnifiedFloor,
     pub(crate) latency: LatencySummary,
     pub(crate) aborted: bool,
+    pub(crate) events: u64,
 }
 
 impl FloorSpec<'_> {
@@ -316,6 +321,17 @@ impl FloorSpec<'_> {
         let n = meta.len();
         let nq = self.arrival_router.queue_count(n).clamp(1, n);
         let disagg = self.groups.iter().any(|g| g.role != PoolRole::Unified);
+        let sweeps = nq < n || self.policy.flush_after().is_some();
+        // Decode windows need a floor where only an arrival can touch a
+        // decoding replica: targeted wakes, one unified pool (no handoff
+        // lands), no autoscaler and no memory layer. A lean, unbounded run
+        // reads neither per-iteration samples nor per-event budgets.
+        let windows = matches!(self.obs, FloorObs::Lean)
+            && self.stop.is_unbounded()
+            && !sweeps
+            && !disagg
+            && self.autoscale.is_none()
+            && self.mem.is_none();
 
         let mut sim: Simulator<Event> = Simulator::new();
         let mut arrivals = self
@@ -349,7 +365,8 @@ impl FloorSpec<'_> {
                 replica_ns: 0.0,
                 last_bill: SimTime::ZERO,
             },
-            sweeps: nq < n || self.policy.flush_after().is_some(),
+            sweeps,
+            windows,
             policy: self.policy,
             queues: (0..nq).map(|_| VecDeque::new()).collect(),
             queue_of: (0..n).map(|r| r.min(nq - 1)).collect(),
@@ -393,6 +410,7 @@ impl FloorSpec<'_> {
             floor,
             latency,
             aborted,
+            events: sim.events_processed(),
         }
     }
 }
@@ -478,6 +496,9 @@ pub(crate) struct UnifiedFloor {
     /// inputs changed: every other idle replica found nothing to start
     /// when its own inputs last changed, and still finds nothing.
     sweeps: bool,
+    /// Whether an iteration may grow into a decode window (see
+    /// [`decode_window`]), derived from the description like `sweeps`.
+    windows: bool,
     /// Reused per-event scratch: which queues' oldest waiter timed out.
     /// Refilled by [`refresh_expired`](Self::refresh_expired); never
     /// reallocated after construction.
@@ -661,7 +682,16 @@ impl UnifiedFloor {
             return;
         }
         let now = ctx.now();
-        let dur = self.with_lane(now, r, |policy, lane| policy.next_iteration(lane, flush));
+        let until = ctx.source_next();
+        let windows = self.windows;
+        let dur = self.with_lane(now, r, |policy, lane| {
+            let step = policy.next_iteration(lane, flush)?;
+            Some(if windows {
+                decode_window(policy, lane, step, until)
+            } else {
+                step
+            })
+        });
         if let Some(dur) = dur {
             self.states[r].busy = true;
             ctx.schedule(now + dur, Event::IterationDone(r));
@@ -1027,18 +1057,25 @@ impl UnifiedFloor {
 
 #[cfg(test)]
 mod tests {
-    use skip_des::SimDuration;
+    use skip_des::{SimDuration, SimTime};
     use skip_hw::Platform;
     use skip_llm::zoo;
     use skip_mem::{KvSpec, OffloadPolicy};
 
+    use super::{FloorObs, FloorSpec};
     use crate::config::{KvCacheConfig, Policy, RouterPolicy, ServingConfig};
     use crate::fleet::arrivals::ArrivalProcess;
     use crate::fleet::autoscale::AutoscaleConfig;
-    use crate::fleet::floor::run_fleet;
-    use crate::fleet::spec::{FleetBatchPolicy, FleetConfig, FleetRouterPolicy, FleetSpec};
+    use crate::fleet::floor::{fleet_report, run_fleet};
+    use crate::fleet::observe::FleetTrace;
+    use crate::fleet::spec::{
+        FleetBatchPolicy, FleetConfig, FleetRouterPolicy, FleetSpec, PoolRole, ReplicaGroup,
+    };
     use crate::floor::run_floor;
+    use crate::latency::LatencyModel;
     use crate::observe::SloTargets;
+    use crate::policy::BatchPolicy;
+    use crate::request::Request;
     use crate::stop::StopCondition;
 
     /// Tight enough that part of every load misses it.
@@ -1072,116 +1109,271 @@ mod tests {
     }
 
     impl Tally {
-        fn check<R: serde::Serialize>(&mut self, lean: &R, traced: &R, aborted: bool, what: &str) {
+        /// Checks one lean run against its traced twin, each given as
+        /// (report, events handled): the reports must serialize
+        /// identically, and the lean floor handles no more events than
+        /// the traced one, exactly as many where `windows` says it may not
+        /// use decode windows. Returns whether the lean floor windowed.
+        fn check<R: serde::Serialize>(
+            &mut self,
+            lean: (R, u64),
+            traced: (R, u64),
+            aborted: bool,
+            windows: bool,
+            what: &str,
+        ) -> bool {
             assert_eq!(
-                serde_json::to_string(lean).unwrap(),
-                serde_json::to_string(traced).unwrap(),
+                serde_json::to_string(&lean.0).unwrap(),
+                serde_json::to_string(&traced.0).unwrap(),
                 "lean and recording observers diverged for {what}"
             );
+            if windows {
+                assert!(
+                    lean.1 <= traced.1,
+                    "lean floor handled more events for {what}"
+                );
+            } else {
+                assert_eq!(
+                    lean.1, traced.1,
+                    "a floor without windows skipped events for {what}"
+                );
+            }
             self.runs += 1;
             self.aborted += u32::from(aborted);
+            lean.1 < traced.1
         }
     }
 
     /// The lean observer never changes what the floor computes: over
-    /// policy × router × KV pressure, the single-node floor returns a
-    /// serde-identical report whether it records or not. Single-node runs
-    /// are unbounded, so the grid has no stop-condition axis.
+    /// shape × policy × router × KV pressure, the single-node floor returns
+    /// a serde-identical report whether it records or not. Single-node runs
+    /// are unbounded, so the grid has no stop-condition axis. The shapes
+    /// are (arrival rate, new tokens): a short decode at a high rate, and a
+    /// long decode at a low rate, on which every floor that may window
+    /// (targeted wakes, no KV layer) handles fewer events than its traced
+    /// twin.
     #[test]
     fn lean_single_node_floor_reports_what_the_recording_floor_reports() {
         let model = zoo::gpt2();
         let spec = KvSpec::for_model(&model, KvSpec::DEFAULT_BLOCK_TOKENS);
-        let pressured =
-            KvCacheConfig::with_blocks(spec.blocks_for(96 + 6) * 2, OffloadPolicy::Auto);
         let mut tally = Tally::default();
-        for policy in [
-            Policy::Continuous { max_batch: 4 },
-            Policy::Static {
-                batch_size: 4,
-                max_wait: SimDuration::from_millis(30),
-            },
-            Policy::ChunkedPrefill {
-                max_batch: 4,
-                chunk_tokens: 48,
-            },
-        ] {
-            for router in [
-                RouterPolicy::SharedQueue,
-                RouterPolicy::RoundRobin,
-                RouterPolicy::JoinShortestQueue,
+        for (rate, new_tokens) in [(150.0, 6), (20.0, 64)] {
+            let pressured = KvCacheConfig::with_blocks(
+                spec.blocks_for(u64::from(96 + new_tokens)) * 2,
+                OffloadPolicy::Auto,
+            );
+            for policy in [
+                Policy::Continuous { max_batch: 4 },
+                Policy::Static {
+                    batch_size: 4,
+                    max_wait: SimDuration::from_millis(30),
+                },
+                Policy::ChunkedPrefill {
+                    max_batch: 4,
+                    chunk_tokens: 48,
+                },
             ] {
-                for kv in [None, Some(pressured)] {
-                    let cfg = ServingConfig {
-                        platform: Platform::intel_h100(),
-                        model: model.clone(),
-                        policy,
-                        requests: 40,
-                        arrival_rate_per_s: 150.0,
-                        prompt_len: 96,
-                        new_tokens: 6,
-                        seed: 29,
-                        kv,
-                        slo: SLO,
-                        router,
-                    };
-                    let (lean, _) = run_floor(&cfg, 2, false);
-                    let (traced, _) = run_floor(&cfg, 2, true);
-                    let what = format!("{policy:?} / {router} / kv {kv:?}");
-                    tally.check(&lean, &traced, false, &what);
+                for router in [
+                    RouterPolicy::SharedQueue,
+                    RouterPolicy::RoundRobin,
+                    RouterPolicy::JoinShortestQueue,
+                ] {
+                    for kv in [None, Some(pressured)] {
+                        let cfg = ServingConfig {
+                            platform: Platform::intel_h100(),
+                            model: model.clone(),
+                            policy,
+                            requests: 40,
+                            arrival_rate_per_s: rate,
+                            prompt_len: 96,
+                            new_tokens,
+                            seed: 29,
+                            kv,
+                            slo: SLO,
+                            router,
+                        };
+                        let (lean, _, lean_events) = run_floor(&cfg, 2, false);
+                        let (traced, _, traced_events) = run_floor(&cfg, 2, true);
+                        let windows = kv.is_none()
+                            && router != RouterPolicy::SharedQueue
+                            && !matches!(policy, Policy::Static { .. });
+                        let what =
+                            format!("{policy:?} / {router} / kv {kv:?} / {new_tokens} tokens");
+                        let windowed = tally.check(
+                            (lean, lean_events),
+                            (traced, traced_events),
+                            false,
+                            windows,
+                            &what,
+                        );
+                        assert!(
+                            windowed || !windows || new_tokens < 64,
+                            "no decode window fired for {what}"
+                        );
+                    }
                 }
             }
         }
-        assert_eq!(tally.runs, 18);
+        assert_eq!(tally.runs, 36);
     }
 
-    /// The same contract on fleet floors: policy × router × unified or
-    /// disaggregated pools × fixed or autoscaled × stop condition.
+    /// The same contract on fleet floors: shape × policy × router ×
+    /// unified or disaggregated pools × fixed or autoscaled × stop
+    /// condition. Decode windows fire only on unbounded runs of fixed,
+    /// unified fleets.
     #[test]
     fn lean_fleet_floor_reports_what_the_recording_floor_reports() {
         let mut tally = Tally::default();
-        for policy in [
-            FleetBatchPolicy::Continuous,
-            FleetBatchPolicy::ChunkedPrefill { chunk_tokens: 32 },
-        ] {
-            for router in [
-                FleetRouterPolicy::RoundRobin,
-                FleetRouterPolicy::JoinShortestQueue,
-                FleetRouterPolicy::CostModelJsq,
+        for (rate, new_tokens) in [(200.0, 6), (20.0, 64)] {
+            for policy in [
+                FleetBatchPolicy::Continuous,
+                FleetBatchPolicy::ChunkedPrefill { chunk_tokens: 32 },
             ] {
-                for spec in [
-                    FleetSpec::homogeneous(Platform::intel_h100(), 2),
-                    FleetSpec::disaggregated(Platform::gh200(), 1, Platform::amd_a100(), 2),
+                for router in [
+                    FleetRouterPolicy::RoundRobin,
+                    FleetRouterPolicy::JoinShortestQueue,
+                    FleetRouterPolicy::CostModelJsq,
                 ] {
-                    for autoscale in [None, Some(AutoscaleConfig::default())] {
-                        let cfg = FleetConfig {
-                            spec: spec.clone(),
-                            model: zoo::gpt2(),
-                            max_batch: 4,
-                            requests: 40,
-                            arrivals: ArrivalProcess::Poisson { rate_per_s: 200.0 },
-                            prompt_len: 96,
-                            new_tokens: 6,
-                            seed: 31,
-                            slo: SLO,
-                            router,
-                            policy,
-                            autoscale,
-                        };
-                        for stop in stops(cfg.requests) {
-                            let (lean, _) = run_fleet(&cfg, stop, false);
-                            let (traced, _) = run_fleet(&cfg, stop, true);
-                            let what = format!(
-                                "{policy} / {router} / {} / autoscale {} / {stop:?}",
-                                cfg.spec,
-                                autoscale.is_some()
-                            );
-                            tally.check(&lean, &traced, lean.aborted, &what);
+                    for spec in [
+                        FleetSpec::homogeneous(Platform::intel_h100(), 2),
+                        FleetSpec::disaggregated(Platform::gh200(), 1, Platform::amd_a100(), 2),
+                    ] {
+                        for autoscale in [None, Some(AutoscaleConfig::default())] {
+                            let cfg = FleetConfig {
+                                spec: spec.clone(),
+                                model: zoo::gpt2(),
+                                max_batch: 4,
+                                requests: 40,
+                                arrivals: ArrivalProcess::Poisson { rate_per_s: rate },
+                                prompt_len: 96,
+                                new_tokens,
+                                seed: 31,
+                                slo: SLO,
+                                router,
+                                policy,
+                                autoscale,
+                            };
+                            for stop in stops(cfg.requests) {
+                                let (lean, _, lean_events) = run_fleet(&cfg, stop, false);
+                                let (traced, _, traced_events) = run_fleet(&cfg, stop, true);
+                                let windows = stop.is_unbounded()
+                                    && !cfg.spec.is_disaggregated()
+                                    && autoscale.is_none();
+                                let what = format!(
+                                    "{policy} / {router} / {} / autoscale {} / {stop:?} / \
+                                     {new_tokens} tokens",
+                                    cfg.spec,
+                                    autoscale.is_some()
+                                );
+                                let aborted = lean.aborted;
+                                let windowed = tally.check(
+                                    (lean, lean_events),
+                                    (traced, traced_events),
+                                    aborted,
+                                    windows,
+                                    &what,
+                                );
+                                assert!(
+                                    windowed || !windows || new_tokens < 64,
+                                    "no decode window fired for {what}"
+                                );
+                            }
                         }
                     }
                 }
             }
         }
-        assert_eq!(tally.runs, 96);
+        assert_eq!(tally.runs, 192);
         assert!(tally.aborted > 0, "the grid must cover aborted runs");
+    }
+
+    /// An arrival that lands exactly on an intermediate boundary of a
+    /// decode window ends the window there: it fires first on the tie, so
+    /// the boundary must stay a real event that admits it. Request 0
+    /// arrives at zero and decodes alone; request 1 arrives a nanosecond
+    /// before, exactly on, or a nanosecond after the boundary after two of
+    /// its fifteen decode steps. Under every iteration-level policy the
+    /// lean floor, which windows, reports what the traced floor, which
+    /// takes one event per iteration, reports.
+    #[test]
+    fn an_arrival_on_a_window_boundary_ends_the_window() {
+        let platform = Platform::gh200();
+        let model = zoo::gpt2();
+        let (prompt_len, new_tokens) = (32u32, 16u32);
+        let lat = LatencyModel::new(platform.clone(), model.clone());
+        let boundary = SimTime::ZERO
+            + lat.prefill(1, prompt_len)
+            + lat.decode_step(1, prompt_len + 1)
+            + lat.decode_step(1, prompt_len + 2);
+        let group = [ReplicaGroup {
+            platform,
+            count: 1,
+            role: PoolRole::Unified,
+        }];
+        let policies: [fn() -> Box<dyn BatchPolicy>; 4] = [
+            || Policy::Continuous { max_batch: 4 }.build(),
+            || {
+                Policy::ChunkedPrefill {
+                    max_batch: 4,
+                    chunk_tokens: 64,
+                }
+                .build()
+            },
+            || FleetBatchPolicy::Continuous.build(4),
+            || FleetBatchPolicy::ChunkedPrefill { chunk_tokens: 64 }.build(4),
+        ];
+        let run = |policy: fn() -> Box<dyn BatchPolicy>, second: SimTime, traced: bool| {
+            let arrivals =
+                [SimTime::ZERO, second]
+                    .into_iter()
+                    .enumerate()
+                    .map(move |(id, arrival)| Request {
+                        id: id as u64,
+                        arrival,
+                        prompt_len,
+                        new_tokens,
+                    });
+            let run = FloorSpec {
+                groups: &group,
+                model: &model,
+                arrivals: Box::new(arrivals),
+                requests: 2,
+                prompt_len,
+                new_tokens,
+                max_batch: 4,
+                policy: policy(),
+                arrival_router: FleetRouterPolicy::JoinShortestQueue.build(),
+                handoff_router: FleetRouterPolicy::JoinShortestQueue.build(),
+                mem: None,
+                autoscale: None,
+                obs: if traced {
+                    FloorObs::Fleet(FleetTrace::new("gpt2", "gh200:1"))
+                } else {
+                    FloorObs::Lean
+                },
+                slo: SLO,
+                stop: StopCondition::UNBOUNDED,
+            }
+            .run();
+            (fleet_report(&run), run.events)
+        };
+        let mut tally = Tally::default();
+        for (i, policy) in policies.into_iter().enumerate() {
+            for second in [
+                boundary - SimDuration::from_nanos(1),
+                boundary,
+                boundary + SimDuration::from_nanos(1),
+            ] {
+                let what = format!("policy {i}, second arrival at {second} (boundary {boundary})");
+                let windowed = tally.check(
+                    run(policy, second, false),
+                    run(policy, second, true),
+                    false,
+                    true,
+                    &what,
+                );
+                assert!(windowed, "no decode window fired for {what}");
+            }
+        }
     }
 }

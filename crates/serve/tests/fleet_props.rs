@@ -6,15 +6,18 @@
 //!
 //! These sweep the configuration space the two golden fixtures cannot:
 //! fixtures pin known shapes byte-for-byte, properties guarantee nothing
-//! leaks anywhere in the fleet-mix × disagg × autoscale cross product.
+//! leaks anywhere in the fleet-mix × disagg × autoscale cross product. The
+//! untraced floor, which runs unchanged decode batches as decode windows,
+//! must report what the traced floor, which takes one event per iteration,
+//! reports.
 
 use proptest::prelude::*;
 use skip_des::SimDuration;
 use skip_hw::Platform;
 use skip_llm::zoo;
 use skip_serve::{
-    simulate_fleet_traced, ArrivalProcess, AutoscaleConfig, FleetBatchPolicy, FleetConfig,
-    FleetRouterPolicy, FleetSpec, PoolRole, ReplicaGroup, SloTargets,
+    simulate_fleet, simulate_fleet_traced, ArrivalProcess, AutoscaleConfig, FleetBatchPolicy,
+    FleetConfig, FleetRouterPolicy, FleetSpec, PoolRole, ReplicaGroup, SloTargets,
 };
 
 fn arb_platform() -> impl Strategy<Value = Platform> {
@@ -197,5 +200,48 @@ proptest! {
         let (report2, trace2) = simulate_fleet_traced(&cfg);
         prop_assert_eq!(report, report2);
         prop_assert_eq!(trace, trace2);
+    }
+
+    /// The untraced floor reports what the traced floor reports, byte for
+    /// byte, over any fleet mix × disagg × autoscale × arrival process ×
+    /// policy × router, with up to 128 new tokens so long runs of
+    /// unchanged decode steps occur.
+    #[test]
+    fn lean_report_is_the_traced_report(
+        spec in arb_spec(),
+        router in arb_router(),
+        policy in arb_policy(),
+        arrivals in arb_arrivals(),
+        autoscale in arb_autoscale(),
+        requests in 1u32..30,
+        max_batch in 1u32..10,
+        prompt_len in 16u32..256,
+        new_tokens in 1u32..129,
+        seed in 0u64..1_000,
+    ) {
+        let cfg = FleetConfig {
+            spec,
+            model: zoo::gpt2(),
+            max_batch,
+            requests,
+            arrivals,
+            prompt_len,
+            new_tokens,
+            seed,
+            slo: SloTargets {
+                ttft: Some(SimDuration::from_millis(50)),
+                e2e: Some(SimDuration::from_millis(400)),
+            },
+            router,
+            policy,
+            autoscale,
+        };
+        prop_assert_eq!(cfg.validate(), Ok(()));
+        let lean = simulate_fleet(&cfg);
+        let (traced, _) = simulate_fleet_traced(&cfg);
+        prop_assert_eq!(
+            serde_json::to_string(&lean).unwrap(),
+            serde_json::to_string(&traced).unwrap()
+        );
     }
 }

@@ -5,14 +5,19 @@
 //! These are the invariants the golden fixtures cannot cover — fixtures
 //! pin a handful of known configurations byte-for-byte, while these
 //! properties sweep the policy × router × replica × memory cross product
-//! the composable floor makes reachable.
+//! the composable floor makes reachable. The untraced floor, which runs
+//! unchanged decode batches as decode windows, must report what the traced
+//! floor, which takes one event per iteration, reports.
 
 use proptest::prelude::*;
 use skip_des::SimDuration;
 use skip_hw::Platform;
 use skip_llm::zoo;
 use skip_mem::OffloadPolicy;
-use skip_serve::{simulate_traced, KvCacheConfig, Policy, RouterPolicy, ServingConfig, SloTargets};
+use skip_serve::{
+    simulate_replicas, simulate_traced, KvCacheConfig, Policy, RouterPolicy, ServingConfig,
+    SloTargets,
+};
 
 fn arb_policy() -> impl Strategy<Value = Policy> {
     (
@@ -109,6 +114,54 @@ proptest! {
             prop_assert_eq!(report.preemptions, 0);
             prop_assert_eq!(report.kv_peak_occupancy, 0.0);
         }
+    }
+
+    /// The untraced floor reports what the traced floor reports, byte for
+    /// byte, over any policy × router × replica count × KV pressure, with
+    /// up to 128 new tokens so long runs of unchanged decode steps occur.
+    #[test]
+    fn lean_report_is_the_traced_report(
+        policy in arb_policy(),
+        router in arb_router(),
+        platform in arb_platform(),
+        replicas in 1u32..4,
+        requests in 1u32..20,
+        rate in prop::sample::select(vec![2.0f64, 20.0, 200.0]),
+        prompt_len in prop::sample::select(vec![16u32, 96, 384]),
+        new_tokens in 1u32..129,
+        // Half the cases have no KV bound: only those may use windows.
+        kv_slack in prop::sample::select(vec![0u32, 0, 16, 256]),
+        seed in 0u64..1_000,
+    ) {
+        let kv = (kv_slack > 0).then(|| {
+            let probe = KvCacheConfig::with_blocks(1, OffloadPolicy::Auto);
+            let spec = skip_mem::KvSpec::for_model(&zoo::gpt2(), probe.block_tokens);
+            let floor = spec.blocks_for(u64::from(prompt_len) + u64::from(new_tokens));
+            KvCacheConfig::with_blocks(floor + kv_slack, OffloadPolicy::Auto)
+        });
+        let cfg = ServingConfig {
+            platform,
+            model: zoo::gpt2(),
+            policy,
+            requests,
+            arrival_rate_per_s: rate,
+            prompt_len,
+            new_tokens,
+            seed,
+            kv,
+            slo: SloTargets {
+                ttft: Some(SimDuration::from_millis(50)),
+                e2e: Some(SimDuration::from_millis(400)),
+            },
+            router,
+        };
+        prop_assert!(cfg.validate().is_ok(), "generated config must be valid");
+        let lean = simulate_replicas(&cfg, replicas);
+        let (traced, _) = simulate_traced(&cfg, replicas);
+        prop_assert_eq!(
+            serde_json::to_string(&lean).unwrap(),
+            serde_json::to_string(&traced).unwrap()
+        );
     }
 
     /// The same config simulated twice is bitwise-identical — the floor

@@ -23,8 +23,9 @@ use skip_runtime::{CompileMode, Engine, ExecMode};
 use skip_serve::fleet::plan;
 use skip_serve::{
     simulate_fleet, simulate_fleet_traced, simulate_replicas, simulate_traced, ArrivalProcess,
-    AutoscaleConfig, FleetBatchPolicy, FleetConfig, FleetRouterPolicy, FleetSpec, KvCacheConfig,
-    OffloadPolicy, PlannerConfig, Policy, RouterPolicy, ServingConfig, SloTargets, TrafficEnvelope,
+    AutoscaleConfig, ConfigError, FleetBatchPolicy, FleetConfig, FleetRouterPolicy, FleetSpec,
+    KvCacheConfig, OffloadPolicy, PlannerConfig, Policy, RouterPolicy, ServingConfig, SloTargets,
+    TrafficEnvelope,
 };
 use skip_trace::chrome;
 
@@ -452,7 +453,8 @@ fn cmd_serve_fleet(
             flags, key, default,
         )?)))
     };
-    let arrivals = match flags.get("arrivals").map_or("poisson", String::as_str) {
+    let process = flags.get("arrivals").map_or("poisson", String::as_str);
+    let arrivals = match process {
         "poisson" => ArrivalProcess::Poisson { rate_per_s: qps },
         "diurnal" => ArrivalProcess::Diurnal {
             base_rate_per_s: qps,
@@ -491,9 +493,8 @@ fn cmd_serve_fleet(
             .contains_key("autoscale")
             .then(AutoscaleConfig::default),
     };
-    cfg.validate().map_err(|e| {
-        format!("{e} (check --fleet / --requests / --max-batch / --seq / --tokens)")
-    })?;
+    cfg.validate()
+        .map_err(|e| format!("{e} (check {})", fleet_hint(&e, process)))?;
 
     // Record lifecycles and counter samples only when a trace is asked for.
     let (report, ftrace) = match flags.get("trace-out") {
@@ -505,11 +506,7 @@ fn cmd_serve_fleet(
     };
     println!(
         "== fleet serving {} on {} | {} | router {} | {} arrivals at {qps} req/s ==",
-        model.name,
-        cfg.spec,
-        cfg.policy,
-        cfg.router,
-        flags.get("arrivals").map_or("poisson", String::as_str)
+        model.name, cfg.spec, cfg.policy, cfg.router, process
     );
     println!("completed    : {} requests", report.completed);
     println!(
@@ -557,6 +554,31 @@ fn cmd_serve_fleet(
         );
     }
     Ok(())
+}
+
+/// The `skip serve --fleet` flags the rule behind `e` reads, for its error
+/// hint; `process` is the `--arrivals` process, whose own flags join
+/// `--qps` when the arrival process is at fault.
+fn fleet_hint(e: &ConfigError, process: &str) -> &'static str {
+    match e {
+        ConfigError::BadArrivals(_) => match process {
+            "diurnal" => "--qps / --peak-qps / --period-ms",
+            "bursty" => "--qps / --peak-qps / --burst-ms / --lull-ms",
+            _ => "--qps",
+        },
+        ConfigError::AtLeastOne("max_batch") => "--max-batch",
+        ConfigError::AtLeastOne("chunked-prefill chunk_tokens") => "--chunk-tokens",
+        ConfigError::AtLeastOne("prompt_len") => "--seq",
+        ConfigError::AtLeastOne("new_tokens") => "--tokens",
+        ConfigError::RequestTooLong(_) => "--seq / --tokens",
+        ConfigError::ZeroRequests => "--requests",
+        ConfigError::EmptyFleet
+        | ConfigError::ZeroCountGroup(_)
+        | ConfigError::MixedUnifiedAndPools
+        | ConfigError::MissingPool(_) => "--fleet / --disagg",
+        ConfigError::BadAutoscale(_) => "--autoscale",
+        _ => "--fleet / --requests / --max-batch / --seq / --tokens",
+    }
 }
 
 /// `skip plan`: the capacity-frontier planner — enumerate fleet

@@ -117,6 +117,33 @@ fn overlong_requests_are_errors_not_panics_in_every_serving_front() {
     }
 }
 
+/// `skip serve --fleet` names the flag behind the rule that failed: a bad
+/// arrival process names `--qps` and the process's own flags, a zero chunk
+/// budget names `--chunk-tokens`. The message before the hint is the
+/// library's own.
+#[test]
+fn fleet_validation_errors_name_the_flag_at_fault() {
+    let fleet = ["serve", "--model", "gpt2", "--fleet", "gh200:1"];
+    for (extra, want) in [
+        (
+            &["--qps", "0"][..],
+            "error: bad arrival process: rate must be positive and finite, got 0 (check --qps)",
+        ),
+        (
+            &["--arrivals", "diurnal", "--peak-qps", "inf"],
+            "error: bad arrival process: peak rate must be positive and finite, got inf \
+             (check --qps / --peak-qps / --period-ms)",
+        ),
+        (
+            &["--policy", "chunked", "--chunk-tokens", "0"],
+            "error: chunked-prefill chunk_tokens must be at least 1 (check --chunk-tokens)",
+        ),
+    ] {
+        let argv: Vec<&str> = fleet.iter().chain(extra).copied().collect();
+        assert_eq!(skip_err(&argv), want, "skip {}", argv.join(" "));
+    }
+}
+
 /// A zero-length prompt used to pass validation and corrupt the run: the
 /// fleet's chunked prefill never stamped a first token (TTFT printed 0ns),
 /// single-node chunked prefill advanced such a request two tokens in its
