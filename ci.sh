@@ -15,6 +15,11 @@ cargo clippy --workspace --all-targets -- -D warnings -D dead_code
 echo "== cargo build --release =="
 cargo build --release --workspace
 
+echo "== skipbench as BENCHMARK.json builds it (standalone package, its own Cargo.lock) =="
+# --locked fails when a dependency change would rewrite skipbench's lock
+# file, which only a change to the benchmark may do.
+cargo build --release --offline --locked --manifest-path crates/bench/src/bin/skipbench/Cargo.toml
+
 echo "== cargo doc (deny warnings: broken and redundant intra-doc links) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 

@@ -7,16 +7,7 @@ use skip_bench::experiments::capacity;
 
 fn main() {
     skip_bench::harness::init_from_args();
-    let mut max_replicas = 4u32;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--max-replicas" {
-            max_replicas = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--max-replicas needs a number");
-        }
-    }
+    let max_replicas = skip_bench::harness::count_arg("max-replicas", 1u32).unwrap_or(4);
     let sweep = capacity::run_at(max_replicas, skip_bench::harness::threads());
     println!("{}", capacity::render(&sweep));
 }

@@ -30,25 +30,45 @@ pub fn set_threads(n: usize) {
 }
 
 /// Applies a `--threads N` command-line flag, if present, as the
-/// [`set_threads`] override. Every experiment binary calls this first, so
-/// `cargo run -p skip-bench --bin fig6 -- --threads 4` pins the worker
-/// count (as does `SKIP_THREADS=4`).
-///
-/// # Panics
-///
-/// Panics if `--threads` is given without a positive integer argument.
+/// [`set_threads`] override. Every experiment binary that fans out calls
+/// this first, so `cargo run -p skip-bench --bin fig6 -- --threads 4` pins
+/// the worker count (as does `SKIP_THREADS=4`). A `--threads` without a
+/// positive integer exits the process as [`count_arg`] describes.
 pub fn init_from_args() {
+    if let Some(n) = count_arg("threads", 1) {
+        set_threads(n);
+    }
+}
+
+/// The value of the count flag `--name N` on the command line, or `None`
+/// when it is absent. A value that is missing, not a number or below `min`
+/// prints `error: <message>` to stderr, worded as the `skip` CLI words it,
+/// and exits the process with status 1.
+pub fn count_arg<T>(name: &str, min: T) -> Option<T>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
+    fn fail(msg: String) -> ! {
+        eprintln!("error: {msg}");
+        std::process::exit(1)
+    }
+    let flag = format!("--{name}");
     let mut args = std::env::args().skip(1);
+    let mut value = None;
     while let Some(a) = args.next() {
-        if a == "--threads" {
-            let n = args
-                .next()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .expect("--threads needs a positive integer");
-            set_threads(n);
+        if a != flag {
+            continue;
+        }
+        let Some(v) = args.next() else {
+            fail(format!("{flag} requires a value"))
+        };
+        match v.parse::<T>() {
+            Ok(n) if n >= min => value = Some(n),
+            Ok(_) => fail(format!("{flag} must be at least {min}")),
+            Err(_) => fail(format!("{flag}: bad number '{v}'")),
         }
     }
+    value
 }
 
 /// The worker count [`map`] will use: the [`set_threads`] override if set,

@@ -23,7 +23,8 @@
 //! * [`RequestStream`] — seeded Poisson arrivals with configurable prompt
 //!   and output lengths.
 //! * [`LatencyModel`] — memoized per-iteration latencies from the engine
-//!   (prefill and decode, bucketed by batch size and context length).
+//!   (prefill and decode, per batch size, interpolated linearly in context
+//!   length between power-of-two grid points).
 //! * [`Policy`] — static batching (collect B requests or time out),
 //!   continuous iteration-level batching, or chunked prefill
 //!   (fixed-token prompt chunks co-scheduled with decode steps).

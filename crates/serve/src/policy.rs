@@ -141,14 +141,6 @@ pub(crate) trait BatchPolicy {
     /// Credits the iteration/job that just completed.
     fn retire(&self, lane: &mut Lane<'_>);
 
-    /// The generated-token count at which [`retire`](Self::retire)
-    /// completes `a`, given the floor's per-request `new_tokens`: what
-    /// bounds a [`decode_window`]. `None` for a policy that never grows an
-    /// iteration into one (static batching runs a whole job per event).
-    fn completes_at(&self, _a: &Active, _new_tokens: u32) -> Option<u32> {
-        None
-    }
-
     /// `Some(max_wait)` when the floor must arm a flush timer for the
     /// oldest pending arrival (static batching); `None` for policies that
     /// admit at every iteration boundary.
@@ -356,10 +348,6 @@ impl BatchPolicy for ContinuousBatch {
             }
         }
     }
-
-    fn completes_at(&self, a: &Active, _new_tokens: u32) -> Option<u32> {
-        Some(a.req.new_tokens)
-    }
 }
 
 /// Chunked prefill (Sarathi/vLLM style): each iteration spends at most
@@ -493,10 +481,6 @@ impl BatchPolicy for ChunkedPrefillBatch {
             }
         }
     }
-
-    fn completes_at(&self, a: &Active, _new_tokens: u32) -> Option<u32> {
-        Some(a.req.new_tokens)
-    }
 }
 
 /// Grants this iteration's prompt chunks: walks the in-flight prompts in
@@ -561,19 +545,19 @@ fn price_chunked(lat: &LatencyModel, actives: &[Active], grants: &[u32]) -> Opti
     (chunk_rows + decode_rows > 0).then_some(cost)
 }
 
-/// Grows the iteration `policy` just priced as `step` into a **decode
+/// Grows the iteration the policy just priced as `step` into a **decode
 /// window**: the run of decode steps the replica would take, one
 /// `IterationDone` each, while nothing but token counts changes. Step
 /// `k + 1` costs `decode_step(n, ctx + k)`, one table index. The window
-/// ends at the step that completes its first request, as
-/// [`BatchPolicy::completes_at`] counts it, and at the first boundary that
-/// is not strictly before `until`: the next arrival wins a tie, so that
-/// boundary must stay a real event. Every active is credited all but the
-/// last step; the ordinary retire at the window's end credits that one.
-/// An iteration with a queue waiting, or with a row still in its prompt or
-/// awaiting its first token, stays one step. Returns the window's length.
+/// ends at the step that completes its first request (every
+/// iteration-level retire completes a request at its `new_tokens`), and at
+/// the first boundary that is not strictly before `until`: the next
+/// arrival wins a tie, so that boundary must stay a real event. Every
+/// active is credited all but the last step; the ordinary retire at the
+/// window's end credits that one. An iteration with a queue waiting, or
+/// with a row still in its prompt or awaiting its first token, stays one
+/// step. Returns the window's length.
 pub(crate) fn decode_window(
-    policy: &dyn BatchPolicy,
     lane: &mut Lane<'_>,
     step: SimDuration,
     until: Option<SimTime>,
@@ -590,10 +574,7 @@ pub(crate) fn decode_window(
     let mut left = u32::MAX;
     let mut ctx = 0;
     for a in actives.iter() {
-        let Some(target) = policy.completes_at(a, lane.new_tokens) else {
-            return step;
-        };
-        left = left.min(target.saturating_sub(a.generated));
+        left = left.min(a.req.new_tokens.saturating_sub(a.generated));
         ctx = ctx.max(a.prefilled + a.generated);
     }
     let n = actives.len() as u32;
@@ -641,8 +622,8 @@ fn fleet_admit(lane: &mut Lane<'_>, max_batch: u32) {
 
 /// Routes a request that just produced a token: complete at its budget,
 /// hand off from the prefill pool, else keep decoding.
-fn fleet_finish_or_keep(lane: &mut Lane<'_>, a: Active, target: u32) {
-    if a.generated >= target {
+fn fleet_finish_or_keep(lane: &mut Lane<'_>, a: Active) {
+    if a.generated >= a.req.new_tokens {
         lane.complete(a.req);
     } else if lane.pool == PoolRole::Prefill {
         lane.handoffs_out.push(a.req);
@@ -686,7 +667,6 @@ impl BatchPolicy for FleetContinuous {
 
     fn retire(&self, lane: &mut Lane<'_>) {
         let was_prefill = lane.state.actives.iter().any(|a| a.generated == 0);
-        let target = lane.new_tokens;
         let now = lane.now;
         // Drain through the reusable scratch buffer: swap the running set
         // out, push survivors straight back, and keep both capacities for
@@ -707,13 +687,9 @@ impl BatchPolicy for FleetContinuous {
             } else {
                 a.generated += 1;
             }
-            fleet_finish_or_keep(lane, a, target);
+            fleet_finish_or_keep(lane, a);
         }
         *lane.scratch = work;
-    }
-
-    fn completes_at(&self, _a: &Active, new_tokens: u32) -> Option<u32> {
-        Some(new_tokens)
     }
 }
 
@@ -734,7 +710,6 @@ impl BatchPolicy for FleetChunked {
     }
 
     fn retire(&self, lane: &mut Lane<'_>) {
-        let target = lane.new_tokens;
         let now = lane.now;
         let mut work = std::mem::replace(&mut lane.state.actives, std::mem::take(lane.scratch));
         for (i, mut a) in work.drain(..).enumerate() {
@@ -757,13 +732,9 @@ impl BatchPolicy for FleetChunked {
                 lane.state.actives.push(a);
                 continue;
             }
-            fleet_finish_or_keep(lane, a, target);
+            fleet_finish_or_keep(lane, a);
         }
         *lane.scratch = work;
         lane.state.grants.clear();
-    }
-
-    fn completes_at(&self, _a: &Active, new_tokens: u32) -> Option<u32> {
-        Some(new_tokens)
     }
 }

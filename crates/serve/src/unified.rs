@@ -687,7 +687,7 @@ impl UnifiedFloor {
         let dur = self.with_lane(now, r, |policy, lane| {
             let step = policy.next_iteration(lane, flush)?;
             Some(if windows {
-                decode_window(policy, lane, step, until)
+                decode_window(lane, step, until)
             } else {
                 step
             })

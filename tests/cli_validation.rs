@@ -28,6 +28,162 @@ fn skip_err(args: &[&str]) -> String {
     String::from_utf8_lossy(&out.stderr).trim().to_owned()
 }
 
+/// What `skip` prints with no arguments: every command line it runs, with
+/// the flags each reads in the order its read list gives them.
+const USAGE: &str = "\
+skip — SKIP profiler & CPU-GPU coupling simulator (ISPASS 2025 reproduction)
+
+USAGE:
+    skip profile  --model <id> [--platform <id>] [--batch N] [--seq N] [--mode <m>] [--export FILE]
+    skip sweep    --model <id> [--platform <id>|all] [--seq N]
+    skip fuse     --model <id> [--platform <id>] [--chain-len N] [--threshold T]
+    skip generate --model <id> [--platform <id>] [--batch N] [--seq N] [--tokens N]
+    skip serve    --model <id> [--platform <id>] [--qps R] [--requests N] [--max-batch N] [--replicas N]
+                  [--policy static|continuous|chunked] [--router shared|rr|jsq]
+                  [--batch-size N] [--max-wait-ms T] [--chunk-tokens N]
+                  [--seq N] [--tokens N] [--kv-blocks N] [--offload recompute|swap|auto]
+                  [--trace-out FILE] [--slo-ttft-ms T] [--slo-e2e-ms T]
+    skip serve    --model <id> --fleet <spec> [--disagg] [--autoscale] [--fleet-router rr|jsq|cost]
+                  [--policy continuous|chunked] [--chunk-tokens N]
+                  [--arrivals poisson|diurnal|bursty] [--peak-qps R] [--period-ms T]
+                  [--burst-ms T] [--lull-ms T] [--qps R] [--requests N] [--max-batch N]
+                  [--seq N] [--tokens N] [--trace-out FILE] [--slo-ttft-ms T] [--slo-e2e-ms T]
+    skip plan     --model <id> [--qps R] [--peak-qps R] [--requests N] [--max-batch N]
+                  [--seq N] [--tokens N] [--slo-ttft-ms T] [--slo-e2e-ms T]
+                  [--max-replicas N] [--workers N]
+    skip models
+    skip platforms
+
+FLEET SPECS: comma-separated groups '[prefill=|decode=]<platform>:<count>', e.g.
+    --fleet intel_h100:4                              homogeneous unified fleet
+    --fleet prefill=gh200:1,decode=intel_h100:3       disaggregated pools
+    --fleet gh200:1,intel_h100:3 --disagg             first group prefill, rest decode
+
+MODES: eager | fa2 | compile-default | compile-reduce-overhead | compile-max-autotune
+";
+
+#[test]
+fn usage_is_pinned() {
+    for argv in [&[][..], &["help"], &["--help"], &["-h"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_skip"))
+            .args(argv)
+            .output()
+            .expect("skip binary runs");
+        assert!(out.status.success(), "skip {}", argv.join(" "));
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            USAGE,
+            "skip {}",
+            argv.join(" ")
+        );
+    }
+    let unknown = skip_err(&["bogus"]);
+    assert_eq!(
+        unknown,
+        format!("error: unknown command 'bogus'\n\n{}", USAGE.trim_end())
+    );
+}
+
+/// Every command line's read list, in full and in order: each subcommand,
+/// and each `skip serve` mode and sub-mode that reads a list of its own.
+#[test]
+fn every_read_list_is_pinned_in_full() {
+    let serve = "--model --platform --qps --requests --max-batch --replicas --policy --router";
+    let fleet = "--model --fleet --disagg --autoscale --fleet-router --policy";
+    let slo = "--trace-out --slo-ttft-ms --slo-e2e-ms";
+    let cases: [(&[&str], &str, String); 16] = [
+        (
+            &["profile"],
+            "profile",
+            "--model --platform --batch --seq --mode --export".into(),
+        ),
+        (&["sweep"], "sweep", "--model --platform --seq".into()),
+        (
+            &["fuse"],
+            "fuse",
+            "--model --platform --chain-len --threshold".into(),
+        ),
+        (
+            &["generate"],
+            "generate",
+            "--model --platform --batch --seq --tokens".into(),
+        ),
+        (
+            &["plan"],
+            "plan",
+            "--model --qps --peak-qps --requests --max-batch --seq --tokens --slo-ttft-ms \
+             --slo-e2e-ms --max-replicas --workers"
+                .into(),
+        ),
+        (&["models"], "models", "no flags".into()),
+        (&["platforms"], "platforms", "no flags".into()),
+        (
+            &["serve"],
+            "serve",
+            format!("{serve} --seq --tokens --kv-blocks {slo}"),
+        ),
+        (
+            &["serve", "--policy", "static"],
+            "serve --policy static",
+            format!("{serve} --batch-size --max-wait-ms --seq --tokens {slo}"),
+        ),
+        (
+            &["serve", "--policy", "chunked"],
+            "serve --policy chunked",
+            format!("{serve} --chunk-tokens --seq --tokens --kv-blocks {slo}"),
+        ),
+        (
+            &["serve", "--kv-blocks", "0"],
+            "serve --kv-blocks 0",
+            format!("{serve} --seq --tokens --kv-blocks {slo}"),
+        ),
+        (
+            &["serve", "--kv-blocks", "8"],
+            "serve --kv-blocks 8",
+            format!("{serve} --seq --tokens --kv-blocks --offload {slo}"),
+        ),
+        (
+            &["serve", "--fleet", "gh200:2"],
+            "serve --fleet",
+            format!("{fleet} --arrivals --qps --requests --max-batch --seq --tokens {slo}"),
+        ),
+        (
+            &["serve", "--fleet", "gh200:2", "--arrivals", "diurnal"],
+            "serve --fleet --arrivals diurnal",
+            format!(
+                "{fleet} --arrivals --peak-qps --period-ms --qps --requests --max-batch --seq \
+                 --tokens {slo}"
+            ),
+        ),
+        (
+            &["serve", "--fleet", "gh200:2", "--arrivals", "bursty"],
+            "serve --fleet --arrivals bursty",
+            format!(
+                "{fleet} --arrivals --peak-qps --burst-ms --lull-ms --qps --requests \
+                 --max-batch --seq --tokens {slo}"
+            ),
+        ),
+        (
+            &["serve", "--fleet", "gh200:2", "--policy", "chunked"],
+            "serve --fleet --policy chunked",
+            format!(
+                "{fleet} --chunk-tokens --arrivals --qps --requests --max-batch --seq --tokens \
+                 {slo}"
+            ),
+        ),
+    ];
+    for (args, command, reads) in cases {
+        let mut argv = args.to_vec();
+        argv.extend(["--zz", "1"]);
+        assert_eq!(
+            skip_err(&argv),
+            format!("error: `skip {command}` does not read --zz (it reads {reads})"),
+            "skip {}",
+            argv.join(" ")
+        );
+    }
+}
+
 #[test]
 fn bad_slo_flag_prints_identical_message_in_serve_and_plan() {
     let cases = [
@@ -144,6 +300,69 @@ fn fleet_validation_errors_name_the_flag_at_fault() {
     }
 }
 
+/// Single-node `skip serve` names the flag behind the rule that failed,
+/// where it once printed one fixed hint for every rule. The hint names only
+/// flags the sub-mode reads: under `--policy static` the batch size, which
+/// defaults to `--max-batch`, and no KV pool. The message before the hint
+/// is the library's own.
+#[test]
+fn serve_validation_errors_name_the_flag_at_fault() {
+    for (extra, want) in [
+        (
+            &["--policy", "chunked", "--chunk-tokens", "0"][..],
+            "chunked-prefill chunk_tokens must be at least 1 (check --chunk-tokens)",
+        ),
+        (
+            &["--qps", "0"],
+            "arrival rate must be positive and finite, got 0 (check --qps)",
+        ),
+        (
+            &["--requests", "0"],
+            "simulate at least one request (check --requests)",
+        ),
+        (
+            &["--max-batch", "0"],
+            "continuous max_batch must be at least 1 (check --max-batch)",
+        ),
+        (
+            &["--kv-blocks", "1"],
+            "KV pool of 1 blocks cannot hold one full request (9 blocks); no schedule can \
+             complete it — raise the budget to at least 9 blocks (check --kv-blocks / --seq / \
+             --tokens)",
+        ),
+        (
+            &["--policy", "static", "--max-batch", "0"],
+            "static batch_size must be at least 1 (check --batch-size / --max-batch)",
+        ),
+        (
+            &["--policy", "chunked", "--max-batch", "0"],
+            "chunked-prefill max_batch must be at least 1 (check --max-batch)",
+        ),
+        (
+            &["--seq", "0"],
+            "prompt_len must be at least 1 (check --seq)",
+        ),
+        (
+            &["--tokens", "0"],
+            "new_tokens must be at least 1 (check --tokens)",
+        ),
+        (
+            &["--seq", "3000000000"],
+            "prompt plus output tokens must be at most 2147483648, got 3000000008 \
+             (check --seq / --tokens)",
+        ),
+    ] {
+        let mut argv = vec!["serve", "--model", "gpt2"];
+        argv.extend(extra);
+        assert_eq!(
+            skip_err(&argv),
+            format!("error: {want}"),
+            "skip {}",
+            argv.join(" ")
+        );
+    }
+}
+
 /// A zero-length prompt used to pass validation and corrupt the run: the
 /// fleet's chunked prefill never stamped a first token (TTFT printed 0ns),
 /// single-node chunked prefill advanced such a request two tokens in its
@@ -225,20 +444,36 @@ fn zero_length_prompts_are_errors_not_panics_in_every_serving_front() {
 /// Planner inputs its sweep cannot build used to pass validation: a zero
 /// batch cap and an infinite peak load panicked inside a sweep worker,
 /// and a NaN peak silently planned Poisson traffic. All three are now
-/// errors before any candidate runs.
+/// errors before any candidate runs, and like every planner error they
+/// name the flag at fault.
 #[test]
 fn degenerate_planner_inputs_are_errors_not_panics() {
     for (flag, value, want) in [
-        ("--max-batch", "0", "max_batch must be at least 1"),
+        (
+            "--max-batch",
+            "0",
+            "max_batch must be at least 1 (check --max-batch)",
+        ),
         (
             "--peak-qps",
             "inf",
-            "peak offered load must be positive and finite, got inf",
+            "peak offered load must be positive and finite, got inf (check --peak-qps)",
         ),
         (
             "--peak-qps",
             "nan",
-            "peak offered load must be positive and finite, got NaN",
+            "peak offered load must be positive and finite, got NaN (check --peak-qps)",
+        ),
+        ("--seq", "0", "prompt_len must be at least 1 (check --seq)"),
+        (
+            "--requests",
+            "0",
+            "simulate at least one request (check --requests)",
+        ),
+        (
+            "--qps",
+            "0",
+            "offered load must be positive and finite, got 0 (check --qps)",
         ),
     ] {
         let got = skip_err(&["plan", "--model", "gpt2", flag, value]);
@@ -352,18 +587,12 @@ fn library_validators_share_the_cli_wording() {
 }
 
 /// A flag the subcommand does not read is an error with one message
-/// shape, never a silently ignored knob: a typo'd name, single-node
-/// flags under `skip serve --fleet`, fleet flags without `--fleet`, flags
-/// of another `skip serve` sub-mode, and a stray flag on every other
-/// subcommand.
+/// shape, never a silently ignored knob: single-node flags under `skip
+/// serve --fleet`, fleet flags without `--fleet`, flags of another `skip
+/// serve` sub-mode, and a stray flag on every other subcommand. (A typo'd
+/// name is `every_read_list_is_pinned_in_full`'s `--zz`.)
 #[test]
 fn unread_flags_are_rejected_by_every_subcommand() {
-    assert_eq!(
-        skip_err(&["serve", "--model", "gpt2", "--qsp", "500"]),
-        "error: `skip serve` does not read --qsp (it reads --model --platform --qps --requests \
-         --max-batch --replicas --policy --router --seq --tokens --kv-blocks --trace-out \
-         --slo-ttft-ms --slo-e2e-ms)"
-    );
     let mut cases: Vec<(Vec<&str>, &str, &str)> = Vec::new();
     for flag in [
         "platform",
