@@ -32,8 +32,9 @@ echo "== fresh-seed property pass (1000 new cases per property) =="
 # Covers the legacy oracle vs the unified floor and the price table's
 # interpolation-error bound (skip-serve --lib), the DES queue and arrival
 # merge, the KV block pool against its reference model, the planner, fleet
-# and policy/router properties (among them the lean floor, with its decode
-# windows, reporting what the traced floor reports), the Chrome
+# and policy/router properties (among them the lean floor, whose decode
+# windows run with or without a memory layer, reporting what the traced
+# floor reports), the Chrome
 # export/import round trip, RunSummary against the reduction of the
 # stored trace, the hardware and model-graph properties, and the
 # end-to-end pipeline properties.
@@ -92,6 +93,26 @@ kv_chunked_out=$(cargo run --release -p skip-suite --bin skip -- serve --model l
 grep -q "completed    : 16 requests" <<<"$kv_chunked_out"
 grep -qF "KV pressure  : 26 preemptions (0 swapped, 0.0 MB moved; 29144 tokens recomputed) | peak occupancy 100%" \
   <<<"$kv_chunked_out"
+
+echo "== skip serve CLI (decode windows under KV pressure: lean and traced floors agree) =="
+# serve_kv_pressure's shape at 400 requests: long-context llama-2-7b whose
+# KV blocks swap over PCIe. Without --trace-out the lean floor runs each
+# decode-only iteration up to the next completion, arrival or block
+# shortfall in one event; with it the traced floor takes one event per
+# iteration. Their reports must match line for line.
+kv_cmd=(serve --model llama-2-7b --platform intel_h100 --policy chunked --chunk-tokens 512
+  --router jsq --replicas 2 --requests 400 --qps 2 --seq 1536 --tokens 256 --kv-blocks 896
+  --offload auto)
+kv_lean_out=$(cargo run --release -p skip-suite --bin skip -- "${kv_cmd[@]}")
+kv_trace=$(mktemp)
+kv_traced_out=$(cargo run --release -p skip-suite --bin skip -- "${kv_cmd[@]}" --trace-out "$kv_trace")
+rm -f "$kv_trace"
+[ "$(head -n 8 <<<"$kv_lean_out")" = "$(head -n 8 <<<"$kv_traced_out")" ] ||
+  { echo "lean and traced reports differ under KV pressure"; exit 1; }
+grep -qF "TTFT p50/p95/p99 : 147.367ms / 2.395s / 3.457s" <<<"$kv_lean_out"
+grep -qF "e2e  p50/p95     : 6.477s / 9.052s" <<<"$kv_lean_out"
+grep -qF "KV pressure  : 48 preemptions (48 swapped, 23622.3 MB moved; 0 tokens recomputed) | peak occupancy 100%" \
+  <<<"$kv_lean_out"
 
 echo "== skip serve CLI (disaggregated heterogeneous fleet with autoscaling) =="
 fleet_out=$(cargo run --release -p skip-suite --bin skip -- serve --model gpt2 \

@@ -2,7 +2,7 @@
 use skip_bench::experiments::*;
 
 fn main() {
-    skip_bench::harness::init_from_args();
+    skip_bench::harness::init(env!("CARGO_BIN_NAME"), &[]);
     println!("{}", table1::render(&table1::run()));
     println!("{}", fig3::render(&fig3::run()));
     println!("{}", table5::render(&table5::run()));

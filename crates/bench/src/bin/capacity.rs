@@ -6,7 +6,7 @@
 use skip_bench::experiments::capacity;
 
 fn main() {
-    skip_bench::harness::init_from_args();
+    skip_bench::harness::init(env!("CARGO_BIN_NAME"), &["max-replicas"]);
     let max_replicas = skip_bench::harness::count_arg("max-replicas", 1u32).unwrap_or(4);
     let sweep = capacity::run_at(max_replicas, skip_bench::harness::threads());
     println!("{}", capacity::render(&sweep));

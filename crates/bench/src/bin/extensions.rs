@@ -7,7 +7,7 @@ use skip_bench::experiments::{
 };
 
 fn main() {
-    skip_bench::harness::init_from_args();
+    skip_bench::harness::init(env!("CARGO_BIN_NAME"), &[]);
     println!("{}", fusion_applied::render(&fusion_applied::run()));
     println!("{}", decode::render(&decode::run()));
     println!("{}", ablations::render_all());

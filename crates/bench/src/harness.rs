@@ -9,7 +9,8 @@
 //!
 //! Worker count resolution, in priority order:
 //!
-//! 1. [`set_threads`] (the experiment binaries' `--threads N` flag),
+//! 1. [`set_threads`] (the experiment binaries' `--threads N` flag, read
+//!    by [`init`]),
 //! 2. the `SKIP_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
 //!
@@ -29,15 +30,40 @@ pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// Applies a `--threads N` command-line flag, if present, as the
-/// [`set_threads`] override. Every experiment binary that fans out calls
-/// this first, so `cargo run -p skip-bench --bin fig6 -- --threads 4` pins
-/// the worker count (as does `SKIP_THREADS=4`). A `--threads` without a
-/// positive integer exits the process as [`count_arg`] describes.
-pub fn init_from_args() {
+/// The one entry point of every experiment binary (`bin`, as `cargo run
+/// --bin` names it): reads `--threads N` and applies it as the
+/// [`set_threads`] override, so `cargo run -p skip-bench --bin fig6 --
+/// --threads 4` pins the worker count (as does `SKIP_THREADS=4`). The
+/// binary reads `also` besides, count flags it takes with [`count_arg`].
+/// Any other argument prints `error: <bin> does not read --x (it reads
+/// --threads ...)`, worded as the `skip` CLI words it, and exits the
+/// process with status 1, as a bad `--threads` value does.
+pub fn init(bin: &str, also: &[&str]) {
+    let reads: Vec<&str> = std::iter::once("threads")
+        .chain(also.iter().copied())
+        .collect();
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        let Some(flag) = a.strip_prefix("--") else {
+            fail(format!("expected --flag, got '{a}'"))
+        };
+        if !reads.contains(&flag) {
+            fail(format!(
+                "{bin} does not read --{flag} (it reads --{})",
+                reads.join(" --")
+            ))
+        }
+        args.next();
+    }
     if let Some(n) = count_arg("threads", 1) {
         set_threads(n);
     }
+}
+
+/// Prints `error: <msg>` to stderr and exits the process with status 1.
+fn fail(msg: String) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(1)
 }
 
 /// The value of the count flag `--name N` on the command line, or `None`
@@ -48,10 +74,6 @@ pub fn count_arg<T>(name: &str, min: T) -> Option<T>
 where
     T: std::str::FromStr + PartialOrd + std::fmt::Display,
 {
-    fn fail(msg: String) -> ! {
-        eprintln!("error: {msg}");
-        std::process::exit(1)
-    }
     let flag = format!("--{name}");
     let mut args = std::env::args().skip(1);
     let mut value = None;

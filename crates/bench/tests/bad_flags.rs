@@ -1,6 +1,7 @@
-//! The experiment binaries reject a bad flag value the way the `skip` CLI
-//! does: `error: <message>` on stderr and exit status 1, never a panic and
-//! never a run that quietly plans nothing.
+//! The experiment binaries reject a bad flag value, and a flag they do not
+//! read, the way the `skip` CLI does: `error: <message>` on stderr and exit
+//! status 1, never a panic, never a run that quietly plans nothing and
+//! never a typo that silently falls back to a default.
 
 use std::process::Command;
 
@@ -17,6 +18,7 @@ fn stderr_of_failure(bin: &str, args: &[&str]) -> String {
 fn bad_flag_values_are_errors_not_panics() {
     let capacity = env!("CARGO_BIN_EXE_capacity");
     let fig6 = env!("CARGO_BIN_EXE_fig6");
+    let fig3 = env!("CARGO_BIN_EXE_fig3");
     for (bin, args, want) in [
         (
             capacity,
@@ -41,6 +43,21 @@ fn bad_flag_values_are_errors_not_panics() {
         (fig6, &["--threads", "0"], "--threads must be at least 1"),
         (fig6, &["--threads", "-2"], "--threads: bad number '-2'"),
         (fig6, &["--threads"], "--threads requires a value"),
+        (
+            capacity,
+            &["--max-replica", "8"],
+            "capacity does not read --max-replica (it reads --threads --max-replicas)",
+        ),
+        (
+            fig6,
+            &["--thraeds", "4"],
+            "fig6 does not read --thraeds (it reads --threads)",
+        ),
+        (
+            fig3,
+            &["--bogus", "1"],
+            "fig3 does not read --bogus (it reads --threads)",
+        ),
     ] {
         assert_eq!(
             stderr_of_failure(bin, args),

@@ -167,7 +167,7 @@ pub(crate) fn run_floor(
 
 /// The shared latency summary plus the memory layer's pressure counters
 /// (all zero without a KV budget).
-fn serving_report(l: LatencySummary, mem: Option<&MemoryLayer>) -> ServingReport {
+pub(crate) fn serving_report(l: LatencySummary, mem: Option<&MemoryLayer>) -> ServingReport {
     ServingReport {
         completed: l.completed,
         ttft_p50: l.ttft_p50,

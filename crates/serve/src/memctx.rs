@@ -246,6 +246,56 @@ impl MemLane<'_> {
         swap_stall
     }
 
+    /// The most decode steps, up to `most`, through which the pool can
+    /// grow the decode rows (the `actives` past their prompt) from their
+    /// context `c = prefilled + generated`: the largest `j` whose summed
+    /// deficit, Σ max(0, `blocks_for(c + j)` − held), fits the free
+    /// blocks. Nothing is released inside a decode window, so this is the
+    /// per-step test of [`fit_and_grow`](Self::fit_and_grow) summed over
+    /// the window, and it holds for every step up to its answer. At least
+    /// 1: the boundary already reserved the iteration's own step.
+    pub(crate) fn decode_room(&self, actives: &[Active], most: u32) -> u32 {
+        let spec = &self.shared.spec;
+        let fits = |steps: u32| {
+            let deficit: u32 = actives
+                .iter()
+                .filter(|a| a.past_prompt())
+                .map(|a| {
+                    let ctx = u64::from(a.prefilled) + u64::from(a.generated);
+                    spec.blocks_for(ctx + u64::from(steps))
+                        .saturating_sub(self.pool.held_blocks(a.req.id))
+                })
+                .sum();
+            deficit <= self.pool.free_blocks()
+        };
+        if fits(most) {
+            return most;
+        }
+        // The deficit only grows with `j`: bisect for the last step that fits.
+        let (mut lo, mut hi) = (1, most - 1);
+        while lo < hi {
+            let mid = lo + (hi - lo).div_ceil(2);
+            if fits(mid) {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        lo
+    }
+
+    /// Grows every decode row's table through `steps` decode steps at
+    /// once: the growth of a decode window of that length, which
+    /// [`decode_room`](Self::decode_room) showed the pool covers.
+    pub(crate) fn grow_decode_rows(&mut self, actives: &[Active], steps: u32) {
+        for a in actives.iter().filter(|a| a.past_prompt()) {
+            let target = u64::from(a.prefilled) + u64::from(a.generated) + u64::from(steps);
+            self.pool
+                .grow_to(a.req.id, target, &self.shared.spec)
+                .expect("decode_room covered the window's growth");
+        }
+    }
+
     /// Evicts `actives[victim]`: releases its device blocks and parks it
     /// for a later resume. Returns the engine stall charged now (the
     /// copy-out time when swapping; recompute defers its whole cost to

@@ -42,6 +42,14 @@ pub(crate) struct Active {
     pub(crate) prefilled: u32,
 }
 
+impl Active {
+    /// Whether the whole prompt is prefilled, so an iteration decodes this
+    /// row rather than granting it a chunk.
+    pub(crate) fn past_prompt(&self) -> bool {
+        self.prefilled >= self.req.prompt_len
+    }
+}
+
 /// A completed request's user-visible latencies.
 pub(crate) struct Finished {
     pub(crate) ttft: SimDuration,
@@ -101,6 +109,12 @@ pub(crate) struct Lane<'a> {
     /// the buffers have grown to batch size.
     pub(crate) scratch: &'a mut Vec<Active>,
     pub(crate) last_completion: &'a mut SimTime,
+    /// Set by [`BatchPolicy::next_iteration`] when the iteration it priced
+    /// is decode-only: its boundary resumed, admitted, granted a prompt
+    /// chunk to and evicted nobody, so it is one decode step over the rows
+    /// past their prompt. Only such an iteration may grow into a
+    /// [`decode_window`].
+    pub(crate) decode_only: bool,
 }
 
 impl Lane<'_> {
@@ -257,6 +271,7 @@ impl BatchPolicy for ContinuousBatch {
             state,
             mem,
             obs,
+            decode_only,
             ..
         } = lane;
         let now = *now;
@@ -308,6 +323,7 @@ impl BatchPolicy for ContinuousBatch {
         if state.actives.is_empty() {
             return None;
         }
+        let running = state.actives.len();
         let mut swap_stall = SimDuration::ZERO;
         if let Some(mem) = mem.as_mut() {
             swap_stall = mem.fit_and_grow(
@@ -319,6 +335,7 @@ impl BatchPolicy for ContinuousBatch {
                 |_| {},
             );
         }
+        *decode_only = state.actives.len() == running;
         let ctx = state
             .actives
             .iter()
@@ -371,6 +388,7 @@ impl BatchPolicy for ChunkedPrefillBatch {
             state,
             mem,
             obs,
+            decode_only,
             ..
         } = lane;
         let now = *now;
@@ -426,12 +444,13 @@ impl BatchPolicy for ChunkedPrefillBatch {
         // 3. Co-schedule one decode step for every request already in its
         //    decode phase, preempting (newest first) until the growth fits.
         //    Evicted requests lose their grants.
+        let running = state.actives.len();
         let mut swap_stall = SimDuration::ZERO;
         if let Some(mem) = mem.as_mut() {
             swap_stall = mem.fit_and_grow(
                 &mut state.actives,
                 |a| {
-                    (a.prefilled >= a.req.prompt_len)
+                    a.past_prompt()
                         .then(|| u64::from(a.prefilled) + u64::from(a.generated) + 1)
                 },
                 lat,
@@ -442,6 +461,10 @@ impl BatchPolicy for ChunkedPrefillBatch {
                 },
             );
         }
+        // Each grant and each admission spends budget, so an untouched
+        // budget means neither happened. A prompt row whose chunk the pool
+        // refused stays in the batch, unpriced.
+        *decode_only = budget == self.chunk_tokens && state.actives.len() == running;
 
         // No row left to run (every one evicted or refused memory): the
         // iteration degenerates to the swap stall, if any; otherwise the
@@ -459,13 +482,13 @@ impl BatchPolicy for ChunkedPrefillBatch {
             let a = &mut lane.state.actives[i];
             if grant > 0 {
                 a.prefilled += grant;
-                if a.prefilled >= a.req.prompt_len {
+                if a.past_prompt() {
                     // Final chunk: first token out with it.
                     a.generated = 1;
                     let id = a.req.id;
                     lane.first_token_out(id, now);
                 }
-            } else if a.prefilled >= a.req.prompt_len {
+            } else if a.past_prompt() {
                 a.generated += 1;
             }
         }
@@ -473,7 +496,7 @@ impl BatchPolicy for ChunkedPrefillBatch {
         let mut i = 0;
         while i < lane.state.actives.len() {
             let a = &lane.state.actives[i];
-            if a.prefilled >= a.req.prompt_len && a.generated >= a.req.new_tokens {
+            if a.past_prompt() && a.generated >= a.req.new_tokens {
                 let a = lane.state.actives.swap_remove(i);
                 lane.complete(a.req);
             } else {
@@ -501,7 +524,7 @@ fn grant_chunks(
         if budget == 0 {
             break;
         }
-        if a.prefilled >= a.req.prompt_len {
+        if a.past_prompt() {
             continue;
         }
         let tokens = (a.req.prompt_len - a.prefilled).min(budget);
@@ -530,7 +553,7 @@ fn price_chunked(lat: &LatencyModel, actives: &[Active], grants: &[u32]) -> Opti
         if grant > 0 {
             chunk_rows += 1;
             max_chunk = max_chunk.max(grant);
-        } else if a.prefilled >= a.req.prompt_len {
+        } else if a.past_prompt() {
             decode_rows += 1;
             decode_ctx = decode_ctx.max(a.prefilled + a.generated);
         }
@@ -547,45 +570,55 @@ fn price_chunked(lat: &LatencyModel, actives: &[Active], grants: &[u32]) -> Opti
 
 /// Grows the iteration the policy just priced as `step` into a **decode
 /// window**: the run of decode steps the replica would take, one
-/// `IterationDone` each, while nothing but token counts changes. Step
-/// `k + 1` costs `decode_step(n, ctx + k)`, one table index. The window
-/// ends at the step that completes its first request (every
-/// iteration-level retire completes a request at its `new_tokens`), and at
-/// the first boundary that is not strictly before `until`: the next
-/// arrival wins a tie, so that boundary must stay a real event. Every
-/// active is credited all but the last step; the ordinary retire at the
-/// window's end credits that one. An iteration with a queue waiting, or
-/// with a row still in its prompt or awaiting its first token, stays one
-/// step. Returns the window's length.
+/// `IterationDone` each, while nothing but token counts and block tables
+/// change. Only an iteration the policy marked [`Lane::decode_only`]
+/// grows; any other stays one step. Over the `n` decode rows (the rows
+/// past their prompt), step `k + 1` costs `decode_step(n, ctx + k)`, one
+/// table index. The window ends at the first of:
+///
+/// * the step that completes its first request (every iteration-level
+///   retire completes a decode row at its `new_tokens`);
+/// * the last boundary strictly before `until`: the next arrival wins a
+///   tie, so that boundary must stay a real event;
+/// * with a memory lane, the last step before one whose block growth the
+///   replica's pool cannot cover ([`MemLane::decode_room`]); the decode
+///   rows' tables then grow once, to the window's end.
+///
+/// Every decode row is credited all but the last step; the ordinary
+/// retire at the window's end credits that one. A prompt row whose next
+/// chunk the pool refused rides along unpriced and uncredited, as it
+/// would at every boundary the window skips. Returns the window's length.
 pub(crate) fn decode_window(
     lane: &mut Lane<'_>,
     step: SimDuration,
     until: Option<SimTime>,
 ) -> SimDuration {
-    let actives = &mut lane.state.actives;
-    if !lane.queue.is_empty()
-        || actives.is_empty()
-        || actives
-            .iter()
-            .any(|a| a.generated == 0 || a.prefilled < a.req.prompt_len)
-    {
+    if !lane.decode_only {
         return step;
     }
+    let actives = &mut lane.state.actives;
     let mut left = u32::MAX;
     let mut ctx = 0;
-    for a in actives.iter() {
+    let mut n = 0;
+    for a in actives.iter().filter(|a| a.past_prompt()) {
         left = left.min(a.req.new_tokens.saturating_sub(a.generated));
         ctx = ctx.max(a.prefilled + a.generated);
+        n += 1;
     }
-    let n = actives.len() as u32;
-    debug_assert_eq!(step, lane.lat.decode_step(n, ctx), "not a pure decode step");
+    debug_assert_eq!(step, lane.lat.decode_step(n, ctx), "not a decode-only step");
+    if let Some(mem) = &lane.mem {
+        left = left.min(mem.decode_room(actives, left));
+    }
     let mut len = step;
     let mut k = 1;
     while k < left && until.is_none_or(|at| lane.now + len < at) {
         len += lane.lat.decode_step(n, ctx + k);
         k += 1;
     }
-    for a in actives.iter_mut() {
+    if let Some(mem) = lane.mem.as_mut() {
+        mem.grow_decode_rows(actives, k);
+    }
+    for a in actives.iter_mut().filter(|a| a.past_prompt()) {
         a.generated += k - 1;
     }
     len
@@ -594,13 +627,14 @@ pub(crate) fn decode_window(
 /// Admits newcomers at the iteration boundary, fleet style: up to
 /// `max_batch` actives, recording pool-aware lifecycle events. Requests
 /// joining a decode replica arrive with their prompt prefilled and their
-/// first token already produced by the prefill pool.
-fn fleet_admit(lane: &mut Lane<'_>, max_batch: u32) {
+/// first token already produced by the prefill pool. Returns how many
+/// joined.
+fn fleet_admit(lane: &mut Lane<'_>, max_batch: u32) -> usize {
     let room = (max_batch as usize).saturating_sub(lane.state.actives.len());
     let decode_side = lane.pool == PoolRole::Decode;
-    for _ in 0..room {
+    for admitted in 0..room {
         let Some(req) = lane.queue.pop_front() else {
-            break;
+            return admitted;
         };
         let kind = if decode_side {
             LifecycleKind::DecodeAdmitted {
@@ -618,6 +652,7 @@ fn fleet_admit(lane: &mut Lane<'_>, max_batch: u32) {
             req,
         });
     }
+    room
 }
 
 /// Routes a request that just produced a token: complete at its budget,
@@ -642,7 +677,7 @@ pub(crate) struct FleetContinuous {
 
 impl BatchPolicy for FleetContinuous {
     fn next_iteration(&self, lane: &mut Lane<'_>, _flush: bool) -> Option<SimDuration> {
-        fleet_admit(lane, self.max_batch);
+        let admitted = fleet_admit(lane, self.max_batch);
         if lane.state.actives.is_empty() {
             return None;
         }
@@ -657,6 +692,7 @@ impl BatchPolicy for FleetContinuous {
             }
             batch_ctx = batch_ctx.max(a.req.prompt_len + a.generated);
         }
+        lane.decode_only = admitted == 0 && fresh_rows == 0;
         Some(if fresh_rows == 0 {
             lane.lat
                 .decode_step(lane.state.actives.len() as u32, batch_ctx)
@@ -703,9 +739,10 @@ pub(crate) struct FleetChunked {
 
 impl BatchPolicy for FleetChunked {
     fn next_iteration(&self, lane: &mut Lane<'_>, _flush: bool) -> Option<SimDuration> {
-        fleet_admit(lane, self.max_batch);
+        let admitted = fleet_admit(lane, self.max_batch);
         let state = &mut *lane.state;
-        grant_chunks(&state.actives, &mut state.grants, self.chunk_tokens, None);
+        let budget = grant_chunks(&state.actives, &mut state.grants, self.chunk_tokens, None);
+        lane.decode_only = admitted == 0 && budget == self.chunk_tokens;
         price_chunked(lane.lat, &state.actives, &state.grants)
     }
 
@@ -714,12 +751,12 @@ impl BatchPolicy for FleetChunked {
         let mut work = std::mem::replace(&mut lane.state.actives, std::mem::take(lane.scratch));
         for (i, mut a) in work.drain(..).enumerate() {
             let grant = lane.state.grants[i];
-            if a.prefilled >= a.req.prompt_len {
+            if a.past_prompt() {
                 // Spent the iteration in its decode phase.
                 a.generated += 1;
             } else if grant > 0 {
                 a.prefilled += grant;
-                if a.prefilled >= a.req.prompt_len {
+                if a.past_prompt() {
                     // Final chunk: first token out with it.
                     a.generated = 1;
                     lane.first_token_out(a.req.id, now);

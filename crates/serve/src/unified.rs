@@ -14,10 +14,11 @@
 //! How a wake-up restarts idle replicas follows from the description, not
 //! from which front built it: when replicas share one queue, or the policy
 //! arms flush timers (static batching), a wake-up sweeps every replica;
-//! otherwise it kicks only the replica that was touched. So does whether an
-//! unchanged decode batch runs up to the next arrival in one event (a
-//! decode window): only on a lean, unbounded, targeted-wake floor with one
-//! unified pool, no autoscaler and no memory layer.
+//! otherwise it kicks only the replica that was touched. So does whether a
+//! decode-only iteration runs up to the next completion, arrival or KV
+//! block shortfall in one event (a decode window): only on a lean,
+//! unbounded, targeted-wake floor with one unified pool and no autoscaler,
+//! with or without a memory layer.
 //!
 //! Scheduling itself still lives behind the three seams: the
 //! [`Router`] picks a queue for each arrival (and a destination for each
@@ -324,14 +325,15 @@ impl FloorSpec<'_> {
         let sweeps = nq < n || self.policy.flush_after().is_some();
         // Decode windows need a floor where only an arrival can touch a
         // decoding replica: targeted wakes, one unified pool (no handoff
-        // lands), no autoscaler and no memory layer. A lean, unbounded run
-        // reads neither per-iteration samples nor per-event budgets.
+        // lands) and no autoscaler. A memory layer is no bar: each replica
+        // owns its pool, and a window stops short of a block shortfall. A
+        // lean, unbounded run reads neither per-iteration samples nor
+        // per-event budgets.
         let windows = matches!(self.obs, FloorObs::Lean)
             && self.stop.is_unbounded()
             && !sweeps
             && !disagg
-            && self.autoscale.is_none()
-            && self.mem.is_none();
+            && self.autoscale.is_none();
 
         let mut sim: Simulator<Event> = Simulator::new();
         let mut arrivals = self
@@ -670,6 +672,7 @@ impl UnifiedFloor {
             handoffs_out: &mut self.scratch_handoffs,
             scratch: &mut self.scratch_actives,
             last_completion: &mut self.last_completion,
+            decode_only: false,
         };
         f(&*self.policy, &mut lane)
     }
@@ -1071,9 +1074,10 @@ mod tests {
     use crate::fleet::spec::{
         FleetBatchPolicy, FleetConfig, FleetRouterPolicy, FleetSpec, PoolRole, ReplicaGroup,
     };
-    use crate::floor::run_floor;
+    use crate::floor::{run_floor, serving_report, ServingReport};
     use crate::latency::LatencyModel;
-    use crate::observe::SloTargets;
+    use crate::memctx::MemoryLayer;
+    use crate::observe::{LifecycleKind, ServingTrace, SloTargets};
     use crate::policy::BatchPolicy;
     use crate::request::Request;
     use crate::stop::StopCondition;
@@ -1150,8 +1154,8 @@ mod tests {
     /// are unbounded, so the grid has no stop-condition axis. The shapes
     /// are (arrival rate, new tokens): a short decode at a high rate, and a
     /// long decode at a low rate, on which every floor that may window
-    /// (targeted wakes, no KV layer) handles fewer events than its traced
-    /// twin.
+    /// (targeted wakes, pressured KV pool or none) handles fewer events
+    /// than its traced twin.
     #[test]
     fn lean_single_node_floor_reports_what_the_recording_floor_reports() {
         let model = zoo::gpt2();
@@ -1194,8 +1198,7 @@ mod tests {
                         };
                         let (lean, _, lean_events) = run_floor(&cfg, 2, false);
                         let (traced, _, traced_events) = run_floor(&cfg, 2, true);
-                        let windows = kv.is_none()
-                            && router != RouterPolicy::SharedQueue
+                        let windows = router != RouterPolicy::SharedQueue
                             && !matches!(policy, Policy::Static { .. });
                         let what =
                             format!("{policy:?} / {router} / kv {kv:?} / {new_tokens} tokens");
@@ -1375,5 +1378,201 @@ mod tests {
                 assert!(windowed, "no decode window fired for {what}");
             }
         }
+    }
+
+    /// Both single-node iteration-level policies, chunked with a budget
+    /// that takes a 32-token prompt whole.
+    const KV_POLICIES: [Policy; 2] = [
+        Policy::Continuous { max_batch: 4 },
+        Policy::ChunkedPrefill {
+            max_batch: 4,
+            chunk_tokens: 64,
+        },
+    ];
+
+    /// One gpt2 replica on gh200 under `policy`, with a `blocks`-block KV
+    /// pool (eviction by [`OffloadPolicy::Auto`]), serving one request per
+    /// `(arrival, new tokens)` pair with `prompt_len`-token prompts. The
+    /// lean run returns its report and event count; the traced run also
+    /// returns its recording.
+    fn kv_replica(
+        policy: Policy,
+        blocks: u32,
+        prompt_len: u32,
+        reqs: &[(SimTime, u32)],
+        traced: bool,
+    ) -> (ServingReport, u64, Option<ServingTrace>) {
+        let new_tokens = reqs.iter().map(|&(_, n)| n).max().unwrap_or(1);
+        let cfg = ServingConfig {
+            platform: Platform::gh200(),
+            model: zoo::gpt2(),
+            policy,
+            requests: reqs.len() as u32,
+            arrival_rate_per_s: 1.0,
+            prompt_len,
+            new_tokens,
+            seed: 0,
+            kv: Some(KvCacheConfig::with_blocks(blocks, OffloadPolicy::Auto)),
+            slo: SLO,
+            router: RouterPolicy::JoinShortestQueue,
+        };
+        let group = [ReplicaGroup {
+            platform: cfg.platform.clone(),
+            count: 1,
+            role: PoolRole::Unified,
+        }];
+        let arrivals = reqs
+            .iter()
+            .enumerate()
+            .map(move |(id, &(arrival, new_tokens))| Request {
+                id: id as u64,
+                arrival,
+                prompt_len,
+                new_tokens,
+            });
+        let run = FloorSpec {
+            groups: &group,
+            model: &cfg.model,
+            arrivals: Box::new(arrivals),
+            requests: cfg.requests,
+            prompt_len,
+            new_tokens,
+            max_batch: 0,
+            policy: policy.build(),
+            arrival_router: cfg.router.build(),
+            handoff_router: cfg.router.build(),
+            mem: cfg.kv.map(|kv| MemoryLayer::new(&cfg, kv, 1)),
+            autoscale: None,
+            obs: if traced {
+                FloorObs::Serve(ServingTrace::new("gpt2", "gh200", 1))
+            } else {
+                FloorObs::Lean
+            },
+            slo: SLO,
+            stop: StopCondition::UNBOUNDED,
+        }
+        .run();
+        let report = serving_report(run.latency, run.floor.mem.as_ref());
+        let trace = match run.floor.obs {
+            FloorObs::Serve(t) => Some(t),
+            _ => None,
+        };
+        (report, run.events, trace)
+    }
+
+    /// A decode window under a memory layer ends on the last step whose
+    /// block growth the pool covers. Two requests arrive together with
+    /// 32-token prompts and 64 tokens to generate, a full growth of
+    /// `blocks_for(96)` = 6 blocks each, into a pool of 10: two blocks
+    /// short. After both prefills the batch decodes at contexts 34 and 33
+    /// holding 3 blocks each. The first window runs 46 steps, the last one
+    /// the 10 blocks cover; the next step must evict request 1. Request 0
+    /// then runs alone to its completion, request 1 resumes, and runs to
+    /// its own. So the lean floor handles nine events: two arrivals, two
+    /// prefill iterations, the eviction step, the resume iteration and
+    /// three windows. The traced floor takes one event per iteration and
+    /// must report the same preemptions, swapped bytes, latencies and
+    /// peak occupancy.
+    #[test]
+    fn a_window_ends_before_the_pool_runs_short() {
+        let reqs = [(SimTime::ZERO, 64), (SimTime::ZERO, 64)];
+        let mut tally = Tally::default();
+        for policy in KV_POLICIES {
+            let (lean, lean_events, _) = kv_replica(policy, 10, 32, &reqs, false);
+            let (traced, traced_events, _) = kv_replica(policy, 10, 32, &reqs, true);
+            let what = format!("{policy:?}");
+            assert_eq!(lean.preemptions, 1, "{what}");
+            assert_eq!(lean.kv_peak_occupancy, 1.0, "{what}");
+            assert_eq!(lean_events, 9, "{what}");
+            assert!(
+                tally.check(
+                    (lean, lean_events),
+                    (traced, traced_events),
+                    false,
+                    true,
+                    &what
+                ),
+                "no decode window fired for {what}"
+            );
+        }
+    }
+
+    /// A resume iteration is never grown into a window, though the rows
+    /// beside it decode. Three requests arrive together into a 10-block
+    /// pool; request 0 needs 40 tokens, the others 64. Request 2, the
+    /// newest, is evicted when the batch outgrows the pool, and resumes
+    /// when request 0 completes, while request 1, never evicted, keeps
+    /// decoding. The traced recording shows that instant; the lean floor
+    /// must report what the traced one does, with fewer events.
+    #[test]
+    fn a_resume_beside_decoding_rows_is_never_grown() {
+        let reqs = [
+            (SimTime::ZERO, 40),
+            (SimTime::ZERO, 64),
+            (SimTime::ZERO, 64),
+        ];
+        let mut tally = Tally::default();
+        for policy in KV_POLICIES {
+            let (lean, lean_events, _) = kv_replica(policy, 10, 32, &reqs, false);
+            let (traced, traced_events, trace) = kv_replica(policy, 10, 32, &reqs, true);
+            let what = format!("{policy:?}");
+            let lifecycles = trace.expect("traced").lifecycles;
+            let at = |id: usize, want: fn(&LifecycleKind) -> bool| {
+                lifecycles[id]
+                    .events
+                    .iter()
+                    .filter(|e| want(&e.kind))
+                    .map(|e| e.at)
+                    .collect::<Vec<_>>()
+            };
+            let resumes = at(2, |k| matches!(k, LifecycleKind::Resumed { .. }));
+            let first_token = at(1, |k| matches!(k, LifecycleKind::FirstToken))[0];
+            let completed = at(1, |k| matches!(k, LifecycleKind::Completed { .. }))[0];
+            assert!(at(1, |k| matches!(k, LifecycleKind::Preempted { .. })).is_empty());
+            assert!(
+                resumes.iter().any(|&t| first_token < t && t < completed),
+                "{what}: request 2 never resumed while request 1 decoded"
+            );
+            assert!(
+                tally.check(
+                    (lean, lean_events),
+                    (traced, traced_events),
+                    false,
+                    true,
+                    &what
+                ),
+                "no decode window fired for {what}"
+            );
+        }
+    }
+
+    /// A chunked iteration whose only prompt row was refused its next
+    /// chunk, with a newcomer refused admission behind it, is decode-only,
+    /// so it grows into a window. Three requests with 96-token prompts
+    /// arrive together into a 10-block pool under 32-token chunks. Request
+    /// 0 prefills in three chunks and then decodes 32 tokens; requests 1
+    /// and 2 need one token, their first, so they never decode. Once
+    /// request 1 holds its first chunk, its second needs two blocks where
+    /// one is free, and request 2's first chunk needs two: every remaining
+    /// step of request 0 runs in that state, as one window of 30 steps.
+    #[test]
+    fn a_refused_chunk_and_a_waiting_queue_still_open_a_window() {
+        let reqs = [(SimTime::ZERO, 32), (SimTime::ZERO, 1), (SimTime::ZERO, 1)];
+        let policy = Policy::ChunkedPrefill {
+            max_batch: 4,
+            chunk_tokens: 32,
+        };
+        let (lean, lean_events, _) = kv_replica(policy, 10, 96, &reqs, false);
+        let (traced, traced_events, _) = kv_replica(policy, 10, 96, &reqs, true);
+        assert_eq!(lean.completed, 3);
+        assert_eq!(traced_events - lean_events, 29, "one window of 30 steps");
+        let windowed = Tally::default().check(
+            (lean, lean_events),
+            (traced, traced_events),
+            false,
+            true,
+            "a refused chunk",
+        );
+        assert!(windowed);
     }
 }

@@ -257,7 +257,7 @@ impl Args {
     /// judge its value.
     fn rate(&self, key: &str) -> Result<Option<f64>, String> {
         self.get(key)
-            .map(|v| v.parse().map_err(|_| format!("--{key}: bad number")))
+            .map(|v| v.parse().map_err(|_| format!("--{key}: bad number '{v}'")))
             .transpose()
     }
 
@@ -420,7 +420,7 @@ fn cmd_fuse(args: &Args) -> Result<(), Box<dyn Error>> {
         Some(v) => match v.parse::<f64>() {
             Ok(t) if t > 0.0 && t <= 1.0 => t,
             Ok(_) => return Err(format!("--threshold must be in (0, 1], got {v}").into()),
-            Err(_) => return Err("--threshold: bad number".into()),
+            Err(_) => return Err(format!("--threshold: bad number '{v}'").into()),
         },
     };
 

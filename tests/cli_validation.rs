@@ -203,6 +203,31 @@ fn bad_slo_flag_prints_identical_message_in_serve_and_plan() {
     }
 }
 
+/// A rate or threshold that is not a number names its value the way the
+/// count and SLO flags do, on every command line that reads it.
+#[test]
+fn bad_rate_and_threshold_flags_name_their_value() {
+    let fleet = ["serve", "--model", "gpt2", "--fleet", "gh200:1"];
+    let diurnal = [&fleet[..], &["--arrivals", "diurnal"]].concat();
+    let cases: [(&[&str], &str); 6] = [
+        (&["serve", "--model", "gpt2"], "--qps"),
+        (&fleet, "--qps"),
+        (&diurnal, "--peak-qps"),
+        (&["plan", "--model", "gpt2"], "--qps"),
+        (&["plan", "--model", "gpt2"], "--peak-qps"),
+        (&["fuse", "--model", "gpt2"], "--threshold"),
+    ];
+    for (command, flag) in cases {
+        let argv = [command, &[flag, "soon"]].concat();
+        assert_eq!(
+            skip_err(&argv),
+            format!("error: {flag}: bad number 'soon'"),
+            "skip {}",
+            argv.join(" ")
+        );
+    }
+}
+
 #[test]
 fn out_of_range_forward_pass_flags_are_errors_not_panics() {
     let cases: [(&[&str], &str); 10] = [
