@@ -31,10 +31,11 @@ echo "== fresh-seed property pass (1000 new cases per property) =="
 # PROPTEST_SEED=<seed>; set PROPTEST_SEED yourself to rerun a logged one.
 # Covers the legacy oracle vs the unified floor and the price table's
 # interpolation-error bound (skip-serve --lib), the DES queue and arrival
-# merge, the KV block pool against its reference model, the planner, fleet
-# and policy/router properties (among them the lean floor, whose decode
-# windows run with or without a memory layer, reporting what the traced
-# floor reports), the Chrome
+# merge, the KV block pool against its reference model, a decode window's
+# KV room against stepping the pool one iteration at a time, the planner,
+# fleet and policy/router properties (among them the lean floor, whose
+# decode windows run with or without a memory layer, reporting what the
+# traced floor reports), the Chrome
 # export/import round trip, RunSummary against the reduction of the
 # stored trace, the hardware and model-graph properties, and the
 # end-to-end pipeline properties.
@@ -114,6 +115,25 @@ grep -qF "e2e  p50/p95     : 6.477s / 9.052s" <<<"$kv_lean_out"
 grep -qF "KV pressure  : 48 preemptions (48 swapped, 23622.3 MB moved; 0 tokens recomputed) | peak occupancy 100%" \
   <<<"$kv_lean_out"
 
+echo "== skip serve CLI (static batching: jobs are batch rows, lean and traced floors agree) =="
+# Static jobs run in the same running batch as iteration-level rows; their
+# flush timers make the floor sweep, so it never opens a decode window.
+# The report and the trace file are pinned byte for byte.
+static_cmd=(serve --model gpt2 --platform gh200 --policy static --batch-size 8 --max-wait-ms 40
+  --router shared --replicas 2 --requests 200 --qps 20 --seq 256 --tokens 32 --slo-ttft-ms 500)
+static_out=$(cargo run --release -p skip-suite --bin skip -- "${static_cmd[@]}")
+static_trace=$(mktemp)
+static_traced_out=$(cargo run --release -p skip-suite --bin skip -- "${static_cmd[@]}" \
+  --trace-out "$static_trace")
+static_sum=$(sha256sum "$static_trace" | cut -d' ' -f1)
+rm -f "$static_trace"
+[ "$(head -n 8 <<<"$static_out")" = "$(head -n 8 <<<"$static_traced_out")" ] ||
+  { echo "lean and traced reports differ under static batching"; exit 1; }
+grep -qF "TTFT p50/p95/p99 : 402.326ms / 695.114ms / 858.939ms" <<<"$static_out"
+grep -qF "e2e  p50/p95     : 1.045s / 1.337s" <<<"$static_out"
+[ "$static_sum" = ebe19a8fbbfaf8571c8960ab108e1b5967c12c6ebeb974b9c24ac728ac65c6c7 ] ||
+  { echo "static batching trace changed: $static_sum"; exit 1; }
+
 echo "== skip serve CLI (disaggregated heterogeneous fleet with autoscaling) =="
 fleet_out=$(cargo run --release -p skip-suite --bin skip -- serve --model gpt2 \
   --fleet gh200:1,intel_h100:3 --disagg --autoscale --arrivals bursty \
@@ -126,6 +146,9 @@ chunked_fleet_out=$(cargo run --release -p skip-suite --bin skip -- serve --mode
   --qps 40 --requests 40 --seq 256 --tokens 8 --slo-ttft-ms 200)
 grep -q "completed    : 40 requests" <<<"$chunked_fleet_out"
 grep -q "KV handoff" <<<"$chunked_fleet_out"
+# The fleet retire compacts the batch in place; completions and handoffs
+# keep batch order.
+grep -qF "TTFT p50/p95/p99 : 1.311s / 2.509s / 2.635s" <<<"$chunked_fleet_out"
 
 echo "== skip plan CLI (capacity planner frontier over the candidate space) =="
 plan_out=$(cargo run --release -p skip-suite --bin skip -- plan --model gpt2 \

@@ -95,7 +95,7 @@ fn is_fusible(class: KernelClass) -> bool {
 /// max-autotune is applied at execution time via
 /// [`CompileMode::gemm_duration_factor`].
 #[must_use]
-pub fn inductor_stream(graph: &OperatorGraph, _mode: CompileMode) -> Vec<KernelSpec> {
+pub fn inductor_stream(graph: &OperatorGraph) -> Vec<KernelSpec> {
     let kernels = graph.kernels_in_order();
     let mut out = Vec::with_capacity(kernels.len());
     let mut run: Vec<&KernelSpec> = Vec::new();
@@ -177,7 +177,7 @@ mod tests {
     #[test]
     fn fusion_reduces_kernel_count_and_bytes() {
         let g = Workload::new(zoo::gpt2(), Phase::Prefill, 1, 512).graph();
-        let fused = inductor_stream(&g, CompileMode::Default);
+        let fused = inductor_stream(&g);
         assert!(fused.len() < g.kernel_count() / 2 + g.kernel_count() / 4);
         let eager_bytes: f64 = g.kernels_in_order().iter().map(|k| k.work.bytes).sum();
         let fused_bytes: f64 = fused.iter().map(|k| k.work.bytes).sum();
@@ -187,7 +187,7 @@ mod tests {
     #[test]
     fn fusion_preserves_flops_and_gemms() {
         let g = Workload::new(zoo::gpt2(), Phase::Prefill, 2, 512).graph();
-        let fused = inductor_stream(&g, CompileMode::Default);
+        let fused = inductor_stream(&g);
         let eager_flops: f64 = g.kernels_in_order().iter().map(|k| k.work.flops).sum();
         let fused_flops: f64 = fused.iter().map(|k| k.work.flops).sum();
         assert!((eager_flops - fused_flops).abs() / eager_flops < 1e-12);
@@ -206,7 +206,7 @@ mod tests {
     #[test]
     fn fusion_window_bounds_chain_length() {
         let g = Workload::new(zoo::bert_base_uncased(), Phase::Prefill, 1, 512).graph();
-        for k in inductor_stream(&g, CompileMode::Default) {
+        for k in inductor_stream(&g) {
             if let Some(rest) = k.name.rfind('_') {
                 if k.name.starts_with("triton_fused_") {
                     let n: usize = k.name[rest + 1..].parse().unwrap();

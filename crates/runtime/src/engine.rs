@@ -199,7 +199,7 @@ impl Engine {
     /// (ReduceOverhead / MaxAutotune) of the fused kernel stream.
     fn run_compiled<S: EventSink>(&self, workload: &Workload, cm: CompileMode, sink: S) -> S {
         let graph = workload.graph_shared(GraphOptions::default());
-        let stream = compiled::inductor_stream(&graph, cm);
+        let stream = compiled::inductor_stream(&graph);
         let mut exec = Exec::new(&self.platform, sink);
         exec.h2d_input(workload.input_bytes());
 

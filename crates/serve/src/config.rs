@@ -113,22 +113,19 @@ impl fmt::Display for RouterPolicy {
 /// (`skip serve` rejects `--kv-blocks` with `--policy static`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct KvCacheConfig {
-    /// Device KV blocks available per replica.
+    /// Device KV blocks available per replica, each of
+    /// [`KvSpec::DEFAULT_BLOCK_TOKENS`] token slots (vLLM's default).
     pub blocks_per_replica: u32,
-    /// Token slots per block (16 is vLLM's default).
-    pub block_tokens: u32,
     /// What to do with a preemption victim's blocks.
     pub offload: OffloadPolicy,
 }
 
 impl KvCacheConfig {
-    /// A budget of `blocks` default-sized pages with the given offload
-    /// policy.
+    /// A budget of `blocks` pages with the given offload policy.
     #[must_use]
     pub fn with_blocks(blocks: u32, offload: OffloadPolicy) -> Self {
         KvCacheConfig {
             blocks_per_replica: blocks,
-            block_tokens: KvSpec::DEFAULT_BLOCK_TOKENS,
             offload,
         }
     }
@@ -178,8 +175,8 @@ pub enum ConfigError {
     /// `requests` was zero.
     ZeroRequests,
     /// A count-like knob was zero: a request's prompt or output length, a
-    /// batch cap, a chunk budget, a KV pool or block size, or the
-    /// planner's replica ceiling.
+    /// batch cap, a chunk budget, a KV pool, or the planner's replica
+    /// ceiling.
     AtLeastOne(
         /// The knob, as the message names it.
         &'static str,
@@ -340,10 +337,7 @@ impl ServingConfig {
             if kv.blocks_per_replica == 0 {
                 return Err(ConfigError::AtLeastOne("KV pool blocks"));
             }
-            if kv.block_tokens == 0 {
-                return Err(ConfigError::AtLeastOne("KV block_tokens"));
-            }
-            let spec = KvSpec::for_model(&self.model, kv.block_tokens);
+            let spec = KvSpec::for_model(&self.model, KvSpec::DEFAULT_BLOCK_TOKENS);
             let needed = spec.blocks_for(u64::from(self.prompt_len) + u64::from(self.new_tokens));
             if kv.blocks_per_replica < needed {
                 return Err(ConfigError::KvPoolTooSmall {
@@ -464,17 +458,6 @@ mod tests {
         assert_eq!(c.validate(), Err(ConfigError::AtLeastOne("KV pool blocks")));
 
         let mut c = valid();
-        c.kv = Some(KvCacheConfig {
-            blocks_per_replica: 8,
-            block_tokens: 0,
-            offload: OffloadPolicy::Auto,
-        });
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::AtLeastOne("KV block_tokens"))
-        );
-
-        let mut c = valid();
         c.kv = Some(KvCacheConfig::with_blocks(1, OffloadPolicy::Auto));
         assert!(matches!(
             c.validate(),
@@ -513,7 +496,6 @@ mod tests {
             (ConfigError::AtLeastOne("chunked-prefill max_batch"), "chunked-prefill max_batch must be at least 1"),
             (ConfigError::AtLeastOne("chunked-prefill chunk_tokens"), "chunked-prefill chunk_tokens must be at least 1"),
             (ConfigError::AtLeastOne("KV pool blocks"), "KV pool blocks must be at least 1"),
-            (ConfigError::AtLeastOne("KV block_tokens"), "KV block_tokens must be at least 1"),
             (ConfigError::KvPoolTooSmall { blocks: 3, needed: 9 }, "KV pool of 3 blocks cannot hold one full request (9 blocks); no schedule can complete it — raise the budget to at least 9 blocks"),
             (ConfigError::EmptyFleet, "fleet spec must declare at least one group"),
             (ConfigError::ZeroCountGroup("gh200".into()), "group 'gh200' has zero replicas"),
@@ -529,7 +511,7 @@ mod tests {
             (ConfigError::NotPositive("peak offered load", f64::INFINITY), "peak offered load must be positive and finite, got inf"),
             (ConfigError::NoPlatforms, "the platform menu is empty"),
         ];
-        assert_eq!(rows.len(), 25);
+        assert_eq!(rows.len(), 24);
         for (err, want) in rows {
             assert_eq!(err.to_string(), want, "{err:?}");
         }

@@ -279,10 +279,11 @@ impl fmt::Display for FleetRouterPolicy {
     }
 }
 
-/// Iteration-forming policy every replica in the fleet runs — the PR 5
-/// batching-policy seam carried over to the fleet floor. Static batching
-/// has no fleet analogue (its flush timers belong to the single-platform
-/// floor), so the fleet menu is continuous vs. chunked prefill.
+/// Iteration-forming policy every replica in the fleet runs: the
+/// single-node floor's batching-policy seam, carried over to fleets. The
+/// fleet menu is continuous vs. chunked prefill. Static batching's flush
+/// timers live in the unified floor both fronts share, so its absence from
+/// fleets is a gap, not a necessity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum FleetBatchPolicy {
     /// Prefill-priority continuous batching (the PR 6 behaviour): when

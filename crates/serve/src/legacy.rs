@@ -324,14 +324,7 @@ impl ContinuousBatch {
         if state.actives.is_empty() {
             return None;
         }
-        let swap_stall = mem.fit_and_grow(
-            &mut state.actives,
-            |a| Some(u64::from(a.prefilled) + u64::from(a.generated) + 1),
-            lat,
-            now,
-            obs,
-            |_| {},
-        );
+        let swap_stall = mem.fit_and_grow(&mut state.actives, lat, now, obs, |_| {});
         let ctx = state
             .actives
             .iter()
@@ -456,20 +449,10 @@ impl BatchPolicy for ChunkedPrefillBatch {
             // The memory layer reports each victim's batch position; this
             // id list moves in lockstep with the batch to recover its id.
             let mut ids: Vec<u64> = state.actives.iter().map(|a| a.req.id).collect();
-            swap_stall = mem.fit_and_grow(
-                &mut state.actives,
-                |a| {
-                    (a.prefilled >= a.req.prompt_len)
-                        .then(|| u64::from(a.prefilled) + u64::from(a.generated) + 1)
-                },
-                lat,
-                now,
-                obs,
-                |victim| {
-                    let victim = ids.remove(victim);
-                    plan.retain(|s| plan_step_id(*s) != victim);
-                },
-            );
+            swap_stall = mem.fit_and_grow(&mut state.actives, lat, now, obs, |victim| {
+                let victim = ids.remove(victim);
+                plan.retain(|s| plan_step_id(*s) != victim);
+            });
         }
         for a in state.actives.iter() {
             if a.prefilled >= a.req.prompt_len {

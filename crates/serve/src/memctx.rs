@@ -4,6 +4,11 @@
 //! batch policies decide *when* to admit, grow, or evict while this layer
 //! owns *how* the block bookkeeping, offload pricing, and park/resume
 //! mechanics work. The event loop never sees a block.
+//!
+//! A decode step grows one kind of row by one rule: a row past its prompt
+//! must cover its context plus the step. [`MemLane::fit_and_grow`] applies
+//! it to one step at an iteration boundary, [`MemLane::decode_room`] to a
+//! decode window, and both test the same block deficit.
 
 use std::collections::VecDeque;
 
@@ -16,9 +21,9 @@ use crate::latency::LatencyModel;
 use crate::observe::{LifecycleKind, RecordSink, ResumeAction};
 use crate::policy::Active;
 
-/// A preempted request parked for a later resume. Its context,
-/// `prefilled + generated`, is frozen while parked, so it prices both the
-/// swap-in copy and the re-prefill.
+/// A preempted request parked for a later resume. Its
+/// [`context`](Active::context) is frozen while parked, so it prices both
+/// the swap-in copy and the re-prefill.
 pub(crate) struct Parked {
     pub(crate) active: Active,
     pub(crate) resume: ResumeAction,
@@ -54,7 +59,7 @@ impl MemoryLayer {
     pub(crate) fn new(cfg: &ServingConfig, kv: KvCacheConfig, replicas: usize) -> Self {
         MemoryLayer {
             shared: MemShared {
-                spec: KvSpec::for_model(&cfg.model, kv.block_tokens),
+                spec: KvSpec::for_model(&cfg.model, KvSpec::DEFAULT_BLOCK_TOKENS),
                 offload: kv.offload,
                 interconnect: cfg.platform.interconnect.clone(),
             },
@@ -161,7 +166,7 @@ impl MemLane<'_> {
             let Some(front) = self.parked.front() else {
                 break;
             };
-            let ctx_tokens = u64::from(front.active.prefilled) + u64::from(front.active.generated);
+            let ctx_tokens = u64::from(front.active.context());
             if !self.pool.can_reserve(spec.blocks_for(ctx_tokens)) {
                 break;
             }
@@ -193,40 +198,25 @@ impl MemLane<'_> {
         Some(cost)
     }
 
-    /// Makes the iteration's block growth fit: while the summed block
-    /// deficit of every active whose target `needs` returns exceeds the
-    /// free pool, the newest active (vLLM's LIFO victim order) is
-    /// preempted; then every surviving target is reserved. Returns the
-    /// engine stall the evictions charge now (swap copy-outs).
+    /// Makes one decode step's block growth fit: while the decode rows'
+    /// [`deficit`](Self::deficit) for one step exceeds the free pool, the
+    /// newest active (vLLM's LIFO victim order) is preempted; then every
+    /// surviving decode row grows through the step. Returns the engine
+    /// stall the evictions charge now (swap copy-outs).
     ///
-    /// `needs` maps an active to the token count its table must cover
-    /// after this iteration (`None` = not growing). `on_evict` tells the
-    /// policy the position each victim held in `actives` when it was
-    /// removed, so state kept parallel to the batch can drop its entry.
+    /// `on_evict` tells the policy the position each victim held in
+    /// `actives` when it was removed, so state kept parallel to the batch
+    /// can drop its entry.
     pub(crate) fn fit_and_grow(
         &mut self,
         actives: &mut Vec<Active>,
-        needs: impl Fn(&Active) -> Option<u64>,
         lat: &LatencyModel,
         now: SimTime,
         obs: &mut impl RecordSink,
         mut on_evict: impl FnMut(usize),
     ) -> SimDuration {
-        let spec = &self.shared.spec;
         let mut swap_stall = SimDuration::ZERO;
-        loop {
-            let deficit: u32 = actives
-                .iter()
-                .map(|a| {
-                    needs(a).map_or(0, |target| {
-                        spec.blocks_for(target)
-                            .saturating_sub(self.pool.held_blocks(a.req.id))
-                    })
-                })
-                .sum();
-            if deficit <= self.pool.free_blocks() {
-                break;
-            }
+        while self.deficit(actives, 1) > self.pool.free_blocks() {
             let victim = actives
                 .iter()
                 .enumerate()
@@ -236,38 +226,35 @@ impl MemLane<'_> {
             swap_stall += self.preempt(victim, lat, now, actives, obs);
             on_evict(victim);
         }
-        for a in actives.iter() {
-            if let Some(target) = needs(a) {
-                self.pool
-                    .grow_to(a.req.id, target, &self.shared.spec)
-                    .expect("deficit covered above");
-            }
-        }
+        self.grow_decode_rows(actives, 1);
         swap_stall
     }
 
-    /// The most decode steps, up to `most`, through which the pool can
-    /// grow the decode rows (the `actives` past their prompt) from their
-    /// context `c = prefilled + generated`: the largest `j` whose summed
-    /// deficit, Σ max(0, `blocks_for(c + j)` − held), fits the free
-    /// blocks. Nothing is released inside a decode window, so this is the
-    /// per-step test of [`fit_and_grow`](Self::fit_and_grow) summed over
-    /// the window, and it holds for every step up to its answer. At least
-    /// 1: the boundary already reserved the iteration's own step.
-    pub(crate) fn decode_room(&self, actives: &[Active], most: u32) -> u32 {
+    /// The blocks the decode rows (the `actives` past their prompt) lack
+    /// to grow through `steps` decode steps from their context `c`:
+    /// Σ max(0, `blocks_for(c + steps)` − held).
+    fn deficit(&self, actives: &[Active], steps: u32) -> u32 {
         let spec = &self.shared.spec;
-        let fits = |steps: u32| {
-            let deficit: u32 = actives
-                .iter()
-                .filter(|a| a.past_prompt())
-                .map(|a| {
-                    let ctx = u64::from(a.prefilled) + u64::from(a.generated);
-                    spec.blocks_for(ctx + u64::from(steps))
-                        .saturating_sub(self.pool.held_blocks(a.req.id))
-                })
-                .sum();
-            deficit <= self.pool.free_blocks()
-        };
+        actives
+            .iter()
+            .filter(|a| a.past_prompt())
+            .map(|a| {
+                let target = u64::from(a.context()) + u64::from(steps);
+                spec.blocks_for(target)
+                    .saturating_sub(self.pool.held_blocks(a.req.id))
+            })
+            .sum()
+    }
+
+    /// The most decode steps, up to `most`, through which the pool can
+    /// grow the decode rows: the largest `j` whose
+    /// [`deficit`](Self::deficit) fits the free blocks. Nothing is
+    /// released inside a decode window, so this is the per-step test of
+    /// [`fit_and_grow`](Self::fit_and_grow) summed over the window, and it
+    /// holds for every step up to its answer. At least 1: the boundary
+    /// already reserved the iteration's own step.
+    pub(crate) fn decode_room(&self, actives: &[Active], most: u32) -> u32 {
+        let fits = |steps| self.deficit(actives, steps) <= self.pool.free_blocks();
         if fits(most) {
             return most;
         }
@@ -285,14 +272,14 @@ impl MemLane<'_> {
     }
 
     /// Grows every decode row's table through `steps` decode steps at
-    /// once: the growth of a decode window of that length, which
-    /// [`decode_room`](Self::decode_room) showed the pool covers.
+    /// once, a growth whose [`deficit`](Self::deficit) the caller showed
+    /// the pool covers.
     pub(crate) fn grow_decode_rows(&mut self, actives: &[Active], steps: u32) {
         for a in actives.iter().filter(|a| a.past_prompt()) {
-            let target = u64::from(a.prefilled) + u64::from(a.generated) + u64::from(steps);
+            let target = u64::from(a.context()) + u64::from(steps);
             self.pool
                 .grow_to(a.req.id, target, &self.shared.spec)
-                .expect("decode_room covered the window's growth");
+                .expect("the deficit test covered this growth");
         }
     }
 
@@ -309,7 +296,7 @@ impl MemLane<'_> {
         obs: &mut impl RecordSink,
     ) -> SimDuration {
         let a = actives.remove(victim);
-        let tokens = u64::from(a.prefilled) + u64::from(a.generated);
+        let tokens = u64::from(a.context());
         let bytes = tokens * self.shared.spec.bytes_per_token;
         self.pool.release(a.req.id);
         self.counters.preemptions += 1;
@@ -378,8 +365,163 @@ pub(crate) fn price_resumes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use skip_hw::Platform;
     use skip_llm::zoo;
+
+    use crate::request::Request;
+    use crate::unified::FloorObs;
+
+    /// One replica's layer: a `blocks`-block pool of gpt2 KV pages on
+    /// gh200 whose victims recompute.
+    fn layer(blocks: u32) -> MemoryLayer {
+        MemoryLayer {
+            shared: MemShared {
+                spec: KvSpec::for_model(&zoo::gpt2(), KvSpec::DEFAULT_BLOCK_TOKENS),
+                offload: OffloadPolicy::Recompute,
+                interconnect: Platform::gh200().interconnect,
+            },
+            pools: vec![BlockAllocator::new(blocks)],
+            parked: vec![VecDeque::new()],
+            counters: MemCounters::default(),
+        }
+    }
+
+    /// Row `id` with `prefilled` of its `prompt_len` prompt tokens
+    /// prefilled and `generated` tokens out.
+    fn row(id: u64, prompt_len: u32, prefilled: u32, generated: u32) -> Active {
+        let req = Request {
+            id,
+            arrival: SimTime::ZERO,
+            prompt_len,
+            new_tokens: 1024,
+        };
+        Active {
+            req,
+            generated,
+            prefilled,
+        }
+    }
+
+    /// Reserves every row's context on `layer`'s pool, then runs one
+    /// boundary's decode step; returns how many rows it evicted.
+    fn boundary(layer: &mut MemoryLayer, actives: &mut Vec<Active>, lat: &LatencyModel) -> usize {
+        let mut mem = layer.lane(0);
+        for a in actives.iter() {
+            assert!(mem.try_reserve(a.req.id, u64::from(a.context())));
+        }
+        let rows = actives.len();
+        mem.fit_and_grow(actives, lat, SimTime::ZERO, &mut FloorObs::Lean, |_| {});
+        rows - actives.len()
+    }
+
+    /// A decode step grows only the rows past their prompt, and a
+    /// shortfall evicts the newest id first wherever it sits, reporting
+    /// each victim's position at its removal, until the decode rows' growth
+    /// fits. Decode row 6 at context 16 (1 block, 2 after the step), decode
+    /// rows 4 and 5 at context 48 (3 blocks, 4 after) and prompt rows 1
+    /// and 7 holding one 16-token chunk each fill a 9-block pool, a deficit
+    /// of 3. The newest, prompt row 7, frees one block and decode row 6 one
+    /// more, which exactly covers rows 4 and 5. A rule that also grew
+    /// prompt row 1 would lack a block there and evict row 5 too; row 1
+    /// keeps its one.
+    #[test]
+    fn fit_and_grow_grows_only_decode_rows_and_evicts_the_newest_first() {
+        let lat = LatencyModel::new(Platform::gh200(), zoo::gpt2());
+        let mut layer = layer(9);
+        let (decode, prompt) = (|id| row(id, 32, 32, 16), |id| row(id, 64, 16, 0));
+        let mut actives = vec![row(6, 8, 8, 8), prompt(1), decode(4), prompt(7), decode(5)];
+        let mut mem = layer.lane(0);
+        for a in &actives {
+            assert!(mem.try_reserve(a.req.id, u64::from(a.context())));
+        }
+        assert_eq!(mem.pool.free_blocks(), 0);
+        let mut victims = Vec::new();
+        let stall = mem.fit_and_grow(
+            &mut actives,
+            &lat,
+            SimTime::ZERO,
+            &mut FloorObs::Lean,
+            |at| victims.push(at),
+        );
+        assert_eq!(
+            stall,
+            SimDuration::ZERO,
+            "a recompute victim stalls nothing now"
+        );
+        assert_eq!(victims, [3, 0]);
+        let ids: Vec<u64> = actives.iter().map(|a| a.req.id).collect();
+        assert_eq!(ids, [1, 4, 5]);
+        let held: Vec<u32> = [1, 4, 5, 6, 7].map(|id| mem.pool.held_blocks(id)).into();
+        assert_eq!(held, [1, 4, 4, 0, 0]);
+        assert_eq!(mem.pool.free_blocks(), 0);
+        let parked: Vec<u64> = mem.parked.iter().map(|p| p.active.req.id).collect();
+        assert_eq!(parked, [7, 6]);
+    }
+
+    proptest! {
+        /// `decode_room` is the per-iteration rule summed over a window.
+        /// From a boundary whose own decode step evicted nobody, it must
+        /// answer what stepping the pool one iteration at a time answers,
+        /// capped at `most`: 1 (the boundary's own step) plus the rounds —
+        /// credit every decode row a token, then `fit_and_grow` — that run
+        /// before the first round that evicts. The two sides run on
+        /// identically built layers, over 1-6 decode rows at random
+        /// contexts, with or without a prompt row anywhere in the batch.
+        #[test]
+        fn decode_room_is_the_per_iteration_rule_over_a_window(
+            decode in prop::collection::vec((1u32..400, 0u32..200), 1..7),
+            with_prompt in prop::sample::select(vec![false, true]),
+            (prompt_at, prompt_len) in (0usize..7, 2u32..400),
+            slack in 0u32..64,
+            most in 1u32..257,
+        ) {
+            let build = || {
+                let mut actives: Vec<Active> = decode
+                    .iter()
+                    .enumerate()
+                    .map(|(id, &(prompt, out))| row(id as u64, prompt, prompt, out))
+                    .collect();
+                if with_prompt {
+                    let id = actives.len() as u64;
+                    let at = prompt_at.min(actives.len());
+                    actives.insert(at, row(id, prompt_len, prompt_len / 2, 0));
+                }
+                actives
+            };
+            let spec = KvSpec::for_model(&zoo::gpt2(), KvSpec::DEFAULT_BLOCK_TOKENS);
+            let held: u32 = build()
+                .iter()
+                .map(|a| spec.blocks_for(u64::from(a.context())))
+                .sum();
+            let lat = LatencyModel::new(Platform::gh200(), zoo::gpt2());
+
+            let mut windowed = layer(held + slack);
+            let mut actives = build();
+            if boundary(&mut windowed, &mut actives, &lat) > 0 {
+                return;
+            }
+            let room = windowed.lane(0).decode_room(&actives, most);
+
+            let mut stepped = layer(held + slack);
+            let mut actives = build();
+            assert_eq!(boundary(&mut stepped, &mut actives, &lat), 0);
+            let mut mem = stepped.lane(0);
+            let mut steps = 1;
+            while steps < most {
+                for a in actives.iter_mut().filter(|a| a.past_prompt()) {
+                    a.generated += 1;
+                }
+                let rows = actives.len();
+                mem.fit_and_grow(&mut actives, &lat, SimTime::ZERO, &mut FloorObs::Lean, |_| {});
+                if actives.len() < rows {
+                    break;
+                }
+                steps += 1;
+            }
+            prop_assert_eq!(room, steps, "{} rows, most {}", actives.len(), most);
+        }
+    }
 
     /// Regression for resume-stall accounting: a cohort of recompute
     /// victims resuming together must be priced as one batched prefill,

@@ -4,10 +4,17 @@
 //! next iteration for one replica ([`BatchPolicy::next_iteration`]) and
 //! crediting the iteration that just completed ([`BatchPolicy::retire`]).
 //! Everything a policy may touch is handed to it through a [`Lane`]: the
-//! replica's pending queue, its running state, an optional
+//! replica's pending queue, its running batch, an optional
 //! [`MemLane`](crate::memctx::MemLane) for KV bookkeeping, and the
 //! observability recorder. The DES loop, flush timers, and replica routing
 //! live in `unified.rs` and never depend on which policy runs.
+//!
+//! Every policy keeps one running batch, [`ReplicaState::actives`], and
+//! prices from the rows it holds: a static job is a batch of rows run to
+//! completion, and an iteration-level decode step runs over the rows past
+//! their prompt, which one function counts ([`decode_rows`]) and
+//! [`decode_window`] extends. The memory layer grows those same rows by
+//! the same rule.
 //!
 //! One trait covers both serving floors. The single-node policies
 //! ([`Policy::build`]) admit through memory-aware seams; the fleet policies
@@ -30,10 +37,12 @@ use crate::observe::{LifecycleKind, RecordSink};
 use crate::request::Request;
 use crate::unified::FloorObs;
 
-/// A request in the running batch.
+/// A request in the running batch: a row of a static job or of an
+/// iteration-level batch.
 pub(crate) struct Active {
     pub(crate) req: Request,
-    /// Tokens generated so far (0 while still prefilling).
+    /// Tokens generated so far (0 while still prefilling, and throughout a
+    /// static job, which completes its rows whole).
     pub(crate) generated: u32,
     /// Prompt tokens prefilled so far. Whole-prompt policies set this to
     /// `prompt_len` at admission; chunked prefill advances it chunk by
@@ -48,6 +57,12 @@ impl Active {
     pub(crate) fn past_prompt(&self) -> bool {
         self.prefilled >= self.req.prompt_len
     }
+
+    /// Tokens the row's KV covers: its prefilled prompt plus what it has
+    /// generated.
+    pub(crate) fn context(&self) -> u32 {
+        self.prefilled + self.generated
+    }
 }
 
 /// A completed request's user-visible latencies.
@@ -59,23 +74,15 @@ pub(crate) struct Finished {
 /// One replica's scheduling state.
 #[derive(Default)]
 pub(crate) struct ReplicaState {
-    /// Running batch (iteration-level policies).
+    /// The running batch: every request this replica is responsible for
+    /// apart from its queue and its parked requests.
     pub(crate) actives: Vec<Active>,
     /// Chunked prefill's grants for the in-flight iteration, parallel to
     /// `actives`: `grants[i]` is the prompt tokens `actives[i]` prefills
     /// (0 = none). Empty during a resume iteration, so its retire advances
     /// nobody. Reused across iterations.
     pub(crate) grants: Vec<u32>,
-    /// In-flight static job: each request with its first-token instant.
-    pub(crate) static_job: Vec<(Request, SimTime)>,
     pub(crate) busy: bool,
-}
-
-impl ReplicaState {
-    /// Requests this replica is responsible for right now.
-    pub(crate) fn running(&self) -> usize {
-        self.actives.len() + self.static_job.len()
-    }
 }
 
 /// Everything a batch policy may touch while scheduling one replica:
@@ -84,8 +91,6 @@ impl ReplicaState {
 /// Borrowed afresh from the floor for each decision, so policies hold no
 /// state of their own beyond their knobs.
 pub(crate) struct Lane<'a> {
-    pub(crate) prompt_len: u32,
-    pub(crate) new_tokens: u32,
     pub(crate) lat: &'a LatencyModel,
     pub(crate) now: SimTime,
     pub(crate) replica: usize,
@@ -104,10 +109,6 @@ pub(crate) struct Lane<'a> {
     /// Finished prefills awaiting a KV handoff to the decode pool; the
     /// floor drains this after every retire.
     pub(crate) handoffs_out: &'a mut Vec<Request>,
-    /// Reusable retire scratch: the drained running set ping-pongs between
-    /// here and `state.actives`, so fleet retires allocate nothing once
-    /// the buffers have grown to batch size.
-    pub(crate) scratch: &'a mut Vec<Active>,
     pub(crate) last_completion: &'a mut SimTime,
     /// Set by [`BatchPolicy::next_iteration`] when the iteration it priced
     /// is decode-only: its boundary resumed, admitted, granted a prompt
@@ -201,7 +202,9 @@ impl FleetBatchPolicy {
 }
 
 /// Classic static batching: collect `batch_size` requests (or time out
-/// waiting), run the whole batch to completion as one job.
+/// waiting), run the whole batch to completion as one job. The job's
+/// requests are the batch's rows, priced at their longest prompt and
+/// output; their first tokens come out when the job's prefill ends.
 pub(crate) struct StaticBatch {
     batch_size: u32,
     max_wait: SimDuration,
@@ -213,33 +216,39 @@ impl BatchPolicy for StaticBatch {
         if lane.queue.is_empty() || !(enough || flush) {
             return None;
         }
-        let take = (lane.queue.len() as u32).min(self.batch_size);
-        let batch: Vec<Request> = (0..take).filter_map(|_| lane.queue.pop_front()).collect();
-        let b = batch.len() as u32;
-        let prefill = lane.lat.prefill(b, lane.prompt_len);
+        let take = lane.queue.len().min(self.batch_size as usize);
+        let job = lane.queue.drain(..take).map(|req| Active {
+            prefilled: req.prompt_len,
+            generated: 0,
+            req,
+        });
+        lane.state.actives.extend(job);
+        let (prompt_len, new_tokens) = lane.state.actives.iter().fold((0, 0), |(p, n), a| {
+            (p.max(a.req.prompt_len), n.max(a.req.new_tokens))
+        });
+        let b = take as u32;
+        let prefill = lane.lat.prefill(b, prompt_len);
         let mut total = prefill;
-        for step in 1..lane.new_tokens {
-            total += lane.lat.decode_step(b, lane.prompt_len + step);
+        for step in 1..new_tokens {
+            total += lane.lat.decode_step(b, prompt_len + step);
         }
-        let first_token_at = lane.now + prefill;
-        for req in batch {
-            lane.obs.record(
-                req.id,
-                lane.now,
-                LifecycleKind::Admitted {
-                    replica: lane.replica as u32,
-                },
-            );
-            lane.state.static_job.push((req, first_token_at));
+        let admitted_here = LifecycleKind::Admitted {
+            replica: lane.replica as u32,
+        };
+        for i in 0..take {
+            let id = lane.state.actives[i].req.id;
+            lane.obs.record(id, lane.now, admitted_here);
+            lane.first_token_out(id, lane.now + prefill);
         }
         Some(total)
     }
 
     fn retire(&self, lane: &mut Lane<'_>) {
-        for (req, first_token_at) in std::mem::take(&mut lane.state.static_job) {
-            lane.first_token_out(req.id, first_token_at);
-            lane.complete(req);
+        let mut job = std::mem::take(&mut lane.state.actives);
+        for a in job.drain(..) {
+            lane.complete(a.req);
         }
+        lane.state.actives = job;
     }
 
     fn flush_after(&self) -> Option<SimDuration> {
@@ -263,7 +272,6 @@ impl BatchPolicy for ContinuousBatch {
     /// every prompt fits and nothing is ever parked or preempted.
     fn next_iteration(&self, lane: &mut Lane<'_>, _flush: bool) -> Option<SimDuration> {
         let Lane {
-            prompt_len,
             lat,
             now,
             replica,
@@ -275,7 +283,9 @@ impl BatchPolicy for ContinuousBatch {
             ..
         } = lane;
         let now = *now;
-        let replica_id = *replica as u32;
+        let admitted_here = LifecycleKind::Admitted {
+            replica: *replica as u32,
+        };
         let slots = (self.max_batch as usize).saturating_sub(state.actives.len());
 
         // 1. Resume preempted requests; the cohort rides one iteration.
@@ -289,6 +299,7 @@ impl BatchPolicy for ContinuousBatch {
         //    preempted request is waiting — they have priority).
         if mem.as_ref().is_none_or(MemLane::parked_is_empty) && slots > 0 && !queue.is_empty() {
             let mut admitted = 0u32;
+            let mut prompt_len = 0;
             while (admitted as usize) < slots {
                 let Some(req) = queue.front() else { break };
                 if let Some(mem) = mem.as_mut() {
@@ -297,23 +308,17 @@ impl BatchPolicy for ContinuousBatch {
                     }
                 }
                 let req = queue.pop_front().expect("front probed above");
-                obs.record(
-                    req.id,
-                    now,
-                    LifecycleKind::Admitted {
-                        replica: replica_id,
-                    },
-                );
-                let prefilled = req.prompt_len;
+                obs.record(req.id, now, admitted_here);
+                prompt_len = prompt_len.max(req.prompt_len);
                 state.actives.push(Active {
                     req,
                     generated: 0,
-                    prefilled,
+                    prefilled: req.prompt_len,
                 });
                 admitted += 1;
             }
             if admitted > 0 {
-                return Some(lat.prefill(admitted, *prompt_len));
+                return Some(lat.prefill(admitted, prompt_len));
             }
         }
 
@@ -326,44 +331,27 @@ impl BatchPolicy for ContinuousBatch {
         let running = state.actives.len();
         let mut swap_stall = SimDuration::ZERO;
         if let Some(mem) = mem.as_mut() {
-            swap_stall = mem.fit_and_grow(
-                &mut state.actives,
-                |a| Some(u64::from(a.prefilled) + u64::from(a.generated) + 1),
-                lat,
-                now,
-                obs,
-                |_| {},
-            );
+            swap_stall = mem.fit_and_grow(&mut state.actives, lat, now, obs, |_| {});
         }
         *decode_only = state.actives.len() == running;
-        let ctx = state
-            .actives
-            .iter()
-            .map(|a| a.prefilled + a.generated)
-            .max()
-            .expect("non-empty");
-        Some(lat.decode_step(state.actives.len() as u32, ctx) + swap_stall)
+        let (rows, ctx) = decode_rows(&state.actives);
+        Some(lat.decode_step(rows, ctx) + swap_stall)
     }
 
+    /// Credits every row one token, then completes the rows that reached
+    /// their budget. This advance-all discipline also credits a row that
+    /// idled beside a newcomer's prefill or a resume (DESIGN.md §2.5).
     fn retire(&self, lane: &mut Lane<'_>) {
-        let now = lane.now;
-        let mut i = 0;
-        while i < lane.state.actives.len() {
+        for i in 0..lane.state.actives.len() {
             let a = &mut lane.state.actives[i];
             a.generated += 1;
             if a.generated == 1 {
                 // Prefill just finished: first token out.
                 let id = a.req.id;
-                lane.first_token_out(id, now);
-            }
-            let a = &lane.state.actives[i];
-            if a.generated >= a.req.new_tokens {
-                let a = lane.state.actives.swap_remove(i);
-                lane.complete(a.req);
-            } else {
-                i += 1;
+                lane.first_token_out(id, lane.now);
             }
         }
+        complete_finished(lane);
     }
 }
 
@@ -392,7 +380,9 @@ impl BatchPolicy for ChunkedPrefillBatch {
             ..
         } = lane;
         let now = *now;
-        let replica_id = *replica as u32;
+        let admitted_here = LifecycleKind::Admitted {
+            replica: *replica as u32,
+        };
         let slots = (self.max_batch as usize).saturating_sub(state.actives.len());
 
         // Preempted requests have priority; the resume cohort rides one
@@ -425,13 +415,7 @@ impl BatchPolicy for ChunkedPrefillBatch {
                 }
             }
             let req = queue.pop_front().expect("front probed above");
-            obs.record(
-                req.id,
-                now,
-                LifecycleKind::Admitted {
-                    replica: replica_id,
-                },
-            );
+            obs.record(req.id, now, admitted_here);
             state.actives.push(Active {
                 req,
                 generated: 0,
@@ -447,19 +431,9 @@ impl BatchPolicy for ChunkedPrefillBatch {
         let running = state.actives.len();
         let mut swap_stall = SimDuration::ZERO;
         if let Some(mem) = mem.as_mut() {
-            swap_stall = mem.fit_and_grow(
-                &mut state.actives,
-                |a| {
-                    a.past_prompt()
-                        .then(|| u64::from(a.prefilled) + u64::from(a.generated) + 1)
-                },
-                lat,
-                now,
-                obs,
-                |victim| {
-                    state.grants.remove(victim);
-                },
-            );
+            swap_stall = mem.fit_and_grow(&mut state.actives, lat, now, obs, |victim| {
+                state.grants.remove(victim);
+            });
         }
         // Each grant and each admission spends budget, so an untouched
         // budget means neither happened. A prompt row whose chunk the pool
@@ -476,32 +450,45 @@ impl BatchPolicy for ChunkedPrefillBatch {
     }
 
     fn retire(&self, lane: &mut Lane<'_>) {
-        let now = lane.now;
-        for i in 0..lane.state.grants.len() {
-            let grant = lane.state.grants[i];
-            let a = &mut lane.state.actives[i];
-            if grant > 0 {
-                a.prefilled += grant;
-                if a.past_prompt() {
-                    // Final chunk: first token out with it.
-                    a.generated = 1;
-                    let id = a.req.id;
-                    lane.first_token_out(id, now);
-                }
-            } else if a.past_prompt() {
-                a.generated += 1;
+        credit_chunks(lane);
+        complete_finished(lane);
+    }
+}
+
+/// Credits a chunked iteration: a granted row prefills its chunk, and its
+/// first token comes out with the final one; every other row past its
+/// prompt decodes one token. An empty [`ReplicaState::grants`] (a resume
+/// iteration) credits nobody.
+fn credit_chunks(lane: &mut Lane<'_>) {
+    for i in 0..lane.state.grants.len() {
+        let grant = lane.state.grants[i];
+        let a = &mut lane.state.actives[i];
+        if grant > 0 {
+            a.prefilled += grant;
+            if a.past_prompt() {
+                // Final chunk: first token out with it.
+                a.generated = 1;
+                let id = a.req.id;
+                lane.first_token_out(id, lane.now);
             }
+        } else if a.past_prompt() {
+            a.generated += 1;
         }
-        lane.state.grants.clear();
-        let mut i = 0;
-        while i < lane.state.actives.len() {
-            let a = &lane.state.actives[i];
-            if a.past_prompt() && a.generated >= a.req.new_tokens {
-                let a = lane.state.actives.swap_remove(i);
-                lane.complete(a.req);
-            } else {
-                i += 1;
-            }
+    }
+    lane.state.grants.clear();
+}
+
+/// Completes every row that has generated its last token, sweeping the
+/// batch in position order with `swap_remove`.
+fn complete_finished(lane: &mut Lane<'_>) {
+    let mut i = 0;
+    while i < lane.state.actives.len() {
+        let a = &lane.state.actives[i];
+        if a.past_prompt() && a.generated >= a.req.new_tokens {
+            let a = lane.state.actives.swap_remove(i);
+            lane.complete(a.req);
+        } else {
+            i += 1;
         }
     }
 }
@@ -545,36 +532,39 @@ fn grant_chunks(
 /// iteration has neither.
 fn price_chunked(lat: &LatencyModel, actives: &[Active], grants: &[u32]) -> Option<SimDuration> {
     debug_assert_eq!(actives.len(), grants.len());
-    let mut chunk_rows = 0u32;
-    let mut max_chunk = 0u32;
-    let mut decode_rows = 0u32;
-    let mut decode_ctx = 0u32;
-    for (a, &grant) in actives.iter().zip(grants) {
-        if grant > 0 {
-            chunk_rows += 1;
-            max_chunk = max_chunk.max(grant);
-        } else if a.past_prompt() {
-            decode_rows += 1;
-            decode_ctx = decode_ctx.max(a.prefilled + a.generated);
-        }
-    }
+    let (chunk_rows, max_chunk) = grants
+        .iter()
+        .filter(|&&grant| grant > 0)
+        .fold((0, 0), |(rows, max), &grant| (rows + 1, max.max(grant)));
+    let (rows, ctx) = decode_rows(actives);
     let mut cost = SimDuration::ZERO;
     if chunk_rows > 0 {
         cost += lat.prefill(chunk_rows, max_chunk);
     }
-    if decode_rows > 0 {
-        cost += lat.decode_step(decode_rows, decode_ctx);
+    if rows > 0 {
+        cost += lat.decode_step(rows, ctx);
     }
-    (chunk_rows + decode_rows > 0).then_some(cost)
+    (chunk_rows + rows > 0).then_some(cost)
+}
+
+/// The decode step over `actives`: how many rows are past their prompt,
+/// and the longest context among them. Every iteration-level policy
+/// prices its decode step from this, at `decode_step(rows, ctx)`; a
+/// granted row is still in its prompt, so it never counts.
+pub(crate) fn decode_rows(actives: &[Active]) -> (u32, u32) {
+    actives
+        .iter()
+        .filter(|a| a.past_prompt())
+        .fold((0, 0), |(rows, ctx), a| (rows + 1, ctx.max(a.context())))
 }
 
 /// Grows the iteration the policy just priced as `step` into a **decode
 /// window**: the run of decode steps the replica would take, one
 /// `IterationDone` each, while nothing but token counts and block tables
 /// change. Only an iteration the policy marked [`Lane::decode_only`]
-/// grows; any other stays one step. Over the `n` decode rows (the rows
-/// past their prompt), step `k + 1` costs `decode_step(n, ctx + k)`, one
-/// table index. The window ends at the first of:
+/// grows; any other stays one step. Over the `n` [`decode_rows`] at
+/// longest context `ctx`, step `k + 1` costs `decode_step(n, ctx + k)`,
+/// one table index. The window ends at the first of:
 ///
 /// * the step that completes its first request (every iteration-level
 ///   retire completes a decode row at its `new_tokens`);
@@ -597,17 +587,16 @@ pub(crate) fn decode_window(
         return step;
     }
     let actives = &mut lane.state.actives;
-    let mut left = u32::MAX;
-    let mut ctx = 0;
-    let mut n = 0;
-    for a in actives.iter().filter(|a| a.past_prompt()) {
-        left = left.min(a.req.new_tokens.saturating_sub(a.generated));
-        ctx = ctx.max(a.prefilled + a.generated);
-        n += 1;
-    }
+    let (n, ctx) = decode_rows(actives);
     debug_assert_eq!(step, lane.lat.decode_step(n, ctx), "not a decode-only step");
+    let mut left = actives
+        .iter()
+        .filter(|a| a.past_prompt())
+        .map(|a| a.req.new_tokens.saturating_sub(a.generated))
+        .min()
+        .unwrap_or(u32::MAX);
     if let Some(mem) = &lane.mem {
-        left = left.min(mem.decode_room(actives, left));
+        left = mem.decode_room(actives, left);
     }
     let mut len = step;
     let mut k = 1;
@@ -632,18 +621,15 @@ pub(crate) fn decode_window(
 fn fleet_admit(lane: &mut Lane<'_>, max_batch: u32) -> usize {
     let room = (max_batch as usize).saturating_sub(lane.state.actives.len());
     let decode_side = lane.pool == PoolRole::Decode;
+    let replica = lane.replica as u32;
+    let kind = if decode_side {
+        LifecycleKind::DecodeAdmitted { replica }
+    } else {
+        LifecycleKind::Admitted { replica }
+    };
     for admitted in 0..room {
         let Some(req) = lane.queue.pop_front() else {
             return admitted;
-        };
-        let kind = if decode_side {
-            LifecycleKind::DecodeAdmitted {
-                replica: lane.replica as u32,
-            }
-        } else {
-            LifecycleKind::Admitted {
-                replica: lane.replica as u32,
-            }
         };
         lane.obs.record(req.id, lane.now, kind);
         lane.state.actives.push(Active {
@@ -656,15 +642,17 @@ fn fleet_admit(lane: &mut Lane<'_>, max_batch: u32) -> usize {
 }
 
 /// Routes a request that just produced a token: complete at its budget,
-/// hand off from the prefill pool, else keep decoding.
-fn fleet_finish_or_keep(lane: &mut Lane<'_>, a: Active) {
+/// hand off from the prefill pool, else keep decoding. Returns whether
+/// the row stays in the batch.
+fn fleet_keeps(lane: &mut Lane<'_>, a: &Active) -> bool {
     if a.generated >= a.req.new_tokens {
         lane.complete(a.req);
     } else if lane.pool == PoolRole::Prefill {
         lane.handoffs_out.push(a.req);
     } else {
-        lane.state.actives.push(a);
+        return true;
     }
+    false
 }
 
 /// Fleet continuous batching with strict prefill priority: when any
@@ -678,60 +666,55 @@ pub(crate) struct FleetContinuous {
 impl BatchPolicy for FleetContinuous {
     fn next_iteration(&self, lane: &mut Lane<'_>, _flush: bool) -> Option<SimDuration> {
         let admitted = fleet_admit(lane, self.max_batch);
-        if lane.state.actives.is_empty() {
+        let actives = &lane.state.actives;
+        if actives.is_empty() {
             return None;
         }
-        // Price the iteration in a single counting pass.
-        let mut fresh_rows = 0u32;
-        let mut fresh_len = 0u32;
-        let mut batch_ctx = 0u32;
-        for a in &lane.state.actives {
-            if a.generated == 0 {
-                fresh_rows += 1;
-                fresh_len = fresh_len.max(a.req.prompt_len);
-            }
-            batch_ctx = batch_ctx.max(a.req.prompt_len + a.generated);
-        }
-        lane.decode_only = admitted == 0 && fresh_rows == 0;
-        Some(if fresh_rows == 0 {
-            lane.lat
-                .decode_step(lane.state.actives.len() as u32, batch_ctx)
+        // A row is fresh until its whole prompt is prefilled in one
+        // iteration, so every row that is not a decode row is fresh.
+        let (rows, ctx) = decode_rows(actives);
+        let fresh = actives.len() as u32 - rows;
+        lane.decode_only = admitted == 0 && fresh == 0;
+        Some(if fresh == 0 {
+            lane.lat.decode_step(rows, ctx)
         } else {
-            lane.lat.prefill(fresh_rows, fresh_len)
+            let fresh_len = actives
+                .iter()
+                .filter(|a| !a.past_prompt())
+                .map(|a| a.req.prompt_len)
+                .max()
+                .expect("a fresh row");
+            lane.lat.prefill(fresh, fresh_len)
         })
     }
 
+    /// Compacts the batch in place: survivors, completions and handoffs
+    /// keep batch order, and the batch's allocation is reused.
     fn retire(&self, lane: &mut Lane<'_>) {
-        let was_prefill = lane.state.actives.iter().any(|a| a.generated == 0);
-        let now = lane.now;
-        // Drain through the reusable scratch buffer: swap the running set
-        // out, push survivors straight back, and keep both capacities for
-        // the next retire.
-        let mut work = std::mem::replace(&mut lane.state.actives, std::mem::take(lane.scratch));
-        for mut a in work.drain(..) {
-            if was_prefill {
-                if a.generated == 0 {
-                    a.generated = 1;
-                    a.prefilled = a.req.prompt_len;
-                    lane.first_token_out(a.req.id, now);
-                } else {
-                    // Decoding requests idled through the prefill
-                    // iteration (prefill-priority continuous batching).
-                    lane.state.actives.push(a);
-                    continue;
-                }
-            } else {
+        let was_prefill = lane.state.actives.iter().any(|a| !a.past_prompt());
+        let mut batch = std::mem::take(&mut lane.state.actives);
+        batch.retain_mut(|a| {
+            if !was_prefill {
                 a.generated += 1;
+            } else if !a.past_prompt() {
+                a.generated = 1;
+                a.prefilled = a.req.prompt_len;
+                lane.first_token_out(a.req.id, lane.now);
+            } else {
+                // Decoding requests idled through the prefill iteration
+                // (prefill-priority continuous batching).
+                return true;
             }
-            fleet_finish_or_keep(lane, a);
-        }
-        *lane.scratch = work;
+            fleet_keeps(lane, a)
+        });
+        lane.state.actives = batch;
     }
 }
 
-/// Fleet chunked prefill: [`ChunkedPrefillBatch`]'s grant walk and price
-/// without the memory seams. The grants live in [`ReplicaState::grants`]
-/// (reused across iterations) and are applied at retire.
+/// Fleet chunked prefill: [`ChunkedPrefillBatch`]'s grant walk, price and
+/// crediting without the memory seams. The grants live in
+/// [`ReplicaState::grants`] (reused across iterations) and are applied at
+/// retire.
 pub(crate) struct FleetChunked {
     max_batch: u32,
     chunk_tokens: u32,
@@ -746,32 +729,12 @@ impl BatchPolicy for FleetChunked {
         price_chunked(lane.lat, &state.actives, &state.grants)
     }
 
+    /// Credits the iteration, then compacts the batch in place: every row
+    /// past its prompt produced a token, and the rest stay admitted.
     fn retire(&self, lane: &mut Lane<'_>) {
-        let now = lane.now;
-        let mut work = std::mem::replace(&mut lane.state.actives, std::mem::take(lane.scratch));
-        for (i, mut a) in work.drain(..).enumerate() {
-            let grant = lane.state.grants[i];
-            if a.past_prompt() {
-                // Spent the iteration in its decode phase.
-                a.generated += 1;
-            } else if grant > 0 {
-                a.prefilled += grant;
-                if a.past_prompt() {
-                    // Final chunk: first token out with it.
-                    a.generated = 1;
-                    lane.first_token_out(a.req.id, now);
-                } else {
-                    lane.state.actives.push(a);
-                    continue;
-                }
-            } else {
-                // Out of chunk budget this iteration; stays admitted.
-                lane.state.actives.push(a);
-                continue;
-            }
-            fleet_finish_or_keep(lane, a);
-        }
-        *lane.scratch = work;
-        lane.state.grants.clear();
+        credit_chunks(lane);
+        let mut batch = std::mem::take(&mut lane.state.actives);
+        batch.retain(|a| !a.past_prompt() || fleet_keeps(lane, a));
+        lane.state.actives = batch;
     }
 }

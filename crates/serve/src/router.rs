@@ -16,7 +16,6 @@
 
 use crate::config::RouterPolicy;
 use crate::fleet::spec::FleetRouterPolicy;
-use crate::request::Request;
 
 /// Load snapshot of one replica, consulted by routing policies.
 #[derive(Debug, Clone, Copy)]
@@ -67,8 +66,9 @@ pub(crate) trait Router {
     /// `replicas` for partitioned dispatch.
     fn queue_count(&self, replicas: usize) -> usize;
 
-    /// Queue index `req` joins, given one load snapshot per replica.
-    fn route(&mut self, req: &Request, load: &[ReplicaLoad]) -> usize;
+    /// Queue index the request being routed joins, given one load
+    /// snapshot per replica. No router reads the request itself.
+    fn route(&mut self, load: &[ReplicaLoad]) -> usize;
 }
 
 impl RouterPolicy {
@@ -104,7 +104,7 @@ impl Router for SharedQueue {
         1
     }
 
-    fn route(&mut self, _req: &Request, _load: &[ReplicaLoad]) -> usize {
+    fn route(&mut self, _load: &[ReplicaLoad]) -> usize {
         0
     }
 }
@@ -119,7 +119,7 @@ impl Router for RoundRobin {
         replicas
     }
 
-    fn route(&mut self, _req: &Request, load: &[ReplicaLoad]) -> usize {
+    fn route(&mut self, load: &[ReplicaLoad]) -> usize {
         let eligible = load.iter().filter(|l| l.eligible).count();
         let k = self.next % eligible.max(1);
         self.next = self.next.wrapping_add(1);
@@ -140,7 +140,7 @@ impl Router for JoinShortestQueue {
         replicas
     }
 
-    fn route(&mut self, _req: &Request, load: &[ReplicaLoad]) -> usize {
+    fn route(&mut self, load: &[ReplicaLoad]) -> usize {
         load.iter()
             .enumerate()
             .filter(|(_, l)| l.eligible)
@@ -160,7 +160,7 @@ impl Router for CostModelJsq {
         replicas
     }
 
-    fn route(&mut self, _req: &Request, load: &[ReplicaLoad]) -> usize {
+    fn route(&mut self, load: &[ReplicaLoad]) -> usize {
         let mut best = 0usize;
         let mut best_cost = f64::INFINITY;
         let mut first = true;
@@ -185,16 +185,6 @@ impl Router for CostModelJsq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skip_des::SimTime;
-
-    fn req(id: u64) -> Request {
-        Request {
-            id,
-            arrival: SimTime::ZERO,
-            prompt_len: 8,
-            new_tokens: 2,
-        }
-    }
 
     fn load(spec: &[(u32, u32, u32)]) -> Vec<ReplicaLoad> {
         spec.iter()
@@ -211,7 +201,7 @@ mod tests {
     fn shared_queue_uses_one_queue() {
         let mut r = RouterPolicy::SharedQueue.build();
         assert_eq!(r.queue_count(4), 1);
-        assert_eq!(r.route(&req(0), &load(&[(5, 5, 5); 4])), 0);
+        assert_eq!(r.route(&load(&[(5, 5, 5); 4])), 0);
     }
 
     #[test]
@@ -219,7 +209,7 @@ mod tests {
         let mut r = RouterPolicy::RoundRobin.build();
         assert_eq!(r.queue_count(3), 3);
         let l = load(&[(9, 9, 9), (0, 0, 0), (0, 0, 0)]);
-        let picks: Vec<usize> = (0..6).map(|i| r.route(&req(i), &l)).collect();
+        let picks: Vec<usize> = (0..6).map(|_| r.route(&l)).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
 
@@ -229,7 +219,7 @@ mod tests {
         let mut l = load(&[(0, 0, 0); 4]);
         l[0].eligible = false;
         l[2].eligible = false;
-        let picks: Vec<usize> = (0..4).map(|i| r.route(&req(i), &l)).collect();
+        let picks: Vec<usize> = (0..4).map(|_| r.route(&l)).collect();
         assert_eq!(picks, vec![1, 3, 1, 3]);
     }
 
@@ -238,20 +228,11 @@ mod tests {
         let mut r = RouterPolicy::JoinShortestQueue.build();
         assert_eq!(r.queue_count(3), 3);
         // Replica 1 has the least total outstanding work.
-        assert_eq!(
-            r.route(&req(0), &load(&[(2, 1, 0), (1, 0, 1), (4, 0, 0)])),
-            1
-        );
+        assert_eq!(r.route(&load(&[(2, 1, 0), (1, 0, 1), (4, 0, 0)])), 1);
         // Parked work counts against a replica.
-        assert_eq!(
-            r.route(&req(1), &load(&[(1, 0, 3), (1, 1, 0), (3, 1, 0)])),
-            1
-        );
+        assert_eq!(r.route(&load(&[(1, 0, 3), (1, 1, 0), (3, 1, 0)])), 1);
         // Ties break to the lowest index.
-        assert_eq!(
-            r.route(&req(2), &load(&[(1, 1, 0), (2, 0, 0), (0, 2, 0)])),
-            0
-        );
+        assert_eq!(r.route(&load(&[(1, 1, 0), (2, 0, 0), (0, 2, 0)])), 0);
     }
 
     #[test]
@@ -259,9 +240,9 @@ mod tests {
         let mut r = FleetRouterPolicy::JoinShortestQueue.build();
         let mut l = load(&[(2, 0, 0), (0, 0, 0), (0, 1, 0)]);
         l[1].link = 3; // inbound handoffs count as outstanding work
-        assert_eq!(r.route(&req(0), &l), 2);
+        assert_eq!(r.route(&l), 2);
         l[2].eligible = false;
-        assert_eq!(r.route(&req(1), &l), 0);
+        assert_eq!(r.route(&l), 0);
     }
 
     #[test]
@@ -271,13 +252,13 @@ mod tests {
         // Uniform cost: plain JSQ picks the empty replica.
         l[0].unit_cost_ns = 100.0;
         l[1].unit_cost_ns = 100.0;
-        assert_eq!(r.route(&req(0), &l), 1);
+        assert_eq!(r.route(&l), 1);
         // A slow replica loses even with a shorter queue.
         l[1].unit_cost_ns = 1000.0;
-        assert_eq!(r.route(&req(1), &l), 0);
+        assert_eq!(r.route(&l), 0);
         // Strict improvement only: ties keep the earliest candidate.
         l[0].queued = 0;
         l[1].unit_cost_ns = 100.0;
-        assert_eq!(r.route(&req(2), &l), 0);
+        assert_eq!(r.route(&l), 0);
     }
 }

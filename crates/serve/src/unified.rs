@@ -43,7 +43,7 @@ use crate::memctx::MemoryLayer;
 use crate::observe::{
     CounterSample, LifecycleKind, RecordSink, ServingTrace, SloReport, SloTargets,
 };
-use crate::policy::{decode_window, Active, BatchPolicy, Finished, Lane, ReplicaState};
+use crate::policy::{decode_window, BatchPolicy, Finished, Lane, ReplicaState};
 use crate::request::Request;
 use crate::router::{ReplicaLoad, Router};
 use crate::stop::{StopCondition, StopGuard};
@@ -152,11 +152,11 @@ struct ReplicaMeta {
     unit_cost_ns: f64,
 }
 
-/// The replica-set abstraction the unified floor is generic over: the
-/// platforms and their latency models, per-replica identities, handoff
-/// links, the two routing seams, and the scaling/billing knobs. A
-/// single-node floor is the degenerate case — one group, one pool,
-/// always-up replicas, inert links, no autoscaler.
+/// The unified floor's replica fields, grouped: the platforms and their
+/// latency models, per-replica identities, handoff links, the two routing
+/// seams, and the scaling/billing knobs. A single-node floor is the
+/// degenerate case — one group, one pool, always-up replicas, inert
+/// links, no autoscaler.
 pub(crate) struct ReplicaSet {
     platforms: Vec<Platform>,
     lat: Vec<LatencyModel>,
@@ -386,11 +386,7 @@ impl FloorSpec<'_> {
             obs: self.obs,
             expired_buf: vec![false; nq],
             load_buf: Vec::with_capacity(n),
-            scratch_actives: Vec::with_capacity(self.max_batch as usize),
             scratch_handoffs: Vec::with_capacity(if disagg { self.max_batch as usize } else { 0 }),
-            prompt_len: self.prompt_len,
-            new_tokens: self.new_tokens,
-            max_batch: self.max_batch,
             requests: self.requests,
         };
 
@@ -507,14 +503,8 @@ pub(crate) struct UnifiedFloor {
     expired_buf: Vec<bool>,
     /// Reused per-arrival scratch: the router's load snapshot.
     load_buf: Vec<ReplicaLoad>,
-    /// Reusable retire scratch (see [`Lane::scratch`]).
-    scratch_actives: Vec<Active>,
     /// Reusable buffer for handoffs discovered during a retire.
     scratch_handoffs: Vec<Request>,
-    prompt_len: u32,
-    new_tokens: u32,
-    /// Per-replica admission slots (fleet policies; scaling unit costs).
-    max_batch: u32,
     /// Total requests this run serves (the autoscaler's done check).
     requests: u32,
 }
@@ -563,7 +553,7 @@ impl UnifiedFloor {
                 let q = self
                     .set
                     .arrival_router
-                    .route(&req, &self.load_buf)
+                    .route(&self.load_buf)
                     .min(self.queues.len() - 1);
                 self.queues[q].push_back(req);
                 self.wake(ctx, q);
@@ -657,8 +647,6 @@ impl UnifiedFloor {
         let q = self.queue_of[replica];
         let meta = &self.set.meta[replica];
         let mut lane = Lane {
-            prompt_len: self.prompt_len,
-            new_tokens: self.new_tokens,
             lat: &self.set.lat[meta.platform_idx],
             now,
             replica,
@@ -670,7 +658,6 @@ impl UnifiedFloor {
             done: &mut self.finished,
             first_token: &mut self.first_token,
             handoffs_out: &mut self.scratch_handoffs,
-            scratch: &mut self.scratch_actives,
             last_completion: &mut self.last_completion,
             decode_only: false,
         };
@@ -783,7 +770,7 @@ impl UnifiedFloor {
         load_buf.clear();
         load_buf.extend((0..states.len()).map(|r| ReplicaLoad {
             queued: queues[queue_of[r]].len() as u32,
-            running: states[r].running() as u32,
+            running: states[r].actives.len() as u32,
             parked: mem.as_ref().map_or(0, |m| m.parked_len(r)) as u32,
             link: set.links[r].depth(),
             eligible: set.meta[r].state == RState::Up && want(&set.meta[r]),
@@ -829,7 +816,7 @@ impl UnifiedFloor {
         let dst = self
             .set
             .handoff_router
-            .route(&req, &self.load_buf)
+            .route(&self.load_buf)
             .min(self.queues.len() - 1);
         // Prompt plus the first token produced by prefill, in whole
         // blocks — what paged attention actually migrates.
@@ -872,7 +859,7 @@ impl UnifiedFloor {
     /// Outstanding work at replica `i`: its queue, its running batch, and
     /// handoffs already committed to its link.
     fn backlog(&self, i: usize) -> u32 {
-        (self.queues[self.queue_of[i]].len() + self.states[i].running()) as u32
+        (self.queues[self.queue_of[i]].len() + self.states[i].actives.len()) as u32
             + self.set.links[i].depth()
     }
 
@@ -904,19 +891,17 @@ impl UnifiedFloor {
     ) {
         // One counting pass over the pool: outstanding work, up/launching
         // tallies, the newest up replica (drain victim), and the pool's
-        // seed platform — no per-tick index vectors.
+        // seed replica — no per-tick index vectors.
         let mut outstanding = 0u32;
         let mut up_count = 0u32;
         let mut last_up = None;
         let mut launching = 0u32;
-        let mut seed_platform = None;
+        let mut seed = None;
         for i in 0..self.set.meta.len() {
             if self.set.meta[i].pool != pool {
                 continue;
             }
-            if seed_platform.is_none() {
-                seed_platform = Some(self.set.meta[i].platform_idx);
-            }
+            seed = seed.or(Some(i));
             outstanding += self.backlog(i);
             match self.set.meta[i].state {
                 RState::Up => {
@@ -929,8 +914,9 @@ impl UnifiedFloor {
         }
         let pressure = f64::from(outstanding) / f64::from(up_count.max(1));
         if pressure > auto.high_load && (up_count + launching) < auto.max_per_pool {
-            // Clone the pool's seed platform for the new replica.
-            let platform_idx = seed_platform.expect("pool has at least one replica");
+            // Clone the pool's seed replica: same platform, same unit price.
+            let seed = &self.set.meta[seed.expect("pool has at least one replica")];
+            let (platform_idx, unit_cost_ns) = (seed.platform_idx, seed.unit_cost_ns);
             let launch_cost = auto.provision_delay
                 + self.set.platforms[platform_idx].h2d_transfer(self.set.weight_bytes);
             let new_idx = self.set.meta.len();
@@ -938,13 +924,7 @@ impl UnifiedFloor {
                 platform_idx,
                 pool,
                 state: RState::Launching,
-                unit_cost_ns: unit_cost_ns(
-                    &self.set.lat[platform_idx],
-                    pool,
-                    self.max_batch,
-                    self.prompt_len,
-                    self.new_tokens,
-                ),
+                unit_cost_ns,
             });
             self.set.links.push(LinkRt::default());
             self.states.push(ReplicaState::default());
@@ -978,7 +958,7 @@ impl UnifiedFloor {
             let empty = self.set.meta[i].state == RState::Draining
                 && !self.states[i].busy
                 && self.queues[self.queue_of[i]].is_empty()
-                && self.states[i].running() == 0
+                && self.states[i].actives.is_empty()
                 && self.set.links[i].depth() == 0;
             if empty {
                 self.set.bill(now);
@@ -1011,7 +991,7 @@ impl UnifiedFloor {
         match obs {
             FloorObs::Lean => {}
             FloorObs::Serve(t) => {
-                let running: usize = states.iter().map(ReplicaState::running).sum();
+                let running: usize = states.iter().map(|s| s.actives.len()).sum();
                 let parked = mem.as_ref().map_or(0, MemoryLayer::parked_total);
                 let busy = states.iter().filter(|s| s.busy).count();
                 let sample = CounterSample {

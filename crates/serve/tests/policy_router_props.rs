@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use skip_des::SimDuration;
 use skip_hw::Platform;
 use skip_llm::zoo;
-use skip_mem::OffloadPolicy;
+use skip_mem::{KvSpec, OffloadPolicy};
 use skip_serve::{
     simulate_replicas, simulate_traced, KvCacheConfig, Policy, RouterPolicy, ServingConfig,
     SloTargets,
@@ -75,8 +75,7 @@ proptest! {
         kv_slack in prop::sample::select(vec![0u32, 2, 16, 256]),
     ) {
         let kv = (kv_slack > 0).then(|| {
-            let probe = KvCacheConfig::with_blocks(1, OffloadPolicy::Auto);
-            let spec = skip_mem::KvSpec::for_model(&zoo::gpt2(), probe.block_tokens);
+            let spec = KvSpec::for_model(&zoo::gpt2(), KvSpec::DEFAULT_BLOCK_TOKENS);
             let floor = spec.blocks_for(u64::from(prompt_len) + u64::from(new_tokens));
             KvCacheConfig::with_blocks(floor + kv_slack, OffloadPolicy::Auto)
         });
@@ -134,8 +133,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let kv = (kv_slack > 0).then(|| {
-            let probe = KvCacheConfig::with_blocks(1, OffloadPolicy::Auto);
-            let spec = skip_mem::KvSpec::for_model(&zoo::gpt2(), probe.block_tokens);
+            let spec = KvSpec::for_model(&zoo::gpt2(), KvSpec::DEFAULT_BLOCK_TOKENS);
             let floor = spec.blocks_for(u64::from(prompt_len) + u64::from(new_tokens));
             KvCacheConfig::with_blocks(floor + kv_slack, OffloadPolicy::Auto)
         });

@@ -14,6 +14,7 @@ use skip_des::SimDuration;
 use skip_fusion::{recommend, FusionAnalysis};
 use skip_hw::Platform;
 use skip_llm::{zoo, ModelConfig, Phase, Workload};
+use skip_mem::KvSpec;
 use skip_runtime::{CompileMode, Engine, ExecMode};
 use skip_serve::fleet::plan;
 use skip_serve::{
@@ -310,8 +311,8 @@ fn hint(e: &ConfigError, reads: &[&str]) -> String {
         | ConfigError::MissingPool(_) => &["fleet", "disagg"],
         ConfigError::BadAutoscale(_) => &["autoscale"],
         // No flag reaches the rest: `--kv-blocks 0` is no pool, `--max-replicas`
-        // is checked first, and the KV block size, attainment floor and
-        // platform menu have no flag.
+        // is checked first, and the attainment floor and platform menu have
+        // no flag.
         _ => &[],
     };
     let named: Vec<&str> = rule.iter().copied().filter(|f| reads.contains(f)).collect();
@@ -598,7 +599,9 @@ fn print_serving(cfg: &ServingConfig, report: &ServingReport) {
     if let Some(kv) = cfg.kv {
         println!(
             "KV cache     : {} blocks/replica x {} tokens | offload {}",
-            kv.blocks_per_replica, kv.block_tokens, kv.offload
+            kv.blocks_per_replica,
+            KvSpec::DEFAULT_BLOCK_TOKENS,
+            kv.offload
         );
         println!(
             "KV pressure  : {} preemptions ({} swapped, {:.1} MB moved; {} tokens recomputed) | peak occupancy {:.0}%",
